@@ -97,8 +97,11 @@ int main() {
              std::to_string(static_cast<int>(pop.y * 100)),
          TablePrinter::Cell(row.none), TablePrinter::Cell(row.best_cache),
          TablePrinter::Cell(row.best_buffer),
-         "(" + TablePrinter::Cell(row.k_buffer) + "," +
-             TablePrinter::Cell(row.k_cache) + ")",
+         std::string("(")
+             .append(TablePrinter::Cell(row.k_buffer))
+             .append(",")
+             .append(TablePrinter::Cell(row.k_cache))
+             .append(")"),
          TablePrinter::Cell(row.hybrid),
          TablePrinter::Cell(
              100.0 * (static_cast<double>(row.hybrid) /

@@ -137,9 +137,11 @@ int main() {
           return o.ok ? TablePrinter::Cell(o.hit_rate, 3)
                       : std::string("-");
         };
-        table.AddRow({"$" + TablePrinter::Cell(
-                                static_cast<std::int64_t>(budget.total)) +
-                          " k=" + TablePrinter::Cell(budget.k),
+        table.AddRow({std::string("$")
+                          .append(TablePrinter::Cell(
+                              static_cast<std::int64_t>(budget.total)))
+                          .append(" k=")
+                          .append(TablePrinter::Cell(budget.k)),
                       PopName(pop), count_cell(cell.none),
                       count_cell(cell.replicated), count_cell(cell.striped),
                       hit(cell.replicated), hit(cell.striped)});

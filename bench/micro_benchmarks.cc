@@ -279,9 +279,9 @@ BENCHMARK(BM_DirectServerCycles)->Arg(8)->Arg(64);
 
 // Admission decisions per second (items = admitted streams) under the
 // churny admit/release pattern that keeps returning to recently seen
-// (n, B̄) loads — the case the controller's re-solve memo turns into a
-// hash probe. Arg = buffer_k: 0 prices against Theorem 1 directly, 2
-// against the Theorem 2 MEMS-buffer solve.
+// (n, B̄) loads. Arg = buffer_k: 0 solves Theorem 1 directly on every
+// offer (no memo), 2 prices against the Theorem 2 MEMS-buffer solve,
+// which the controller's re-solve memo turns into a hash probe here.
 void BM_AdmissionChurn(benchmark::State& state) {
   auto disk = device::DiskDrive::Create(device::FutureDisk2007()).value();
   server::AdmissionConfig config;
@@ -305,6 +305,28 @@ void BM_AdmissionChurn(benchmark::State& state) {
   state.SetItemsProcessed(admitted);
 }
 BENCHMARK(BM_AdmissionChurn)->Arg(0)->Arg(2);
+
+// The same Theorem-1 admit/release pair on a controller already holding
+// Arg streams of one rate. Release scans rate classes, not streams, so
+// the cost stays flat as the held count grows.
+void BM_AdmissionChurnHeld(benchmark::State& state) {
+  auto disk = device::DiskDrive::Create(device::FutureDisk2007()).value();
+  server::AdmissionConfig config;
+  config.dram_budget = 100 * kGB;
+  config.disk_rate = 300 * kMBps;
+  config.disk_latency = model::DiskLatencyFn(disk);
+  auto ctrl = server::AdmissionController::Create(config);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    (void)ctrl.value().TryAdmit(16 * kKBps);
+  }
+  std::int64_t admitted = 0;
+  for (auto _ : state) {
+    admitted += ctrl.value().TryAdmit(16 * kKBps).admitted ? 1 : 0;
+    (void)ctrl.value().Release(16 * kKBps);
+  }
+  state.SetItemsProcessed(admitted);
+}
+BENCHMARK(BM_AdmissionChurnHeld)->Arg(64)->Arg(8192);
 
 // Cost of one auditor/timeline sample through the null-tolerant helpers:
 // Arg(0) = disabled (null sink: one pointer test per site), Arg(1) = a

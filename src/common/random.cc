@@ -70,13 +70,27 @@ ZipfDistribution::ZipfDistribution(std::size_t n, double exponent) {
     cdf_[k - 1] = acc;
   }
   for (auto& v : cdf_) v /= acc;
+
+  // One pass over the CDF: entry i opens every bucket up to its own.
+  guide_.resize(n);
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < n && j < n; ++i) {
+    const std::size_t last = Bucket(cdf_[i]);
+    while (j <= last) guide_[j++] = i;
+  }
+  while (j < n) guide_[j++] = n - 1;
 }
 
-std::size_t ZipfDistribution::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) --it;
-  return static_cast<std::size_t>(it - cdf_.begin()) + 1;
+std::size_t ZipfDistribution::Bucket(double u) const {
+  const auto b = static_cast<std::size_t>(
+      u * static_cast<double>(cdf_.size()));
+  return std::min(b, cdf_.size() - 1);
+}
+
+std::size_t ZipfDistribution::RankOf(double u) const {
+  std::size_t i = guide_[Bucket(u)];
+  while (i + 1 < cdf_.size() && cdf_[i] < u) ++i;
+  return i + 1;
 }
 
 double ZipfDistribution::Pmf(std::size_t rank) const {

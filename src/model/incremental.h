@@ -12,14 +12,14 @@
 //    incremental_model_test cross-checks the probes against the full
 //    solvers over randomized parameters.
 //
-// 2. Re-solve memos. Online admission and degradation re-plans evaluate
-//    the same solver at the same handful of keys over and over: every
-//    admit + depart pair returns to the previous (n, B̄) — the aggregate
-//    terms (stream count, summed bit-rate) are already maintained by
-//    O(1) deltas — and every fault + repair pair returns to the previous
+// 2. Re-solve memos. Theorem-2 admission and degradation re-plans
+//    evaluate the same solver at the same handful of keys over and
+//    over: every admit + depart pair returns to the previous (n, B̄)
+//    and every fault + repair pair returns to the previous
 //    (alive, rate_scale). SolveMemo caches solver outcomes on the
 //    bit-exact key so a revisit costs a hash probe instead of a full
-//    re-derivation. In debug builds (or with set_cross_check(true))
+//    re-derivation. Theorem-1 admission skips the memo: its solve
+//    costs less than the probe. In debug builds (or with set_cross_check(true))
 //    every hit re-runs the full solver and counts disagreements in
 //    stats().mismatches — the incremental path is only trusted where it
 //    is provably equal to the full one.

@@ -176,14 +176,17 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
 }
 
 std::string PrometheusName(const std::string& name) {
+  // Sanitizing maps digits to themselves, so the raw first character
+  // decides the leading underscore; writing it first avoids shifting the
+  // string in place.
   std::string out;
-  out.reserve(name.size());
+  out.reserve(name.size() + 1);
+  if (name.empty() || (name[0] >= '0' && name[0] <= '9')) out.push_back('_');
   for (char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out.push_back(ok ? c : '_');
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
   return out;
 }
 

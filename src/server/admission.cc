@@ -30,9 +30,10 @@ Result<AdmissionController> AdmissionController::Create(
   return AdmissionController(std::move(config));
 }
 
-Bytes AdmissionController::DramFor(std::int64_t n, BytesPerSecond avg,
-                                   std::string* reason) const {
-  if (n == 0) return 0;
+AdmissionController::DramSolve AdmissionController::DramFor(
+    std::int64_t n, BytesPerSecond avg) const {
+  DramSolve solve;
+  if (n == 0) return solve;
   model::DeviceProfile disk;
   disk.rate = config_.disk_rate;
   disk.latency = config_.disk_latency(n);
@@ -43,31 +44,48 @@ Bytes AdmissionController::DramFor(std::int64_t n, BytesPerSecond avg,
     params.disk = disk;
     params.mems = config_.mems;
     auto sized = model::SolveMemsBuffer(n, avg, params);
-    if (sized.ok()) return sized.value().dram_total;
-    if (reason != nullptr) *reason = sized.status().ToString();
-    return kInf;
+    if (sized.ok()) {
+      solve.dram = sized.value().dram_total;
+    } else {
+      solve.dram = kInf;
+      solve.reason = sized.status().ToString();
+    }
+    return solve;
   }
 
-  auto total = model::TotalBufferSize(n, avg, disk);
-  if (total.ok()) return total.value();
-  if (reason != nullptr) *reason = total.status().ToString();
-  return kInf;
+  // The probe kernel is TotalBufferSize term for term without building
+  // a Result; only an infeasible load pays for the full solve's reason.
+  solve.dram = model::ProbeTheorem1Total(n, avg, disk.rate, disk.latency);
+  if (std::isnan(solve.dram)) {
+    solve.dram = kInf;
+    solve.reason = model::TotalBufferSize(n, avg, disk).status().ToString();
+  }
+  return solve;
 }
 
-const AdmissionController::DramSolve& AdmissionController::DramForCached(
+AdmissionController::DramSolve AdmissionController::Solve(
     std::int64_t n, BytesPerSecond avg) const {
+  if (config_.buffer_k == 0) return DramFor(n, avg);
   const model::SolveKey key{n, model::DoubleBits(avg), 0};
   return memo_.Lookup(
-      key,
-      [&] {
-        DramSolve solve;
-        solve.dram = DramFor(n, avg, &solve.reason);
-        return solve;
-      },
+      key, [&] { return DramFor(n, avg); },
       [](const DramSolve& a, const DramSolve& b) {
         return model::DoubleBits(a.dram) == model::DoubleBits(b.dram) &&
                a.reason == b.reason;
       });
+}
+
+std::vector<AdmissionController::RateClass>::iterator
+AdmissionController::FindClass(BytesPerSecond rate) {
+  return std::find_if(classes_.begin(), classes_.end(),
+                      [rate](const RateClass& c) { return c.rate == rate; });
+}
+
+void AdmissionController::SumRates() {
+  total_rate_ = 0;
+  for (const RateClass& c : classes_) {
+    total_rate_ += c.rate * static_cast<double>(c.count);
+  }
 }
 
 AdmissionDecision AdmissionController::TryAdmit(BytesPerSecond bit_rate) {
@@ -86,14 +104,20 @@ AdmissionDecision AdmissionController::TryAdmit(BytesPerSecond bit_rate) {
     const BytesPerSecond avg =
         (total_rate_ + bit_rate) /
         static_cast<double>(decision.streams_after);
-    const DramSolve& solve = DramForCached(decision.streams_after, avg);
+    DramSolve solve = Solve(decision.streams_after, avg);
     decision.dram_required = solve.dram;
     if (solve.dram > config_.dram_budget) {
-      decision.reason =
-          solve.dram == kInf ? solve.reason : "DRAM budget exceeded";
+      decision.reason = solve.dram == kInf ? std::move(solve.reason)
+                                           : "DRAM budget exceeded";
     } else {
-      admitted_.push_back(bit_rate);
-      total_rate_ += bit_rate;
+      auto it = FindClass(bit_rate);
+      if (it == classes_.end()) {
+        classes_.push_back({bit_rate, 1});
+      } else {
+        ++it->count;
+      }
+      ++admitted_count_;
+      SumRates();
       decision.admitted = true;
     }
   }
@@ -116,19 +140,21 @@ AdmissionDecision AdmissionController::TryAdmit(BytesPerSecond bit_rate) {
 }
 
 Status AdmissionController::Release(BytesPerSecond bit_rate) {
-  auto it = std::find(admitted_.begin(), admitted_.end(), bit_rate);
-  if (it == admitted_.end()) {
+  auto it = FindClass(bit_rate);
+  if (it == classes_.end()) {
     return Status::NotFound("no admitted stream with that bit_rate");
   }
-  admitted_.erase(it);
-  total_rate_ = std::max(0.0, total_rate_ - bit_rate);
+  if (--it->count == 0) classes_.erase(it);
+  --admitted_count_;
+  SumRates();
   return Status::OK();
 }
 
 Bytes AdmissionController::CurrentDramRequirement() const {
-  if (admitted_.empty()) return 0;
-  const auto n = static_cast<std::int64_t>(admitted_.size());
-  return DramForCached(n, total_rate_ / static_cast<double>(n)).dram;
+  if (admitted_count_ == 0) return 0;
+  return Solve(admitted_count_,
+               total_rate_ / static_cast<double>(admitted_count_))
+      .dram;
 }
 
 }  // namespace memstream::server

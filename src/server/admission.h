@@ -49,12 +49,20 @@ struct AdmissionDecision {
 
 /// Tracks the admitted set and enforces the model's feasibility bounds.
 ///
-/// The sizing is a pure function of (n, B̄): the controller maintains the
-/// aggregate terms (stream count, summed bit-rate) by O(1) deltas on
-/// admit/release and memoizes the solver outcome on the bit-exact
-/// (n, B̄) key, so churny admit/depart sequences — which keep returning
-/// to recently seen loads — skip the full Theorem 1/2 re-derivation.
-/// Debug builds cross-check every memo hit against the full solver.
+/// The sizing is a pure function of (n, B̄). The controller keeps the
+/// admitted set as a {rate, count} table per rate class, so admit and
+/// release are O(classes). The summed bit-rate is re-derived from the
+/// table after each change, so it cannot drift under += / -= and is
+/// exactly 0 once the set drains.
+///
+/// Theorem 1 (buffer_k == 0) is solved directly on every call: one
+/// L̄_disk(n) evaluation plus the closed form costs less than the hash
+/// probe it would replace, and a farm's admission wave walks n upward
+/// so a memo would almost always miss. Theorem 2 (buffer_k > 0) goes
+/// through a memo on the bit-exact (n, B̄) key, because churny
+/// admit/depart sequences keep returning to recently seen loads and its
+/// solve is several times dearer. Debug builds cross-check every memo
+/// hit against the full solver.
 class AdmissionController {
  public:
   /// Requires a disk_latency function.
@@ -66,22 +74,24 @@ class AdmissionController {
   /// Removes one previously admitted stream of `bit_rate`.
   Status Release(BytesPerSecond bit_rate);
 
-  std::int64_t admitted_count() const {
-    return static_cast<std::int64_t>(admitted_.size());
-  }
+  std::int64_t admitted_count() const { return admitted_count_; }
   BytesPerSecond total_bit_rate() const { return total_rate_; }
+  /// Distinct bit-rates among the admitted streams; Release scans this
+  /// many entries.
+  std::size_t rate_class_count() const { return classes_.size(); }
 
   /// DRAM the current admitted set needs (0 when empty).
   Bytes CurrentDramRequirement() const;
 
-  /// Re-solve memo accounting (hits/misses/cross-check mismatches).
+  /// Theorem-2 re-solve memo accounting (hits/misses/cross-check
+  /// mismatches); all zero when buffer_k == 0.
   const model::SolveMemoStats& memo_stats() const { return memo_.stats(); }
   /// Forces (or disables) the hit-time cross-check against the full
   /// solver; defaults to on in debug builds only.
   void set_cross_check(bool on) { memo_.set_cross_check(on); }
 
  private:
-  /// Memoized outcome of one (n, B̄) sizing.
+  /// Outcome of one (n, B̄) sizing.
   struct DramSolve {
     Bytes dram = 0;
     std::string reason;  ///< set when dram is infinite
@@ -101,16 +111,28 @@ class AdmissionController {
     }
   }
 
-  /// Total DRAM needed for n streams at average rate `avg`; infinity
-  /// when infeasible.
-  Bytes DramFor(std::int64_t n, BytesPerSecond avg,
-                std::string* reason) const;
+  /// Full solve: total DRAM needed for n streams at average rate `avg`;
+  /// infinity (with the solver's reason) when infeasible.
+  DramSolve DramFor(std::int64_t n, BytesPerSecond avg) const;
 
-  /// DramFor through the (n, B̄) memo.
-  const DramSolve& DramForCached(std::int64_t n, BytesPerSecond avg) const;
+  /// DramFor for the admission path: direct for Theorem 1, through the
+  /// (n, B̄) memo for Theorem 2.
+  DramSolve Solve(std::int64_t n, BytesPerSecond avg) const;
+
+  /// Admitted streams sharing one bit-rate.
+  struct RateClass {
+    BytesPerSecond rate = 0;
+    std::int64_t count = 0;
+  };
+
+  /// The class of `rate`, or classes_.end().
+  std::vector<RateClass>::iterator FindClass(BytesPerSecond rate);
+  /// Re-derives total_rate_ from the class table.
+  void SumRates();
 
   AdmissionConfig config_;
-  std::vector<BytesPerSecond> admitted_;
+  std::vector<RateClass> classes_;  ///< live classes, in opening order
+  std::int64_t admitted_count_ = 0;
   BytesPerSecond total_rate_ = 0;
   mutable model::SolveMemo<DramSolve> memo_;
   // Telemetry handles (null when the matching config member is null).

@@ -20,7 +20,8 @@ Result<FarmReport> RunFarm(const FarmConfig& config) {
   farm.disks = config.num_disks;
   for (std::int64_t d = 0; d < config.num_disks; ++d) {
     device::DiskParameters params = config.disk;
-    params.name += "#" + std::to_string(d);
+    params.name += '#';
+    params.name += std::to_string(d);
     auto disk = device::DiskDrive::Create(params);
     MEMSTREAM_RETURN_IF_ERROR(disk.status());
 

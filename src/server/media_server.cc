@@ -163,7 +163,8 @@ Result<MediaServerResult> RunBuffer(const MediaServerConfig& config) {
   std::vector<device::MemsDevice> bank;
   for (std::int64_t i = 0; i < config.k; ++i) {
     device::MemsParameters p = config.mems;
-    p.name += "#" + std::to_string(i);
+    p.name += '#';
+    p.name += std::to_string(i);
     auto dev = device::MemsDevice::Create(p);
     MEMSTREAM_RETURN_IF_ERROR(dev.status());
     bank.push_back(std::move(dev).value());
@@ -266,7 +267,8 @@ Result<MediaServerResult> RunCache(const MediaServerConfig& config) {
   std::vector<device::MemsDevice> bank;
   for (std::int64_t i = 0; i < config.k; ++i) {
     device::MemsParameters p = config.mems;
-    p.name += "#" + std::to_string(i);
+    p.name += '#';
+    p.name += std::to_string(i);
     auto dev = device::MemsDevice::Create(p);
     MEMSTREAM_RETURN_IF_ERROR(dev.status());
     bank.push_back(std::move(dev).value());

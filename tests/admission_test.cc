@@ -1,7 +1,11 @@
 #include "server/admission.h"
 
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "device/device_catalog.h"
 
 namespace memstream::server {
@@ -93,6 +97,75 @@ TEST(AdmissionTest, ReleaseUnknownStreamFails) {
   auto ctrl = AdmissionController::Create(DirectConfig(100 * kMB));
   ASSERT_TRUE(ctrl.ok());
   EXPECT_EQ(ctrl.value().Release(5 * kMBps).code(), StatusCode::kNotFound);
+}
+
+TEST(AdmissionTest, ReleaseUnknownRateChangesNothing) {
+  auto ctrl = AdmissionController::Create(DirectConfig(1 * kGB));
+  ASSERT_TRUE(ctrl.ok());
+  AdmissionController& c = ctrl.value();
+  ASSERT_TRUE(c.TryAdmit(1 * kMBps).admitted);
+  ASSERT_TRUE(c.TryAdmit(100 * kKBps).admitted);
+  ASSERT_TRUE(c.TryAdmit(16 * kKBps).admitted);
+  ASSERT_TRUE(c.Release(16 * kKBps).ok());  // drains its class
+  const std::int64_t count = c.admitted_count();
+  const BytesPerSecond total = c.total_bit_rate();
+  const Bytes dram = c.CurrentDramRequirement();
+  for (const BytesPerSecond rate : {5 * kMBps, 16 * kKBps, 0.0, -1.0}) {
+    EXPECT_EQ(c.Release(rate).code(), StatusCode::kNotFound) << rate;
+    EXPECT_EQ(c.admitted_count(), count);
+    EXPECT_EQ(c.total_bit_rate(), total);
+    EXPECT_EQ(c.CurrentDramRequirement(), dram);
+    EXPECT_EQ(c.rate_class_count(), 2u);
+  }
+}
+
+TEST(AdmissionTest, NonIntegerRatesDrainToExactlyZero) {
+  // Rates with no exact binary form: a running += / -= sum would leave
+  // rounding residue behind; the per-class counts cannot.
+  auto ctrl = AdmissionController::Create(DirectConfig(1 * kGB));
+  ASSERT_TRUE(ctrl.ok());
+  AdmissionController& c = ctrl.value();
+  const BytesPerSecond rates[] = {1 * kMBps / 3, 1 * kMBps / 7,
+                                  0.1 * kMBps, 2 * kMBps / 3};
+  Rng rng(8);
+  std::vector<BytesPerSecond> live;
+  for (int step = 0; step < 5000; ++step) {
+    if (live.empty() || rng.NextInt(0, 2) != 0) {
+      const BytesPerSecond r = rates[rng.NextInt(0, 3)];
+      if (c.TryAdmit(r).admitted) live.push_back(r);
+    } else {
+      const auto victim = static_cast<std::size_t>(
+          rng.NextInt(0, static_cast<std::int64_t>(live.size()) - 1));
+      ASSERT_TRUE(c.Release(live[victim]).ok());
+      live[victim] = live.back();
+      live.pop_back();
+    }
+  }
+  ASSERT_GT(live.size(), 10u);
+  for (const BytesPerSecond r : live) ASSERT_TRUE(c.Release(r).ok());
+  EXPECT_EQ(c.admitted_count(), 0);
+  EXPECT_EQ(c.total_bit_rate(), 0.0);
+  EXPECT_FALSE(std::signbit(c.total_bit_rate()));
+  EXPECT_EQ(c.CurrentDramRequirement(), 0.0);
+  EXPECT_EQ(c.rate_class_count(), 0u);
+}
+
+TEST(AdmissionTest, ReleaseScansRateClassesNotStreams) {
+  // 8 k streams of one rate form one class, so a Release scans one
+  // entry however many streams are held.
+  auto ctrl = AdmissionController::Create(DirectConfig(100 * kGB));
+  ASSERT_TRUE(ctrl.ok());
+  AdmissionController& c = ctrl.value();
+  constexpr std::int64_t kHeld = 8192;
+  for (std::int64_t i = 0; i < kHeld; ++i) {
+    ASSERT_TRUE(c.TryAdmit(16 * kKBps).admitted) << i;
+  }
+  EXPECT_EQ(c.rate_class_count(), 1u);
+  EXPECT_EQ(c.total_bit_rate(), kHeld * 16 * kKBps);
+  ASSERT_TRUE(c.Release(16 * kKBps).ok());
+  EXPECT_EQ(c.admitted_count(), kHeld - 1);
+  EXPECT_EQ(c.rate_class_count(), 1u);
+  EXPECT_EQ(c.total_bit_rate(), (kHeld - 1) * 16 * kKBps);
 }
 
 TEST(AdmissionTest, RejectionLeavesStateUnchanged) {

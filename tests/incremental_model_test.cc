@@ -7,14 +7,17 @@
 //    NaN exactly when the full solve is non-OK;
 //  - LargestTrueInline vs math_utils' LargestTrue on random monotone
 //    predicates;
-//  - the admission and degradation re-solve memos under randomized
-//    admit/depart and fault/repair sequences, with the hit-time
-//    cross-check forced on — any divergence between the memoized and
-//    the full path lands in stats().mismatches;
+//  - the Theorem-2 admission and degradation re-solve memos under
+//    randomized admit/depart and fault/repair sequences, with the
+//    hit-time cross-check forced on — any divergence between the
+//    memoized and the full path lands in stats().mismatches;
+//  - Theorem-1 admission, which solves directly without a memo, against
+//    TotalBufferSize over randomized admit/depart churn;
 //  - BreakEvenCostFactor's hoisted bisection vs a reference that runs
 //    the full EvaluateSensitivity at every probe.
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -135,43 +138,108 @@ TEST(ProbeKernelTest, LargestTrueInlineMatchesLargestTrue) {
 }
 
 TEST(SolveMemoTest, AdmissionChurnNeverDivergesFromFullSolver) {
-  for (const std::int64_t buffer_k : {0, 2}) {
-    auto disk = device::DiskDrive::Create(device::FutureDisk2007()).value();
-    server::AdmissionConfig config;
-    config.dram_budget = 2 * kGB;
-    config.disk_rate = 300 * kMBps;
-    config.disk_latency = model::DiskLatencyFn(disk);
-    config.buffer_k = buffer_k;
-    config.mems.rate = 320 * kMBps;
-    config.mems.latency = 0.86 * kMillisecond;
-    config.mems.capacity = 10 * kGB;
-    auto ctrl = server::AdmissionController::Create(config);
-    ASSERT_TRUE(ctrl.ok());
-    ctrl.value().set_cross_check(true);
+  // Theorem-2 admission (buffer_k > 0) memoizes its solves; Theorem 1
+  // has no memo (see DirectAdmissionTest below).
+  auto disk = device::DiskDrive::Create(device::FutureDisk2007()).value();
+  server::AdmissionConfig config;
+  config.dram_budget = 2 * kGB;
+  config.disk_rate = 300 * kMBps;
+  config.disk_latency = model::DiskLatencyFn(disk);
+  config.buffer_k = 2;
+  config.mems.rate = 320 * kMBps;
+  config.mems.latency = 0.86 * kMillisecond;
+  config.mems.capacity = 10 * kGB;
+  auto ctrl = server::AdmissionController::Create(config);
+  ASSERT_TRUE(ctrl.ok());
+  ctrl.value().set_cross_check(true);
 
-    // Churn across a small pool of rates so (n, B̄) keys recur; every
-    // memo hit re-runs the full solver and compares.
-    const BytesPerSecond rates[] = {500 * kKBps, 1 * kMBps, 2 * kMBps};
-    Rng rng(404 + buffer_k);
-    std::vector<BytesPerSecond> live;
-    for (int step = 0; step < 4000; ++step) {
-      if (live.empty() || rng.NextInt(0, 2) != 0) {
-        const BytesPerSecond r = rates[rng.NextInt(0, 2)];
-        if (ctrl.value().TryAdmit(r).admitted) live.push_back(r);
-      } else {
-        const auto victim =
-            static_cast<std::size_t>(rng.NextInt(
-                0, static_cast<std::int64_t>(live.size()) - 1));
-        ASSERT_TRUE(ctrl.value().Release(live[victim]).ok());
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-      }
-      (void)ctrl.value().CurrentDramRequirement();
+  // Churn across a small pool of rates so (n, B̄) keys recur; every
+  // memo hit re-runs the full solver and compares.
+  const BytesPerSecond rates[] = {500 * kKBps, 1 * kMBps, 2 * kMBps};
+  Rng rng(406);
+  std::vector<BytesPerSecond> live;
+  for (int step = 0; step < 4000; ++step) {
+    if (live.empty() || rng.NextInt(0, 2) != 0) {
+      const BytesPerSecond r = rates[rng.NextInt(0, 2)];
+      if (ctrl.value().TryAdmit(r).admitted) live.push_back(r);
+    } else {
+      const auto victim = static_cast<std::size_t>(
+          rng.NextInt(0, static_cast<std::int64_t>(live.size()) - 1));
+      ASSERT_TRUE(ctrl.value().Release(live[victim]).ok());
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     }
-    const auto& stats = ctrl.value().memo_stats();
-    EXPECT_GT(stats.hits, 0);
-    EXPECT_GT(stats.cross_checks, 0);
-    EXPECT_EQ(stats.mismatches, 0) << "buffer_k=" << buffer_k;
+    (void)ctrl.value().CurrentDramRequirement();
   }
+  const auto& stats = ctrl.value().memo_stats();
+  EXPECT_GT(stats.hits, 0);
+  EXPECT_GT(stats.cross_checks, 0);
+  EXPECT_EQ(stats.mismatches, 0);
+}
+
+TEST(DirectAdmissionTest, ChurnMatchesTheorem1BitForBit) {
+  auto disk = device::DiskDrive::Create(device::FutureDisk2007()).value();
+  server::AdmissionConfig config;
+  config.dram_budget = 2 * kGB;
+  config.disk_rate = 300 * kMBps;
+  config.disk_latency = model::DiskLatencyFn(disk);
+  auto ctrl = server::AdmissionController::Create(config);
+  ASSERT_TRUE(ctrl.ok());
+
+  // The closed form the controller must reproduce: Theorem 1 at the
+  // post-decision load, infinity where the solver reports infeasible.
+  auto theorem1 = [&](std::int64_t n, BytesPerSecond sum) -> Bytes {
+    if (n == 0) return 0;
+    model::DeviceProfile profile;
+    profile.rate = config.disk_rate;
+    profile.latency = config.disk_latency(n);
+    auto total = model::TotalBufferSize(
+        n, sum / static_cast<double>(n), profile);
+    return total.ok() ? total.value()
+                      : std::numeric_limits<double>::infinity();
+  };
+
+  // Integer Table-1-style rates keep the test's own running sum exact,
+  // so it pins total_bit_rate() as well. 10 MB/s streams drive the load
+  // into the bandwidth bound, so infeasible solves are covered too.
+  const BytesPerSecond rates[] = {16 * kKBps, 100 * kKBps, 1 * kMBps,
+                                  10 * kMBps};
+  Rng rng(404);
+  std::vector<BytesPerSecond> live;
+  BytesPerSecond sum = 0;
+  int admitted = 0, rejected = 0;
+  for (int step = 0; step < 6000; ++step) {
+    if (live.empty() || rng.NextInt(0, 2) != 0) {
+      const BytesPerSecond r = rates[rng.NextInt(0, 3)];
+      const auto n = static_cast<std::int64_t>(live.size()) + 1;
+      const server::AdmissionDecision d = ctrl.value().TryAdmit(r);
+      ASSERT_EQ(DoubleBits(d.dram_required), DoubleBits(theorem1(n, sum + r)))
+          << "step " << step << " n=" << n;
+      if (d.admitted) {
+        live.push_back(r);
+        sum += r;
+        ++admitted;
+      } else {
+        ++rejected;
+      }
+    } else {
+      const auto victim = static_cast<std::size_t>(
+          rng.NextInt(0, static_cast<std::int64_t>(live.size()) - 1));
+      ASSERT_TRUE(ctrl.value().Release(live[victim]).ok());
+      sum -= live[victim];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    const auto n = static_cast<std::int64_t>(live.size());
+    ASSERT_EQ(ctrl.value().admitted_count(), n);
+    ASSERT_EQ(DoubleBits(ctrl.value().total_bit_rate()), DoubleBits(sum));
+    ASSERT_EQ(DoubleBits(ctrl.value().CurrentDramRequirement()),
+              DoubleBits(theorem1(n, sum)))
+        << "step " << step << " n=" << n;
+  }
+  EXPECT_GT(admitted, 0);
+  EXPECT_GT(rejected, 0);
+  // Theorem 1 never touches the memo.
+  EXPECT_EQ(ctrl.value().memo_stats().hits, 0);
+  EXPECT_EQ(ctrl.value().memo_stats().misses, 0);
 }
 
 TEST(SolveMemoTest, DegradationReplanNeverDivergesFromFullSolver) {

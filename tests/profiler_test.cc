@@ -153,7 +153,8 @@ TEST_F(ProfilerTest, ThreadMergeIsDeterministicAndComplete) {
   // Children sorted by name, one per thread.
   ASSERT_EQ(shared->children.size(), static_cast<std::size_t>(kThreads));
   for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(shared->children[t].name, "t" + std::to_string(t));
+    EXPECT_EQ(shared->children[t].name,
+              std::string("t").append(std::to_string(t)));
     EXPECT_EQ(shared->children[t].count, kIters);
   }
   // A second snapshot with no new activity is byte-identical.

@@ -1,5 +1,6 @@
 #include "common/random.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -103,6 +104,53 @@ TEST(ZipfTest, SingleItemAlwaysSampled) {
   ZipfDistribution dist(1, 2.0);
   Rng rng(5);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(dist.Sample(rng), 1u);
+}
+
+/// The plain binary-search inversion the guide table must reproduce.
+std::size_t ReferenceRank(const ZipfDistribution& dist, double u) {
+  const std::vector<double>& cdf = dist.cdf();
+  auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  if (it == cdf.end()) --it;
+  return static_cast<std::size_t>(it - cdf.begin()) + 1;
+}
+
+TEST(ZipfTest, GuideTableMatchesLowerBound) {
+  for (const std::size_t n : {1u, 2u, 7u, 2000u, 20000u}) {
+    for (const double s : {0.0, 0.8, 1.2}) {
+      const ZipfDistribution dist(n, s);
+      ASSERT_EQ(dist.cdf().back(), 1.0);
+      auto check = [&](double u) {
+        ASSERT_EQ(dist.RankOf(u), ReferenceRank(dist, u))
+            << "n=" << n << " s=" << s << " u=" << u;
+      };
+      // Edges: the ends of [0, 1) and every CDF step with both of its
+      // floating-point neighbours, where a bucket boundary computed
+      // with rounding could start the scan one entry too late.
+      check(0.0);
+      check(1.0 - 0x1.0p-53);
+      for (const double c : dist.cdf()) {
+        check(c);
+        check(std::nextafter(c, 0.0));
+        if (c < 1.0) check(std::nextafter(c, 1.0));
+      }
+      for (std::size_t j = 1; j < n; ++j) {
+        const double edge = static_cast<double>(j) / static_cast<double>(n);
+        check(edge);
+        check(std::nextafter(edge, 0.0));
+        check(std::nextafter(edge, 1.0));
+      }
+      // Seeded draws: Sample consumes the Rng exactly as one NextDouble.
+      Rng rng(1000 + n), ref(1000 + n);
+      for (int i = 0; i < 1000000; ++i) {
+        const std::size_t got = dist.Sample(rng);
+        const std::size_t want = ReferenceRank(dist, ref.NextDouble());
+        if (got != want) {
+          FAIL() << "n=" << n << " s=" << s << " draw " << i << ": " << got
+                 << " vs " << want;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

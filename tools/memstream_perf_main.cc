@@ -300,7 +300,7 @@ int main(int argc, char** argv) {
     opt.bench_dir = (fs::path(argv[0]).parent_path() / ".." / "bench")
                         .lexically_normal()
                         .string();
-    if (opt.bench_dir.empty()) opt.bench_dir = ".";
+    if (opt.bench_dir.empty()) opt.bench_dir.push_back('.');
   }
   {
     // Bench binaries run after `cd workdir`, so the bench dir must not
