@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,6 +10,11 @@
 #include "obs/exporters.h"
 
 namespace memstream::server {
+
+namespace {
+/// Trace actor of the striped bank's lock-step cycle.
+constexpr std::string_view kStripedActor = "mems-striped";
+}  // namespace
 
 Result<CacheStreamingServer> CacheStreamingServer::Create(
     device::DiskDrive* disk, std::vector<device::MemsDevice> bank,
@@ -83,6 +89,8 @@ CacheStreamingServer::CacheStreamingServer(
       rng_(config.seed) {
   play_cursor_.assign(streams_.size(), 0);
   device_busy_.assign(bank_.size(), 0);
+  if (disk_ != nullptr) disk_name_ = disk_->name();
+  for (const auto& dev : bank_) bank_names_.push_back(dev.name());
   for (std::size_t i = 0; i < streams_.size(); ++i) {
     play_.Add(streams_[i].id, streams_[i].bit_rate);
     if (streams_[i].cached) {
@@ -151,55 +159,36 @@ CacheStreamingServer::CacheStreamingServer(
   }
 }
 
-void CacheStreamingServer::ScheduleDeposit(std::size_t stream, Bytes bytes,
-                                           Seconds done, Seconds boundary,
-                                           const std::string& actor,
-                                           Seconds service) {
-  if (eager_) {
-    // Inline completion: with no trace and no faults the scheduled event
-    // would have fired at `done` with exactly this state (deposit times
-    // are monotone per stream and no re-plan can intervene); effects past
-    // the horizon never fire, matching the simulator's drop of events
-    // beyond Run(until).
-    if (done > horizon_) return;
-    play_.Deposit(stream, done, bytes);
-    const Bytes level = play_.LevelAt(stream, done);
-    obs::Update(dram_occupancy_[stream], done, level);
-    obs::Record(dram_series_[stream], done, level);
-    obs::RecordDramLevel(config_.auditor, stream, done, level);
-    obs::JournalIo(journal_, jslot_[stream], done, bytes, level);
-    if (!play_.playing(stream) && placement_[stream] != Placement::kShed) {
-      const Seconds start = std::max(done, boundary);
-      if (start <= horizon_) play_.StartPlayback(stream, start);
-    }
+std::string_view CacheStreamingServer::ActorOf(std::int32_t source) const {
+  if (source == kDiskSource) return disk_name_;
+  if (source == kStripedSource) return kStripedActor;
+  return bank_names_[static_cast<std::size_t>(source)];
+}
+
+void CacheStreamingServer::ApplyCompletion(const Completion& c) {
+  const Seconds done = sim_.Now();
+  if (c.kind == Completion::kCycleEnd) {
+    trace_->Append(done, sim::TraceKind::kCycleEnd, ActorOf(c.source), -1, 0,
+                   "", c.service);
     return;
   }
-  sim_.ScheduleAt(done, [this, stream, bytes, done, boundary, actor,
-                         service]() {
-    play_.Deposit(stream, done, bytes);
-    const Bytes level = play_.LevelAt(stream, done);
-    obs::Update(dram_occupancy_[stream], done, level);
-    obs::Record(dram_series_[stream], done, level);
-    obs::RecordDramLevel(config_.auditor, stream, done, level);
-    obs::JournalIo(journal_, jslot_[stream], done, bytes, level);
-    if (trace_ != nullptr) {
-      trace_->Append({done, sim::TraceKind::kIoCompleted, actor,
-                      play_.id(stream), bytes, "", service});
-      trace_->Append({done, sim::TraceKind::kBufferLevel, "stream",
-                      play_.id(stream), level, ""});
-    }
-    if (!play_.playing(stream) && placement_[stream] != Placement::kShed) {
-      const Seconds start = std::max(done, boundary);
-      sim_.ScheduleAt(start, [this, stream, start]() {
-        // Re-check: the stream may have been shed between the deposit
-        // and the playback boundary.
-        if (!play_.playing(stream) &&
-            placement_[stream] != Placement::kShed) {
-          play_.StartPlayback(stream, start);
-        }
-      });
-    }
-  });
+  const std::size_t stream = c.stream;
+  play_.Deposit(stream, done, c.bytes);
+  const Bytes level = play_.LevelAt(stream, done);
+  obs::Update(dram_occupancy_[stream], done, level);
+  obs::Record(dram_series_[stream], done, level);
+  obs::RecordDramLevel(config_.auditor, stream, done, level);
+  obs::JournalIo(journal_, jslot_[stream], done, c.bytes, level);
+  if (trace_ != nullptr) {
+    trace_->Append(done, sim::TraceKind::kIoCompleted, ActorOf(c.source),
+                   play_.id(stream), c.bytes, "", c.service);
+    trace_->Append(done, sim::TraceKind::kBufferLevel, "stream",
+                   play_.id(stream), level, "");
+  }
+  if (!play_.playing(stream) && placement_[stream] != Placement::kShed) {
+    const Seconds start = std::max(done, c.boundary);
+    starts_.Push(start, {stream, start});
+  }
 }
 
 Bytes CacheStreamingServer::EffOffset(std::size_t i) const {
@@ -252,9 +241,6 @@ void CacheStreamingServer::RunDiskCycle(Seconds deadline) {
   auto* scratch = arena_.Alloc<std::size_t>(n);
   device::ScheduleOrderInto(config_.disk_policy, last_head_offset_, batch,
                             n, order, scratch);
-  // The actor label only reaches trace records; skip the per-cycle
-  // string on the eager path (which never traces).
-  const std::string actor = eager_ ? std::string() : disk_->name();
   Seconds busy = 0;
   for (std::size_t oi = 0; oi < n; ++oi) {
     const std::size_t pos = order[oi];
@@ -271,8 +257,9 @@ void CacheStreamingServer::RunDiskCycle(Seconds deadline) {
     ++report_.ios_completed;
     obs::Increment(ios_metric_);
     obs::RecordIo(config_.auditor, serviced[pos], batch[pos].bytes);
-    ScheduleDeposit(serviced[pos], batch[pos].bytes, t0 + busy,
-                    t0 + config_.disk_cycle, actor, service);
+    disk_lane_.Push(t0 + busy,
+                    {Completion::kIo, kDiskSource, serviced[pos],
+                     batch[pos].bytes, service, t0 + config_.disk_cycle});
   }
 
   report_.disk_busy += busy;
@@ -284,12 +271,10 @@ void CacheStreamingServer::RunDiskCycle(Seconds deadline) {
   obs::EndDiskCycle(config_.auditor, t0, busy);
   ObserveCycleOutcomes(t0 + busy, overrun);
   if (trace_ != nullptr && busy > 0) {
-    // Scheduled so the record lands in time order among the IO records.
-    const Seconds end = t0 + busy;
-    sim_.ScheduleAt(end, [this, end, busy]() {
-      trace_->Append({end, sim::TraceKind::kCycleEnd, disk_->name(), -1, 0,
-                      "", busy});
-    });
+    // Queued behind the cycle's completions so the record lands in time
+    // order among the IO records.
+    disk_lane_.Push(t0 + busy,
+                    {Completion::kCycleEnd, kDiskSource, 0, 0, busy, 0});
   }
 
   const Seconds next = t0 + std::max(config_.disk_cycle, busy);
@@ -309,7 +294,6 @@ void CacheStreamingServer::RunStripedCycle(Seconds deadline) {
     return;
   }
 
-  static const std::string kStripedActor = "mems-striped";
   const auto k = static_cast<double>(bank_.size());
   Seconds busy = 0;
   bool any = false;
@@ -344,8 +328,9 @@ void CacheStreamingServer::RunStripedCycle(Seconds deadline) {
     ++report_.ios_completed;
     obs::Increment(ios_metric_);
     obs::RecordIo(config_.auditor, i, io_bytes);
-    ScheduleDeposit(i, io_bytes, t0 + busy, t0 + config_.mems_cycle,
-                    kStripedActor, op_time);
+    mems_lanes_[0].Push(t0 + busy,
+                        {Completion::kIo, kStripedSource, i, io_bytes,
+                         op_time, t0 + config_.mems_cycle});
   }
   if (!any) {
     striped_running_ = false;
@@ -362,11 +347,8 @@ void CacheStreamingServer::RunStripedCycle(Seconds deadline) {
   obs::EndMemsCycle(config_.auditor, -1, t0, busy);
   ObserveCycleOutcomes(t0 + busy, overrun);
   if (trace_ != nullptr && busy > 0) {
-    const Seconds end = t0 + busy;
-    sim_.ScheduleAt(end, [this, end, busy]() {
-      trace_->Append({end, sim::TraceKind::kCycleEnd, "mems-striped", -1, 0,
-                      "", busy});
-    });
+    mems_lanes_[0].Push(
+        t0 + busy, {Completion::kCycleEnd, kStripedSource, 0, 0, busy, 0});
   }
 
   const Seconds next = t0 + std::max(config_.mems_cycle, busy);
@@ -389,7 +371,7 @@ void CacheStreamingServer::RunReplicatedCycle(std::size_t dev,
 
   // Device `dev` services its assigned cached streams (initially every
   // (dev + j*k)-th; rebuilt over alive devices after degradation).
-  const std::string actor = eager_ ? std::string() : bank_[dev].name();
+  const auto source = static_cast<std::int32_t>(dev);
   Seconds busy = 0;
   bool any = false;
   for (std::size_t i : replicated_assign_[dev]) {
@@ -410,8 +392,9 @@ void CacheStreamingServer::RunReplicatedCycle(std::size_t dev,
     ++report_.ios_completed;
     obs::Increment(ios_metric_);
     obs::RecordIo(config_.auditor, i, io_bytes);
-    ScheduleDeposit(i, io_bytes, t0 + busy, t0 + config_.mems_cycle,
-                    actor, st.value());
+    mems_lanes_[dev].Push(t0 + busy,
+                          {Completion::kIo, source, i, io_bytes, st.value(),
+                           t0 + config_.mems_cycle});
   }
   if (!any) {
     device_cycle_running_[dev] = false;
@@ -429,11 +412,8 @@ void CacheStreamingServer::RunReplicatedCycle(std::size_t dev,
                     busy);
   ObserveCycleOutcomes(t0 + busy, overrun);
   if (trace_ != nullptr && busy > 0) {
-    const Seconds end = t0 + busy;
-    sim_.ScheduleAt(end, [this, actor, end, busy]() {
-      trace_->Append({end, sim::TraceKind::kCycleEnd, actor, -1, 0, "",
-                      busy});
-    });
+    mems_lanes_[dev].Push(t0 + busy,
+                          {Completion::kCycleEnd, source, 0, 0, busy, 0});
   }
 
   const Seconds next = t0 + std::max(config_.mems_cycle, busy);
@@ -454,8 +434,8 @@ void CacheStreamingServer::CushionDeposit(std::size_t i, Bytes target_level) {
   const Bytes bytes = target_level - level;
   play_.Deposit(i, now, bytes);
   if (trace_ != nullptr) {
-    trace_->Append({now, sim::TraceKind::kNote, "degradation",
-                    play_.id(i), bytes, "transition prefetch"});
+    trace_->Append(now, sim::TraceKind::kNote, "degradation", play_.id(i),
+                   bytes, "transition prefetch");
   }
 }
 
@@ -718,11 +698,23 @@ Status CacheStreamingServer::Run(Seconds duration) {
   if (duration <= 0) return Status::InvalidArgument("duration must be > 0");
   ran_ = true;
   horizon_ = duration;
-  // Trace records must interleave in exact time order, and fault-driven
-  // re-plans (shed re-checks, cushions, transitions) must observe
-  // deposits at their true event times — both force the event-queue
-  // path. Clean untraced runs take the inline fast path.
-  eager_ = trace_ == nullptr && config_.faults == nullptr;
+  // Deposits land at their true completion times, so trace records
+  // interleave in time order and fault-driven re-plans (shed re-checks,
+  // cushions, transitions) observe exactly the deposits made before them.
+  const auto apply = [this](const Completion& c) { ApplyCompletion(c); };
+  disk_lane_.Bind(&sim_, apply);
+  mems_lanes_.resize(config_.policy == model::CachePolicy::kStriped
+                         ? 1
+                         : bank_.size());
+  for (auto& lane : mems_lanes_) lane.Bind(&sim_, apply);
+  starts_.Bind(&sim_, [this](const PlaybackStart& s) {
+    // Re-check: the stream may have been shed between the deposit and
+    // the playback boundary.
+    if (!play_.playing(s.session) &&
+        placement_[s.session] != Placement::kShed) {
+      play_.StartPlayback(s.session, s.start);
+    }
+  });
   // Mirror the auditor's initial per-stream sizings (media_server seeds
   // them as factor * B̄ * T of each stream's domain) so re-plans can
   // re-derive the total DRAM budget from the bounds they install.

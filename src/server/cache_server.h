@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/arena.h"
@@ -25,6 +26,7 @@
 #include "server/qos_counters.h"
 #include "server/stream_batch.h"
 #include "server/timecycle_server.h"
+#include "sim/fifo_lane.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
 
@@ -138,12 +140,27 @@ class CacheStreamingServer {
   void RunStripedCycle(Seconds deadline);
   void RunReplicatedCycle(std::size_t dev, Seconds deadline);
 
-  /// Applies an IO-completion deposit: inline on the eager fast path (no
-  /// trace, no faults), otherwise through the event queue so trace
-  /// records and degradation re-checks interleave in exact time order.
-  void ScheduleDeposit(std::size_t stream, Bytes bytes, Seconds done,
-                       Seconds boundary, const std::string& actor,
-                       Seconds service);
+  /// Where a completion came from: the disk, the striped bank's
+  /// lock-step cycle, or replicated device `source` (>= 0).
+  static constexpr std::int32_t kDiskSource = -1;
+  static constexpr std::int32_t kStripedSource = -2;
+
+  /// One IO completion (a deposit into the stream's buffer) or, when
+  /// traced, a cycle-end marker, queued on its source's lane.
+  struct Completion {
+    enum Kind : std::uint8_t { kIo, kCycleEnd };
+    Kind kind = kIo;
+    std::int32_t source = kDiskSource;
+    std::size_t stream = 0;
+    Bytes bytes = 0;
+    Seconds service = 0;   ///< IO service time; cycle busy for kCycleEnd
+    Seconds boundary = 0;  ///< playback may start from here
+  };
+  /// The single place an IO completion takes effect, at its done time
+  /// (the simulator clock): deposit, telemetry, trace records, and the
+  /// playback start of a stream that is not yet playing.
+  void ApplyCompletion(const Completion& c);
+  std::string_view ActorOf(std::int32_t source) const;
 
   // --- fault / degradation machinery ---
 
@@ -177,6 +194,8 @@ class CacheStreamingServer {
   std::vector<CacheStreamSpec> streams_;
   CacheServerConfig config_;
   sim::TraceLog* trace_;
+  std::string disk_name_;                ///< trace actors, resolved once
+  std::vector<std::string> bank_names_;
   sim::Simulator sim_;
   Rng rng_;
   PlaybackBatch play_;  ///< SoA session state, index == stream index
@@ -186,10 +205,11 @@ class CacheStreamingServer {
   std::vector<Seconds> device_busy_;  ///< per MEMS device
   std::int64_t last_head_offset_ = 0;
   CycleArena arena_;  ///< per-disk-cycle scratch (batch + order)
-  /// Fast path: with no TraceLog and no fault injector, IO completion
-  /// deposits are applied inline in the cycle loops (same order the
-  /// scheduled events would have fired) instead of via the event queue.
-  bool eager_ = false;
+  sim::FifoLane<Completion> disk_lane_;
+  /// One lane per replicated device (one for the striped cycle): each
+  /// device's completions are in time order, the bank's are not.
+  std::vector<sim::FifoLane<Completion>> mems_lanes_;
+  sim::FifoLane<PlaybackStart> starts_;
   CacheServerReport report_;
   bool ran_ = false;
   // Degradation state (all no-ops when config_.faults is null).

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,6 +11,11 @@
 #include "obs/exporters.h"
 
 namespace memstream::server {
+
+namespace {
+/// Trace actor of the striped bank's lock-step cycle.
+constexpr std::string_view kStripedActor = "mems-striped";
+}  // namespace
 
 Result<MemsPipelineServer> MemsPipelineServer::Create(
     device::DiskDrive* disk, std::vector<device::MemsDevice> bank,
@@ -77,6 +84,8 @@ MemsPipelineServer::MemsPipelineServer(device::DiskDrive* disk,
       trace_(trace),
       rng_(config.seed) {
   const std::size_t k = bank_.size();
+  disk_name_ = disk_->name();
+  for (const auto& dev : bank_) bank_names_.push_back(dev.name());
   pending_.resize(k);
   occupancy_.assign(k, 0);
   device_busy_.assign(k, 0);
@@ -186,8 +195,11 @@ void MemsPipelineServer::RunDiskCycle(Seconds deadline) {
   }
 
   if (trace_ != nullptr) {
-    trace_->Append({t0, sim::TraceKind::kCycleStart, disk_->name(), -1, 0,
-                    "disk cycle " + std::to_string(report_.disk_cycles)});
+    char label[40];
+    std::snprintf(label, sizeof(label), "disk cycle %lld",
+                  static_cast<long long>(report_.disk_cycles));
+    trace_->Append(t0, sim::TraceKind::kCycleStart, disk_name_, -1, 0,
+                   label);
   }
 
   auto* order = arena_.Alloc<std::size_t>(n);
@@ -206,21 +218,13 @@ void MemsPipelineServer::RunDiskCycle(Seconds deadline) {
     }
     busy += service;
     last_head_offset_ = batch[idx].offset;
-    const Seconds done = t0 + busy;
     const Bytes bytes = batch[idx].bytes;
     obs::RecordIo(config_.auditor, idx, bytes);
-    // The push stays event-scheduled even on the eager path: the MEMS
-    // cycles must see exactly the writes whose completion time precedes
-    // their cycle start, which only the event queue's time ordering
-    // guarantees. The capture fits MoveOnlyFunction's inline buffer.
-    sim_.ScheduleAt(done, [this, idx, bytes, done, service]() {
-      pending_[device_[idx]].push_back(PendingWrite{idx, bytes});
-      if (trace_ != nullptr) {
-        trace_->Append({done, sim::TraceKind::kIoCompleted, disk_->name(),
-                        play_.id(idx), bytes, "-> mems pending",
-                        service});
-      }
-    });
+    // The write joins its MEMS device's pending queue at its done time:
+    // the MEMS cycles must see exactly the writes whose completion
+    // precedes their cycle start, which the lane's (time, seq) order
+    // guarantees.
+    disk_lane_.Push(t0 + busy, {DiskCompletion::kIo, idx, bytes, service});
   }
 
   report_.disk_busy += busy;
@@ -235,11 +239,7 @@ void MemsPipelineServer::RunDiskCycle(Seconds deadline) {
   obs::SloRecord(slo_slack_, t0 + busy, overrun ? 0 : 1, overrun ? 1 : 0);
   ObserveUnderflows(t0 + busy);
   if (trace_ != nullptr && busy > 0) {
-    const Seconds end = t0 + busy;
-    sim_.ScheduleAt(end, [this, end, busy]() {
-      trace_->Append({end, sim::TraceKind::kCycleEnd, disk_->name(), -1, 0,
-                      "", busy});
-    });
+    disk_lane_.Push(t0 + busy, {DiskCompletion::kCycleEnd, 0, 0, busy});
   }
 
   const Seconds next = t0 + std::max(config_.t_disk, busy);
@@ -255,8 +255,10 @@ void MemsPipelineServer::RunMemsCycle(std::size_t dev, Seconds deadline) {
 
   device::MemsDevice& device = bank_[dev];
   if (trace_ != nullptr) {
-    trace_->Append({t0, sim::TraceKind::kCycleStart, device.name(), -1, 0,
-                    "mems" + std::to_string(dev) + " cycle"});
+    char label[40];
+    std::snprintf(label, sizeof(label), "mems%zu cycle", dev);
+    trace_->Append(t0, sim::TraceKind::kCycleStart, bank_names_[dev], -1, 0,
+                   label);
   }
 
   struct Op {
@@ -281,8 +283,7 @@ void MemsPipelineServer::RunMemsCycle(std::size_t dev, Seconds deadline) {
   auto* ops = arena_.Alloc<Op>(write_cap + assigned);
   std::size_t num_ops = 0;
   for (std::size_t i = 0; i < write_cap && !pending_[dev].empty(); ++i) {
-    const PendingWrite w = pending_[dev].front();
-    pending_[dev].pop_front();
+    const PendingWrite w = pending_[dev].Pop();
     Bytes cursor = write_cursor_[w.stream];
     if (cursor + w.bytes > slot_size_[w.stream]) {
       cursor = 0;  // wrap within slot
@@ -325,95 +326,12 @@ void MemsPipelineServer::RunMemsCycle(std::size_t dev, Seconds deadline) {
         nullptr);
     if (!st.ok()) continue;  // unreachable: slots sized in Create
     busy += st.value();
-    const Seconds service = st.value();
-    const Seconds done = t0 + busy;
     ++report_.ios_completed;
     obs::Increment(ios_metric_);
-    const std::size_t stream = op.stream;
-    const Bytes bytes = op.bytes;
-    if (op.is_write) {
-      if (eager_) {
-        // Inline completion: the event would fire at `done` with this
-        // exact state (completions apply in done order; the next cycle
-        // of this device starts after every done of this one). Effects
-        // past the horizon never fire, like dropped events.
-        if (done <= horizon_) {
-          resident_[stream] += bytes;
-          first_write_done_[stream] = 1;
-          occupancy_[dev] += bytes;
-          report_.peak_mems_occupancy =
-              std::max(report_.peak_mems_occupancy, occupancy_[dev]);
-          obs::Update(mems_occupancy_[dev], done, occupancy_[dev]);
-          obs::Record(mems_series_[dev], done, occupancy_[dev]);
-        }
-        continue;
-      }
-      sim_.ScheduleAt(done, [this, dev, stream, bytes, done, service]() {
-        resident_[stream] += bytes;
-        first_write_done_[stream] = 1;
-        occupancy_[dev] += bytes;
-        report_.peak_mems_occupancy =
-            std::max(report_.peak_mems_occupancy, occupancy_[dev]);
-        obs::Update(mems_occupancy_[dev], done, occupancy_[dev]);
-        obs::Record(mems_series_[dev], done, occupancy_[dev]);
-        if (trace_ != nullptr) {
-          trace_->Append({done, sim::TraceKind::kIoCompleted,
-                          bank_[dev].name(), play_.id(stream), bytes,
-                          "disk->MEMS write", service});
-          if (occupancy_[dev] > bank_[dev].Capacity()) {
-            trace_->Append({done, sim::TraceKind::kOverflow,
-                            bank_[dev].name(), play_.id(stream),
-                            occupancy_[dev],
-                            "mems occupancy over capacity"});
-          }
-        }
-      });
-    } else {
-      const Seconds boundary = t0 + config_.t_mems;
-      if (eager_) {
-        if (done <= horizon_) {
-          occupancy_[dev] = std::max(0.0, occupancy_[dev] - bytes);
-          obs::Update(mems_occupancy_[dev], done, occupancy_[dev]);
-          obs::Record(mems_series_[dev], done, occupancy_[dev]);
-          play_.Deposit(stream, done, bytes);
-          const Bytes level = play_.LevelAt(stream, done);
-          obs::Update(dram_occupancy_[stream], done, level);
-          obs::Record(dram_series_[stream], done, level);
-          obs::RecordDramLevel(config_.auditor, stream, done, level);
-          obs::JournalIo(journal_, jslot_[stream], done, bytes, level);
-          if (!play_.playing(stream)) {
-            const Seconds start = std::max(done, boundary);
-            if (start <= horizon_) play_.StartPlayback(stream, start);
-          }
-        }
-        continue;
-      }
-      sim_.ScheduleAt(done, [this, dev, stream, bytes, done, boundary,
-                             service]() {
-        occupancy_[dev] = std::max(0.0, occupancy_[dev] - bytes);
-        obs::Update(mems_occupancy_[dev], done, occupancy_[dev]);
-        obs::Record(mems_series_[dev], done, occupancy_[dev]);
-        play_.Deposit(stream, done, bytes);
-        const Bytes level = play_.LevelAt(stream, done);
-        obs::Update(dram_occupancy_[stream], done, level);
-        obs::Record(dram_series_[stream], done, level);
-        obs::RecordDramLevel(config_.auditor, stream, done, level);
-        obs::JournalIo(journal_, jslot_[stream], done, bytes, level);
-        if (trace_ != nullptr) {
-          trace_->Append({done, sim::TraceKind::kIoCompleted,
-                          bank_[dev].name(), play_.id(stream), bytes,
-                          "MEMS->DRAM read", service});
-          trace_->Append({done, sim::TraceKind::kBufferLevel, "stream",
-                          play_.id(stream), level, ""});
-        }
-        if (!play_.playing(stream)) {
-          const Seconds start = std::max(done, boundary);
-          sim_.ScheduleAt(start, [this, stream, start]() {
-            if (!play_.playing(stream)) play_.StartPlayback(stream, start);
-          });
-        }
-      });
-    }
+    mems_lanes_[dev].Push(
+        t0 + busy, {op.is_write ? MemsCompletion::kWrite : MemsCompletion::kRead,
+                    dev, op.stream, op.bytes, st.value(),
+                    t0 + config_.t_mems});
   }
 
   device_busy_[dev] += busy;
@@ -427,12 +345,8 @@ void MemsPipelineServer::RunMemsCycle(std::size_t dev, Seconds deadline) {
                     busy);
   obs::SloRecord(slo_slack_, t0 + busy, overrun ? 0 : 1, overrun ? 1 : 0);
   if (trace_ != nullptr && busy > 0) {
-    const Seconds end = t0 + busy;
-    const std::string actor = device.name();
-    sim_.ScheduleAt(end, [this, end, busy, actor]() {
-      trace_->Append({end, sim::TraceKind::kCycleEnd, actor, -1, 0, "",
-                      busy});
-    });
+    mems_lanes_[dev].Push(t0 + busy,
+                          {MemsCompletion::kCycleEnd, dev, 0, 0, busy, 0});
   }
 
   const Seconds next = t0 + std::max(config_.t_mems, busy);
@@ -449,8 +363,8 @@ void MemsPipelineServer::RunStripedMemsCycle(Seconds deadline) {
 
   const auto k = static_cast<double>(bank_.size());
   if (trace_ != nullptr) {
-    trace_->Append({t0, sim::TraceKind::kCycleStart, "mems-striped", -1, 0,
-                    "striped cycle"});
+    trace_->Append(t0, sim::TraceKind::kCycleStart, kStripedActor, -1, 0,
+                   "striped cycle");
   }
 
   struct Op {
@@ -472,8 +386,7 @@ void MemsPipelineServer::RunStripedMemsCycle(Seconds deadline) {
   auto* ops = arena_.Alloc<Op>(write_cap + streams_.size());
   std::size_t num_ops = 0;
   for (std::size_t i = 0; i < write_cap && !pending_[0].empty(); ++i) {
-    const PendingWrite w = pending_[0].front();
-    pending_[0].pop_front();
+    const PendingWrite w = pending_[0].Pop();
     const Bytes local = w.bytes / k;
     Bytes cursor = write_cursor_[w.stream];
     if (cursor + local > slot_size_[w.stream]) cursor = 0;
@@ -521,73 +434,9 @@ void MemsPipelineServer::RunStripedMemsCycle(Seconds deadline) {
     busy += op_time;
     ++report_.ios_completed;
     obs::Increment(ios_metric_);
-    const Seconds done = t0 + busy;
-    const std::size_t stream = op.stream;
-    const Bytes bytes = op.bytes;
-    if (op.is_write) {
-      if (eager_) {
-        if (done <= horizon_) {
-          resident_[stream] += bytes;
-          first_write_done_[stream] = 1;
-          occupancy_[0] += bytes;
-          report_.peak_mems_occupancy =
-              std::max(report_.peak_mems_occupancy, occupancy_[0]);
-          obs::Update(mems_occupancy_[0], done, occupancy_[0]);
-          obs::Record(mems_series_[0], done, occupancy_[0]);
-        }
-        continue;
-      }
-      sim_.ScheduleAt(done, [this, stream, bytes, done]() {
-        resident_[stream] += bytes;
-        first_write_done_[stream] = 1;
-        occupancy_[0] += bytes;
-        report_.peak_mems_occupancy =
-            std::max(report_.peak_mems_occupancy, occupancy_[0]);
-        obs::Update(mems_occupancy_[0], done, occupancy_[0]);
-        obs::Record(mems_series_[0], done, occupancy_[0]);
-      });
-    } else {
-      const Seconds boundary = t0 + config_.t_mems;
-      if (eager_) {
-        if (done <= horizon_) {
-          occupancy_[0] = std::max(0.0, occupancy_[0] - bytes);
-          obs::Update(mems_occupancy_[0], done, occupancy_[0]);
-          obs::Record(mems_series_[0], done, occupancy_[0]);
-          play_.Deposit(stream, done, bytes);
-          const Bytes level = play_.LevelAt(stream, done);
-          obs::Update(dram_occupancy_[stream], done, level);
-          obs::Record(dram_series_[stream], done, level);
-          obs::RecordDramLevel(config_.auditor, stream, done, level);
-          obs::JournalIo(journal_, jslot_[stream], done, bytes, level);
-          if (!play_.playing(stream)) {
-            const Seconds start = std::max(done, boundary);
-            if (start <= horizon_) play_.StartPlayback(stream, start);
-          }
-        }
-        continue;
-      }
-      sim_.ScheduleAt(done, [this, stream, bytes, done, boundary]() {
-        occupancy_[0] = std::max(0.0, occupancy_[0] - bytes);
-        obs::Update(mems_occupancy_[0], done, occupancy_[0]);
-        obs::Record(mems_series_[0], done, occupancy_[0]);
-        play_.Deposit(stream, done, bytes);
-        const Bytes level = play_.LevelAt(stream, done);
-        obs::Update(dram_occupancy_[stream], done, level);
-        obs::Record(dram_series_[stream], done, level);
-        obs::RecordDramLevel(config_.auditor, stream, done, level);
-        obs::JournalIo(journal_, jslot_[stream], done, bytes, level);
-        if (trace_ != nullptr) {
-          trace_->Append({done, sim::TraceKind::kBufferLevel, "stream",
-                          play_.id(stream), level, ""});
-        }
-        if (!play_.playing(stream)) {
-          const Seconds start = std::max(done, boundary);
-          sim_.ScheduleAt(start, [this, stream, start]() {
-            if (!play_.playing(stream)) play_.StartPlayback(stream, start);
-          });
-        }
-      });
-    }
+    mems_lanes_[0].Push(
+        t0 + busy, {op.is_write ? MemsCompletion::kWrite : MemsCompletion::kRead,
+                    0, op.stream, op.bytes, op_time, t0 + config_.t_mems});
   }
 
   for (auto& b : device_busy_) b += busy;  // all devices move together
@@ -600,11 +449,8 @@ void MemsPipelineServer::RunStripedMemsCycle(Seconds deadline) {
   obs::EndMemsCycle(config_.auditor, -1, t0, busy);
   obs::SloRecord(slo_slack_, t0 + busy, overrun ? 0 : 1, overrun ? 1 : 0);
   if (trace_ != nullptr && busy > 0) {
-    const Seconds end = t0 + busy;
-    sim_.ScheduleAt(end, [this, end, busy]() {
-      trace_->Append({end, sim::TraceKind::kCycleEnd, "mems-striped", -1, 0,
-                      "", busy});
-    });
+    mems_lanes_[0].Push(t0 + busy,
+                        {MemsCompletion::kCycleEnd, 0, 0, 0, busy, 0});
   }
 
   const Seconds next = t0 + std::max(config_.t_mems, busy);
@@ -618,12 +464,18 @@ Status MemsPipelineServer::Run(Seconds duration) {
   if (ran_) return Status::FailedPrecondition("Run() may be called once");
   if (duration <= 0) return Status::InvalidArgument("duration must be > 0");
   ran_ = true;
-  horizon_ = duration;
-  // With a TraceLog attached the MEMS-op completions stay
-  // event-scheduled so trace records interleave in exact time order;
-  // otherwise each cycle applies them inline. Faults don't force the
-  // slow path here: they act synchronously on the bank devices.
-  eager_ = trace_ == nullptr;
+  disk_lane_.Bind(&sim_,
+                  [this](const DiskCompletion& c) { ApplyDiskCompletion(c); });
+  mems_lanes_.resize(
+      config_.placement == model::BufferPlacement::kStripedIos ? 1
+                                                               : bank_.size());
+  for (auto& lane : mems_lanes_) {
+    lane.Bind(&sim_,
+              [this](const MemsCompletion& c) { ApplyMemsCompletion(c); });
+  }
+  starts_.Bind(&sim_, [this](const PlaybackStart& s) {
+    if (!play_.playing(s.session)) play_.StartPlayback(s.session, s.start);
+  });
 
   MEMSTREAM_RETURN_IF_ERROR(
       sim_.Schedule(0, [this, duration]() { RunDiskCycle(duration); }));
@@ -724,6 +576,78 @@ Status MemsPipelineServer::Run(Seconds duration) {
     obs::ExportSimulatorStats(metrics, sim_);
   }
   return Status::OK();
+}
+
+void MemsPipelineServer::ApplyDiskCompletion(const DiskCompletion& c) {
+  const Seconds done = sim_.Now();
+  if (c.kind == DiskCompletion::kCycleEnd) {
+    trace_->Append(done, sim::TraceKind::kCycleEnd, disk_name_, -1, 0, "",
+                   c.service);
+    return;
+  }
+  pending_[device_[c.stream]].Push({c.stream, c.bytes});
+  if (trace_ != nullptr) {
+    trace_->Append(done, sim::TraceKind::kIoCompleted, disk_name_,
+                   play_.id(c.stream), c.bytes, "-> mems pending", c.service);
+  }
+}
+
+void MemsPipelineServer::ApplyMemsCompletion(const MemsCompletion& c) {
+  const Seconds done = sim_.Now();
+  const bool striped =
+      config_.placement == model::BufferPlacement::kStripedIos;
+  const std::size_t dev = c.dev;
+  const std::string_view actor =
+      striped ? kStripedActor : std::string_view(bank_names_[dev]);
+  if (c.kind == MemsCompletion::kCycleEnd) {
+    trace_->Append(done, sim::TraceKind::kCycleEnd, actor, -1, 0, "",
+                   c.service);
+    return;
+  }
+  const std::size_t stream = c.stream;
+  if (c.kind == MemsCompletion::kWrite) {
+    resident_[stream] += c.bytes;
+    first_write_done_[stream] = 1;
+    occupancy_[dev] += c.bytes;
+    report_.peak_mems_occupancy =
+        std::max(report_.peak_mems_occupancy, occupancy_[dev]);
+    obs::Update(mems_occupancy_[dev], done, occupancy_[dev]);
+    obs::Record(mems_series_[dev], done, occupancy_[dev]);
+    // The striped lock-step write is not traced per device.
+    if (trace_ != nullptr && !striped) {
+      trace_->Append(done, sim::TraceKind::kIoCompleted, actor,
+                     play_.id(stream), c.bytes, "disk->MEMS write",
+                     c.service);
+      if (occupancy_[dev] > bank_[dev].Capacity()) {
+        trace_->Append(done, sim::TraceKind::kOverflow, actor,
+                       play_.id(stream), occupancy_[dev],
+                       "mems occupancy over capacity");
+      }
+    }
+    return;
+  }
+  occupancy_[dev] = std::max(0.0, occupancy_[dev] - c.bytes);
+  obs::Update(mems_occupancy_[dev], done, occupancy_[dev]);
+  obs::Record(mems_series_[dev], done, occupancy_[dev]);
+  play_.Deposit(stream, done, c.bytes);
+  const Bytes level = play_.LevelAt(stream, done);
+  obs::Update(dram_occupancy_[stream], done, level);
+  obs::Record(dram_series_[stream], done, level);
+  obs::RecordDramLevel(config_.auditor, stream, done, level);
+  obs::JournalIo(journal_, jslot_[stream], done, c.bytes, level);
+  if (trace_ != nullptr) {
+    if (!striped) {
+      trace_->Append(done, sim::TraceKind::kIoCompleted, actor,
+                     play_.id(stream), c.bytes, "MEMS->DRAM read",
+                     c.service);
+    }
+    trace_->Append(done, sim::TraceKind::kBufferLevel, "stream",
+                   play_.id(stream), level, "");
+  }
+  if (!play_.playing(stream)) {
+    const Seconds start = std::max(done, c.boundary);
+    starts_.Push(start, {stream, start});
+  }
 }
 
 void MemsPipelineServer::ObserveUnderflows(Seconds now) {

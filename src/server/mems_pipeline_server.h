@@ -19,7 +19,7 @@
 #define MEMSTREAM_SERVER_MEMS_PIPELINE_SERVER_H_
 
 #include <cstdint>
-#include <deque>
+#include <string>
 #include <vector>
 
 #include "common/arena.h"
@@ -36,6 +36,7 @@
 #include "server/qos_counters.h"
 #include "server/stream_batch.h"
 #include "server/timecycle_server.h"
+#include "sim/fifo_lane.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
 
@@ -135,12 +136,59 @@ class MemsPipelineServer {
     std::size_t stream;
     Bytes bytes;
   };
+  /// A device's disk writes awaiting their MEMS cycle, FIFO. Unlike
+  /// std::deque, it keeps its storage as it drains, so the steady-state
+  /// push/pop cycle allocates nothing.
+  struct PendingQueue {
+    std::vector<PendingWrite> items;
+    std::size_t head = 0;
+
+    bool empty() const { return head == items.size(); }
+    void Push(PendingWrite w) {
+      if (head > 0 && head * 2 >= items.size()) {
+        // Reclaim the consumed prefix in place.
+        items.erase(items.begin(),
+                    items.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+      }
+      items.push_back(w);
+    }
+    PendingWrite Pop() { return items[head++]; }
+  };
+
+  /// A disk IO completion (the write joins its MEMS device's pending
+  /// queue) or, when traced, the disk cycle-end marker.
+  struct DiskCompletion {
+    enum Kind : std::uint8_t { kIo, kCycleEnd };
+    Kind kind = kIo;
+    std::size_t stream = 0;
+    Bytes bytes = 0;
+    Seconds service = 0;  ///< IO service time; cycle busy for kCycleEnd
+  };
+  /// A MEMS op completion: a disk->MEMS write becoming resident, a
+  /// MEMS->DRAM read depositing into the stream's buffer, or, when
+  /// traced, the device's cycle-end marker. Striped cycles use dev 0.
+  struct MemsCompletion {
+    enum Kind : std::uint8_t { kWrite, kRead, kCycleEnd };
+    Kind kind = kWrite;
+    std::size_t dev = 0;
+    std::size_t stream = 0;
+    Bytes bytes = 0;
+    Seconds service = 0;   ///< op service time; cycle busy for kCycleEnd
+    Seconds boundary = 0;  ///< playback may start from here (reads)
+  };
+  /// The single places a completion takes effect, at its done time (the
+  /// simulator clock), including its trace records.
+  void ApplyDiskCompletion(const DiskCompletion& c);
+  void ApplyMemsCompletion(const MemsCompletion& c);
 
   device::DiskDrive* disk_;
   std::vector<device::MemsDevice> bank_;
   std::vector<StreamSpec> streams_;
   MemsPipelineConfig config_;
   sim::TraceLog* trace_;
+  std::string disk_name_;                ///< trace actors, resolved once
+  std::vector<std::string> bank_names_;
   sim::Simulator sim_;
   Rng rng_;
   PlaybackBatch play_;  ///< SoA session state, index == stream index
@@ -155,18 +203,17 @@ class MemsPipelineServer {
   std::vector<Bytes> read_deficit_;       ///< shortfall from partial reads,
                                           ///< repaid by catch-up reads
   std::vector<std::uint8_t> first_write_done_;
-  std::vector<std::deque<PendingWrite>> pending_;   ///< per device
+  std::vector<PendingQueue> pending_;               ///< per device
   std::vector<Bytes> occupancy_;                    ///< per device
   std::vector<Seconds> device_busy_;                ///< per device
   std::vector<Bytes> play_cursor_;                  ///< disk-side cursor
   std::int64_t last_head_offset_ = 0;
   CycleArena arena_;     ///< per-cycle scratch (batch, order, ops)
-  Seconds horizon_ = 0;  ///< Run() duration; bounds eager effects
-  /// Fast path: with no TraceLog attached, MEMS-op completion effects are
-  /// applied inline in the cycle loop (same order the scheduled events
-  /// would have fired). Disk->pending pushes stay event-scheduled in both
-  /// modes so the MEMS cycles' view of the pending queues is identical.
-  bool eager_ = false;
+  sim::FifoLane<DiskCompletion> disk_lane_;
+  /// One lane per MEMS device (one for the striped lock-step cycle):
+  /// each device's completions are in time order, the bank's are not.
+  std::vector<sim::FifoLane<MemsCompletion>> mems_lanes_;
+  sim::FifoLane<PlaybackStart> starts_;
   MemsPipelineReport report_;
   bool ran_ = false;
   // Telemetry handles (null when config_.metrics is null).

@@ -64,6 +64,13 @@ class RecordingView {
   std::size_t index_;
 };
 
+/// A deferred PlaybackBatch::StartPlayback: the first deposit of a stream
+/// that is not yet playing queues one for max(done, cycle boundary).
+struct PlaybackStart {
+  std::size_t session = 0;
+  Seconds start = 0;
+};
+
 /// SoA playback state for n streams, addressed by dense index.
 class PlaybackBatch {
  public:

@@ -1,6 +1,7 @@
 #include "server/timecycle_server.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 
 #include "common/logging.h"
@@ -47,6 +48,7 @@ DirectStreamingServer::DirectStreamingServer(device::DiskDrive* disk,
       streams_(std::move(streams)),
       config_(config),
       trace_(trace),
+      disk_name_(disk->name()),
       rng_(config.seed) {
   play_cursor_.assign(streams_.size(), 0);
   session_index_.reserve(streams_.size());
@@ -138,16 +140,23 @@ void DirectStreamingServer::RunCycle(Seconds deadline) {
   }
 
   if (trace_ != nullptr) {
-    trace_->Append({t0, sim::TraceKind::kCycleStart, disk_->name(), -1, 0,
-                    "disk cycle " + std::to_string(report_.cycles)});
+    char label[40];
+    std::snprintf(label, sizeof(label), "disk cycle %lld",
+                  static_cast<long long>(report_.cycles));
+    trace_->Append(t0, sim::TraceKind::kCycleStart, disk_name_, -1, 0,
+                   label);
   }
 
-  // Service the batch in scheduler order; completions are deposits
-  // (reads) or staging drains (writes).
+  // Service the batch in scheduler order; each completion (a deposit for
+  // reads, a staging drain for writes) lands at its done time.
   auto* order = arena_.Alloc<std::size_t>(n);
   auto* scratch = arena_.Alloc<std::size_t>(n);
   device::ScheduleOrderInto(config_.policy, last_head_offset_, batch, n,
                             order, scratch);
+  // Double-buffered start: data fetched during this cycle is consumed
+  // from the next cycle boundary on, so jitter-freedom only requires that
+  // every cycle's batch finishes within T.
+  const Seconds boundary = t0 + config_.cycle;
   Seconds busy = 0;
   for (std::size_t oi = 0; oi < n; ++oi) {
     const std::size_t idx = order[oi];
@@ -159,86 +168,19 @@ void DirectStreamingServer::RunCycle(Seconds deadline) {
       service += config_.faults->DiskIoPenalty(t0 + busy);
     }
     busy += service;
-    const Seconds done = t0 + busy;
     last_head_offset_ = batch[idx].offset;
     ++report_.ios_completed;
     obs::Increment(ios_metric_);
     obs::RecordIo(config_.auditor, idx, batch[idx].bytes);
-    const Bytes bytes = batch[idx].bytes;
-    const std::size_t si = session_index_[idx];
-
-    if (streams_[idx].direction == StreamDirection::kWrite) {
-      if (eager_) {
-        // Inline completion: the scheduled event would have fired at
-        // `done` with exactly this state (drain times are monotone per
-        // stream); effects past the horizon never fire, matching the
-        // simulator's drop of events beyond Run(until).
-        if (done <= horizon_) {
-          record_.Drain(si, done, bytes);
-          const Bytes level = record_.LevelAt(si, done);
-          obs::Update(staging_occupancy_[si], done, level);
-          obs::Record(play_series_[idx], done, level);
-          obs::RecordDramLevel(config_.auditor, idx, done, level);
-          obs::JournalIo(journal_, jslot_[idx], done, bytes, level);
-        }
-        continue;
-      }
-      sim_.ScheduleAt(done, [this, idx, si, bytes, done, service]() {
-        record_.Drain(si, done, bytes);
-        const Bytes level = record_.LevelAt(si, done);
-        obs::Update(staging_occupancy_[si], done, level);
-        obs::Record(play_series_[idx], done, level);
-        obs::RecordDramLevel(config_.auditor, idx, done, level);
-        obs::JournalIo(journal_, jslot_[idx], done, bytes, level);
-        if (trace_ != nullptr) {
-          trace_->Append({done, sim::TraceKind::kIoCompleted,
-                          disk_->name(), record_.id(si), bytes,
-                          "recorded", service});
-        }
-      });
-      continue;
+    const Completion c{Completion::kIo, idx, batch[idx].bytes, service,
+                       boundary};
+    if (!inline_) {
+      completions_.Push(t0 + busy, c);
+    } else if (t0 + busy <= horizon_) {
+      // Effects past the horizon never apply, as lane items past
+      // Run(until) never fire.
+      ApplyCompletion(t0 + busy, c);
     }
-
-    // Double-buffered start: data fetched during cycle c is consumed from
-    // the next cycle boundary on, so jitter-freedom only requires that
-    // every cycle's batch finishes within T.
-    const Seconds boundary = t0 + config_.cycle;
-    if (eager_) {
-      if (done <= horizon_) {
-        play_.Deposit(si, done, bytes);
-        const Bytes level = play_.LevelAt(si, done);
-        obs::Update(play_occupancy_[si], done, level);
-        obs::Record(play_series_[idx], done, level);
-        obs::RecordDramLevel(config_.auditor, idx, done, level);
-        obs::JournalIo(journal_, jslot_[idx], done, bytes, level);
-        if (!play_.playing(si)) {
-          const Seconds start = std::max(done, boundary);
-          if (start <= horizon_) play_.StartPlayback(si, start);
-        }
-      }
-      continue;
-    }
-    sim_.ScheduleAt(done, [this, idx, si, bytes, done, boundary,
-                           service]() {
-      play_.Deposit(si, done, bytes);
-      const Bytes level = play_.LevelAt(si, done);
-      obs::Update(play_occupancy_[si], done, level);
-      obs::Record(play_series_[idx], done, level);
-      obs::RecordDramLevel(config_.auditor, idx, done, level);
-      obs::JournalIo(journal_, jslot_[idx], done, bytes, level);
-      if (trace_ != nullptr) {
-        trace_->Append({done, sim::TraceKind::kIoCompleted, disk_->name(),
-                        play_.id(si), bytes, "", service});
-        trace_->Append({done, sim::TraceKind::kBufferLevel, "stream",
-                        play_.id(si), level, ""});
-      }
-      if (!play_.playing(si)) {
-        const Seconds start = std::max(done, boundary);
-        sim_.ScheduleAt(start, [this, si, start]() {
-          if (!play_.playing(si)) play_.StartPlayback(si, start);
-        });
-      }
-    });
   }
 
   // Fill remaining cycle slack with best-effort traffic (§3.1.2). Each
@@ -276,12 +218,9 @@ void DirectStreamingServer::RunCycle(Seconds deadline) {
   ObserveCycleOutcomes(t0 + busy, overrun);
   obs::Record(disk_util_series_, t0 + config_.cycle, busy / config_.cycle);
   if (trace_ != nullptr && busy > 0) {
-    // Scheduled so the record lands in time order among the IO records.
-    const Seconds end = t0 + busy;
-    sim_.ScheduleAt(end, [this, end, busy]() {
-      trace_->Append({end, sim::TraceKind::kCycleEnd, disk_->name(), -1, 0,
-                      "", busy});
-    });
+    // Queued behind this cycle's completions so the record lands in time
+    // order among the IO records.
+    completions_.Push(t0 + busy, {Completion::kCycleEnd, 0, 0, busy, 0});
   }
 
   // Next cycle at the nominal boundary (or immediately after an overrun).
@@ -296,10 +235,18 @@ Status DirectStreamingServer::Run(Seconds duration) {
   if (duration <= 0) return Status::InvalidArgument("duration must be > 0");
   ran_ = true;
   horizon_ = duration;
-  // With a TraceLog attached the per-IO completions stay event-scheduled
-  // so trace records interleave in exact time order; otherwise the cycle
-  // loop applies them inline (byte-identical results, no queue traffic).
-  eager_ = trace_ == nullptr;
+  // Untraced, completions apply inline in the cycle loop, in the order
+  // the lane would fire them (tests/completion_path_test.cc pins both
+  // paths to identical results). That keeps the farm's thousand-stream
+  // shards from queueing a whole cycle's batch per disk. A TraceLog
+  // needs the lane so its records interleave in time order.
+  inline_ = trace_ == nullptr;
+  completions_.Bind(&sim_, [this](const Completion& c) {
+    ApplyCompletion(sim_.Now(), c);
+  });
+  starts_.Bind(&sim_, [this](const PlaybackStart& s) {
+    if (!play_.playing(s.session)) play_.StartPlayback(s.session, s.start);
+  });
 
   for (std::size_t i = 0; i < record_.size(); ++i) {
     record_.StartRecording(i, 0);
@@ -384,6 +331,50 @@ Status DirectStreamingServer::Run(Seconds duration) {
     obs::ExportSimulatorStats(metrics, sim_);
   }
   return Status::OK();
+}
+
+void DirectStreamingServer::ApplyCompletion(Seconds done,
+                                            const Completion& c) {
+  if (c.kind == Completion::kCycleEnd) {
+    trace_->Append(done, sim::TraceKind::kCycleEnd, disk_name_, -1, 0, "",
+                   c.service);
+    return;
+  }
+  const std::size_t idx = c.stream;
+  const std::size_t si = session_index_[idx];
+  if (streams_[idx].direction == StreamDirection::kWrite) {
+    record_.Drain(si, done, c.bytes);
+    const Bytes level = record_.LevelAt(si, done);
+    obs::Update(staging_occupancy_[si], done, level);
+    obs::Record(play_series_[idx], done, level);
+    obs::RecordDramLevel(config_.auditor, idx, done, level);
+    obs::JournalIo(journal_, jslot_[idx], done, c.bytes, level);
+    if (trace_ != nullptr) {
+      trace_->Append(done, sim::TraceKind::kIoCompleted, disk_name_,
+                     record_.id(si), c.bytes, "recorded", c.service);
+    }
+    return;
+  }
+  play_.Deposit(si, done, c.bytes);
+  const Bytes level = play_.LevelAt(si, done);
+  obs::Update(play_occupancy_[si], done, level);
+  obs::Record(play_series_[idx], done, level);
+  obs::RecordDramLevel(config_.auditor, idx, done, level);
+  obs::JournalIo(journal_, jslot_[idx], done, c.bytes, level);
+  if (trace_ != nullptr) {
+    trace_->Append(done, sim::TraceKind::kIoCompleted, disk_name_,
+                   play_.id(si), c.bytes, "", c.service);
+    trace_->Append(done, sim::TraceKind::kBufferLevel, "stream",
+                   play_.id(si), level, "");
+  }
+  if (!play_.playing(si)) {
+    const Seconds start = std::max(done, c.boundary);
+    if (!inline_) {
+      starts_.Push(start, {si, start});
+    } else if (start <= horizon_) {
+      play_.StartPlayback(si, start);
+    }
+  }
 }
 
 void DirectStreamingServer::ObserveCycleOutcomes(Seconds now, bool overrun) {

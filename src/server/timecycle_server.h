@@ -11,6 +11,7 @@
 #define MEMSTREAM_SERVER_TIMECYCLE_SERVER_H_
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "obs/timeline.h"
 #include "server/qos_counters.h"
 #include "server/stream_batch.h"
+#include "sim/fifo_lane.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
 
@@ -140,10 +142,25 @@ class DirectStreamingServer {
 
   void RunCycle(Seconds deadline);
 
+  /// One disk IO completion (or, when traced, the cycle-end marker),
+  /// queued on the completion lane for its done time.
+  struct Completion {
+    enum Kind : std::uint8_t { kIo, kCycleEnd };
+    Kind kind = kIo;
+    std::size_t stream = 0;  ///< spec index
+    Bytes bytes = 0;
+    Seconds service = 0;     ///< IO service time; cycle busy for kCycleEnd
+    Seconds boundary = 0;    ///< playback may start from here (reads)
+  };
+  /// The single place an IO completion takes effect: buffer deposit or
+  /// staging drain at `done`, telemetry, and its trace records.
+  void ApplyCompletion(Seconds done, const Completion& c);
+
   device::DiskDrive* disk_;
   std::vector<StreamSpec> streams_;
   DirectServerConfig config_;
   sim::TraceLog* trace_;
+  std::string disk_name_;  ///< trace actor, resolved once
   sim::Simulator sim_;
   Rng rng_;
   PlaybackBatch play_;     ///< SoA state of the read streams
@@ -153,11 +170,12 @@ class DirectStreamingServer {
   std::vector<Bytes> play_cursor_;  ///< per-stream offset within extent
   std::int64_t last_head_offset_ = 0;
   CycleArena arena_;        ///< per-cycle scratch (batch + order)
-  Seconds horizon_ = 0;     ///< Run() duration; bounds eager effects
-  /// Fast path: with no TraceLog attached, IO completion effects are
-  /// applied inline in the cycle loop (in the same order the scheduled
-  /// events would have fired) instead of through the event queue.
-  bool eager_ = false;
+  Seconds horizon_ = 0;     ///< Run() duration; bounds inline effects
+  /// Completions apply inline in the cycle loop instead of through the
+  /// lanes (untraced runs; see Run()).
+  bool inline_ = false;
+  sim::FifoLane<Completion> completions_;
+  sim::FifoLane<PlaybackStart> starts_;
   ServerReport report_;
   bool ran_ = false;
   // Telemetry handles (null when config_.metrics is null).

@@ -33,6 +33,12 @@ class EventQueue {
 
   /// Time of the earliest pending event; undefined when empty.
   Seconds NextTime() const { return heap_.front().when; }
+  /// Sequence number of the earliest pending event; undefined when empty.
+  std::int64_t NextSeq() const { return heap_.front().seq; }
+
+  /// Consumes one sequence number without enqueuing anything, for items
+  /// ordered against this queue from elsewhere (sim::FifoLane).
+  std::int64_t TakeSeq() { return next_seq_++; }
 
   /// Removes and returns the earliest event's callback, storing its time
   /// in `when`.

@@ -3,8 +3,8 @@
 // inspect after a run. Tracing is off unless a TraceLog is attached.
 //
 // A TraceLog may be bounded: with a capacity set it becomes a ring
-// buffer that evicts the oldest records and counts the evictions, so a
-// long sim_duration cannot exhaust memory. Records carry an optional
+// buffer that overwrites the oldest record in place and counts the
+// evictions, so a long sim_duration cannot exhaust memory. Records carry an optional
 // `duration` so completion-style events double as spans; the
 // obs::ChromeTraceExporter turns a log into Chrome trace-event JSON.
 
@@ -12,8 +12,10 @@
 #define MEMSTREAM_SIM_TRACE_H_
 
 #include <cstdint>
-#include <deque>
+#include <cstddef>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.h"
@@ -48,31 +50,82 @@ struct TraceRecord {
 };
 
 /// Record sink with simple filters for post-run assertions. Unbounded by
-/// default; SetCapacity() turns it into a ring buffer.
+/// default; SetCapacity() turns it into a ring that overwrites the oldest
+/// record in place, so a warm bounded log appends without heap traffic.
 class TraceLog {
  public:
+  /// Read-only view of the retained records, oldest first.
+  class Records {
+   public:
+    class Iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = TraceRecord;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const TraceRecord*;
+      using reference = const TraceRecord&;
+
+      Iterator(const Records* view, std::size_t i) : view_(view), i_(i) {}
+      reference operator*() const { return (*view_)[i_]; }
+      pointer operator->() const { return &(*view_)[i_]; }
+      Iterator& operator++() {
+        ++i_;
+        return *this;
+      }
+      bool operator==(const Iterator& o) const { return i_ == o.i_; }
+      bool operator!=(const Iterator& o) const { return i_ != o.i_; }
+
+     private:
+      const Records* view_;
+      std::size_t i_;
+    };
+
+    explicit Records(const TraceLog* log) : log_(log) {}
+    std::size_t size() const { return log_->ring_.size(); }
+    bool empty() const { return log_->ring_.empty(); }
+    const TraceRecord& operator[](std::size_t i) const {
+      const std::size_t n = log_->ring_.size();
+      const std::size_t j = log_->head_ + i;
+      return log_->ring_[j < n ? j : j - n];
+    }
+    const TraceRecord& front() const { return (*this)[0]; }
+    const TraceRecord& back() const { return (*this)[size() - 1]; }
+    Iterator begin() const { return Iterator(this, 0); }
+    Iterator end() const { return Iterator(this, size()); }
+
+   private:
+    const TraceLog* log_;
+  };
+
   TraceLog() = default;
   /// A log that retains at most `capacity` records (0 = unbounded).
   explicit TraceLog(std::size_t capacity) : capacity_(capacity) {}
 
-  void Append(TraceRecord record) {
-    if (capacity_ > 0 && records_.size() >= capacity_) {
-      records_.pop_front();
-      ++dropped_;
-    }
-    records_.push_back(std::move(record));
+  void Append(const TraceRecord& record) {
+    Append(record.time, record.kind, record.actor, record.stream_id,
+           record.bytes, record.detail, record.duration);
   }
 
-  const std::deque<TraceRecord>& records() const { return records_; }
+  /// Appends one record, copying `actor` and `detail` into the slot's
+  /// existing string storage (no allocation once a bounded ring is warm).
+  void Append(Seconds time, TraceKind kind, std::string_view actor,
+              std::int64_t stream_id, Bytes bytes, std::string_view detail,
+              Seconds duration = 0) {
+    TraceRecord& slot = NextSlot();
+    slot.time = time;
+    slot.kind = kind;
+    slot.actor.assign(actor);
+    slot.stream_id = stream_id;
+    slot.bytes = bytes;
+    slot.detail.assign(detail);
+    slot.duration = duration;
+  }
+
+  /// The retained records, oldest first. The view reads the live log.
+  Records records() const { return Records(this); }
 
   /// Retention limit; evicts immediately if the log is already larger.
-  void SetCapacity(std::size_t capacity) {
-    capacity_ = capacity;
-    while (capacity_ > 0 && records_.size() > capacity_) {
-      records_.pop_front();
-      ++dropped_;
-    }
-  }
+  void SetCapacity(std::size_t capacity);
   std::size_t capacity() const { return capacity_; }
 
   /// Records evicted by the ring buffer since the last Clear().
@@ -86,7 +139,8 @@ class TraceLog {
   std::vector<TraceRecord> Filter(TraceKind kind) const;
 
   void Clear() {
-    records_.clear();
+    ring_.clear();
+    head_ = 0;
     dropped_ = 0;
   }
 
@@ -94,7 +148,31 @@ class TraceLog {
   std::string ToString(std::size_t max_records = 200) const;
 
  private:
-  std::deque<TraceRecord> records_;
+  /// String capacity reserved in each new slot of a bounded ring, so
+  /// overwrites with the usual actor/detail lengths reuse it.
+  static constexpr std::size_t kSlotChars = 31;
+
+  /// The slot the next record goes into: a new one while below capacity,
+  /// else the oldest (evicted) one.
+  TraceRecord& NextSlot() {
+    if (capacity_ == 0 || ring_.size() < capacity_) {
+      TraceRecord& slot = ring_.emplace_back();
+      if (capacity_ > 0) {
+        slot.actor.reserve(kSlotChars);
+        slot.detail.reserve(kSlotChars);
+      }
+      return slot;
+    }
+    TraceRecord& slot = ring_[head_];
+    if (++head_ == ring_.size()) head_ = 0;
+    ++dropped_;
+    return slot;
+  }
+
+  /// Records in ring order; `head_` indexes the oldest, and is non-zero
+  /// only while a bounded ring is full.
+  std::vector<TraceRecord> ring_;
+  std::size_t head_ = 0;
   std::size_t capacity_ = 0;  ///< 0 = unbounded
   std::int64_t dropped_ = 0;
 };

@@ -320,6 +320,9 @@ std::vector<Scenario> Scenarios() {
     out.push_back(Facade("cache_" + p + "_seeded_plan",
                          FaultedCache(policy, SeededPlan(striped ? 3 : 4))));
   }
+  MediaServerConfig pipeline_faults = Base(ServerMode::kMemsBuffer, true);
+  pipeline_faults.fault_plan = FailRepair(0, 6, 9);
+  out.push_back(Facade("buffer_facade_fail_repair", pipeline_faults));
   return out;
 }
 
@@ -350,7 +353,7 @@ TEST(CompletionPathTest, FaultScenariosExerciseDegradation) {
     s.run(&log);
     EXPECT_GT(log.Count(sim::TraceKind::kFaultStart), 0) << s.name;
   }
-  EXPECT_EQ(faulted, 4);
+  EXPECT_EQ(faulted, 5);
   const std::string shed =
       Facade("x", FaultedCache(model::CachePolicy::kStriped,
                                FailRepair(1, 8, 14)))
@@ -422,6 +425,7 @@ constexpr PinnedTrace kPinned[] = {
     {"cache_replicated_seeded_plan", 105692, 0xd1d73e61ea2c8444ull},
     {"cache_striped_fail_repair", 46850, 0x74f8507829464fdfull},
     {"cache_striped_seeded_plan", 50841, 0x8f22c68add520a0aull},
+    {"buffer_facade_fail_repair", 55062, 0x87d621becf0cd30bull},
 };
 
 TEST(TraceOrderTest, EveryModeReproducesThePinnedTrace) {

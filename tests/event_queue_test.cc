@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/fifo_lane.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -123,6 +124,38 @@ TEST(EventQueueHeapTest, SteadyStatePushPopDoesNotAllocate) {
   }
   EXPECT_EQ(AllocationCount(), before)
       << "steady-state push/pop must be allocation-free";
+  EXPECT_GT(sink, 0);
+}
+
+TEST(EventQueueHeapTest, SteadyStateLanePushPopDoesNotAllocate) {
+  // A completion lane interleaved with heap events: once its ring has
+  // grown to the high-water mark, pushes and dispatches allocate nothing.
+  struct Completion {
+    std::size_t stream;
+    double bytes;
+    double service;
+    double boundary;
+  };
+  Simulator sim;
+  FifoLane<Completion> lane;
+  double sink = 0;
+  lane.Bind(&sim, [&sink](const Completion& c) { sink += c.bytes; });
+  auto cycle = [&](int round) {
+    const double t0 = round * 10.0;
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(lane.Push(t0 + i * 0.01,
+                            {static_cast<std::size_t>(i), 1.0, 0.01, t0 + 5})
+                      .ok());
+    }
+    ASSERT_TRUE(sim.ScheduleAt(t0 + 1.0, [&sink] { sink += 1; }).ok());
+    ASSERT_TRUE(sim.Run(t0 + 9.0).ok());
+  };
+  cycle(0);
+  const std::int64_t before = AllocationCount();
+  for (int round = 1; round < 20; ++round) cycle(round);
+  EXPECT_EQ(AllocationCount(), before)
+      << "steady-state lane push/dispatch must be allocation-free";
+  EXPECT_EQ(sim.events_processed(), 20 * 201);
   EXPECT_GT(sink, 0);
 }
 
