@@ -27,9 +27,11 @@ class MoveOnlyFunction;  // undefined; only the R(Args...) form exists
 template <typename R, typename... Args>
 class MoveOnlyFunction<R(Args...)> {
  public:
-  /// Largest capture stored inline. 48 bytes fits six pointers — every
-  /// event lambda in the simulator today — while keeping the wrapper at
-  /// one cache line alongside the heap-fallback pointer slot.
+  /// Largest capture stored inline. 48 bytes fits six pointers — the
+  /// cycle-loop and fault events the servers schedule — while keeping the
+  /// wrapper at one cache line alongside the heap-fallback pointer slot.
+  /// Per-IO completions do not come through here: they are plain-data
+  /// records on sim::FifoLane rings.
   static constexpr std::size_t kInlineCapacity = 48;
 
   /// True when a callable of type F is stored inline (no allocation).

@@ -7,7 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -181,6 +188,32 @@ TEST(ReportMergeTest, ClassifiesAndRendersPerfTrajectory) {
   const std::string html = obs::RenderHtmlDashboard(bundle, "t");
   EXPECT_NE(html.find("Perf trajectory"), std::string::npos);
   EXPECT_NE(html.find("<svg"), std::string::npos);
+}
+
+TEST(PerfCliTest, CheckFindsCommittedBaselinesFromAnyWorkingDirectory) {
+  // The default --baseline-dir is the source tree's bench/baselines, not
+  // a path relative to wherever the harness is started.
+  namespace fs = std::filesystem;
+  const fs::path work =
+      fs::temp_directory_path() /
+      ("memstream_perf_cli_" + std::to_string(::getpid()));
+  fs::create_directories(work);
+  const fs::path out = work / "out.txt";
+  const std::string cmd =
+      "cd '" + work.string() + "' && " + MEMSTREAM_PERF_BIN +
+      " --check --smoke --skip-micro --repeats 1 --tolerance 1000"
+      " --benches fig7_cost_reduction --bench-dir " MEMSTREAM_BENCH_DIR
+      " --workdir '" + work.string() + "' > '" + out.string() + "' 2>&1";
+  const int rc = std::system(cmd.c_str());
+  std::ifstream in(out);
+  std::stringstream text;
+  text << in.rdbuf();
+  ASSERT_TRUE(WIFEXITED(rc)) << text.str();
+  EXPECT_EQ(WEXITSTATUS(rc), 0) << text.str();
+  EXPECT_EQ(text.str().find("no baseline"), std::string::npos) << text.str();
+  EXPECT_NE(text.str().find("perf check passed"), std::string::npos)
+      << text.str();
+  fs::remove_all(work);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // and optionally gates against committed baselines:
 //
 //   memstream-perf --bench-dir build/bench --repeats 3
-//   memstream-perf --check --baseline-dir bench/baselines --tolerance 1.5
+//   memstream-perf --check --tolerance 1.5
 //   memstream-perf --update-baseline
 //   memstream-perf --profile-overhead fig9_cache_throughput
 //
@@ -31,6 +31,10 @@
 #include "obs/json_parser.h"
 #include "obs/metrics.h"
 #include "obs/metrics_http.h"
+
+#ifndef MEMSTREAM_SOURCE_DIR
+#define MEMSTREAM_SOURCE_DIR "."
+#endif
 
 namespace {
 
@@ -65,7 +69,8 @@ int Usage(const char* argv0) {
       "  --skip-micro        skip the google-benchmark microbenchmarks\n"
       "  --smoke             force MEMSTREAM_SMOKE=1 in the children\n"
       "  --check             compare against baselines; exit 3 on regression\n"
-      "  --baseline-dir DIR  committed baselines (default: bench/baselines)\n"
+      "  --baseline-dir DIR  committed baselines (default: bench/baselines\n"
+      "                      of the source tree this binary was built from)\n"
       "  --tolerance X       allowed slowdown factor for --check (default 1.5)\n"
       "  --update-baseline   rewrite the baseline file from this run\n"
       "  --profile-overhead BENCH\n"
@@ -79,7 +84,7 @@ struct Options {
   std::string bench_dir;
   std::string workdir = ".";
   std::string out;
-  std::string baseline_dir = "bench/baselines";
+  std::string baseline_dir = MEMSTREAM_SOURCE_DIR "/bench/baselines";
   std::vector<std::string> benches{std::begin(kSweepBenches),
                                    std::end(kSweepBenches)};
   std::string overhead_bench;
