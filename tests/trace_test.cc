@@ -1,5 +1,9 @@
 #include "sim/trace.h"
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace memstream::sim {
@@ -107,6 +111,49 @@ TEST(TraceTest, RecordsCarryOptionalDuration) {
   log.Append({2.0, TraceKind::kNote, "disk", -1, 0, ""});
   EXPECT_DOUBLE_EQ(log.records()[0].duration, 0.25);
   EXPECT_DOUBLE_EQ(log.records()[1].duration, 0.0);  // instant by default
+}
+
+TEST(TraceTest, WrappedRingReadsOldestFirstAcrossCapacityChanges) {
+  TraceLog log(4);
+  for (int i = 0; i < 10; ++i) {
+    log.Append(static_cast<double>(i), TraceKind::kNote, "x", -1, 0, "");
+  }
+  auto times = [&log] {
+    std::vector<double> out;
+    for (const auto& r : log.records()) out.push_back(r.time);
+    return out;
+  };
+  EXPECT_EQ(times(), (std::vector<double>{6, 7, 8, 9}));
+  // Growing a wrapped ring keeps the order and appends after the newest.
+  log.SetCapacity(6);
+  log.Append(10.0, TraceKind::kNote, "x", -1, 0, "");
+  log.Append(11.0, TraceKind::kNote, "x", -1, 0, "");
+  log.Append(12.0, TraceKind::kNote, "x", -1, 0, "");
+  EXPECT_EQ(times(), (std::vector<double>{7, 8, 9, 10, 11, 12}));
+  // Shrinking a wrapped ring evicts the oldest.
+  log.SetCapacity(2);
+  EXPECT_EQ(times(), (std::vector<double>{11, 12}));
+  EXPECT_EQ(log.dropped_records(), 11);
+  EXPECT_DOUBLE_EQ(log.records().back().time, 12.0);
+}
+
+TEST(TraceTest, OverwrittenSlotsTakeTheNewStrings) {
+  TraceLog log(2);
+  log.Append(0, TraceKind::kNote, "a much longer actor name", 1, 0,
+             "a detail well past the small-string buffer");
+  log.Append(1, TraceKind::kNote, "b", 2, 0, "");
+  const std::string actor = "c";
+  log.Append(2, TraceKind::kIoCompleted, std::string_view(actor), 3, 4.0,
+             "short", 0.5);
+  ASSERT_EQ(log.records().size(), 2u);
+  const TraceRecord& r = log.records()[1];
+  EXPECT_EQ(r.actor, "c");
+  EXPECT_EQ(r.detail, "short");
+  EXPECT_EQ(r.stream_id, 3);
+  EXPECT_DOUBLE_EQ(r.bytes, 4.0);
+  EXPECT_DOUBLE_EQ(r.duration, 0.5);
+  EXPECT_EQ(r.kind, TraceKind::kIoCompleted);
+  EXPECT_EQ(log.Count(TraceKind::kNote), 1);
 }
 
 }  // namespace
