@@ -101,7 +101,9 @@ class TraceLog {
   /// A log that retains at most `capacity` records (0 = unbounded).
   explicit TraceLog(std::size_t capacity) : capacity_(capacity) {}
 
-  void Append(const TraceRecord& record) {
+  /// Takes `record` by value, so appending a record read from this log
+  /// stays valid when the append grows or overwrites the ring.
+  void Append(TraceRecord record) {
     Append(record.time, record.kind, record.actor, record.stream_id,
            record.bytes, record.detail, record.duration);
   }

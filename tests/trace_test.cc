@@ -156,5 +156,23 @@ TEST(TraceTest, OverwrittenSlotsTakeTheNewStrings) {
   EXPECT_EQ(log.Count(TraceKind::kNote), 1);
 }
 
+TEST(TraceTest, AppendingARecordOfTheSameLogIsSafe) {
+  TraceLog unbounded;
+  unbounded.Append(1, TraceKind::kNote, "an actor past the small buffer", 1,
+                   0, "a detail past the small-string buffer too");
+  for (int i = 0; i < 40; ++i) unbounded.Append(unbounded.records().back());
+  EXPECT_EQ(unbounded.records().size(), 41u);
+  EXPECT_EQ(unbounded.records().back().actor,
+            "an actor past the small buffer");
+
+  TraceLog ring(3);
+  for (int i = 0; i < 3; ++i) {
+    ring.Append(i, TraceKind::kNote, "x" + std::to_string(i), i, 0, "");
+  }
+  ring.Append(ring.records().front());  // overwrites the slot it reads
+  EXPECT_EQ(ring.records().back().actor, "x0");
+  EXPECT_EQ(ring.records().front().actor, "x1");
+}
+
 }  // namespace
 }  // namespace memstream::sim
