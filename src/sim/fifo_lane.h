@@ -56,17 +56,13 @@ class FifoLane final : public LaneBase {
   /// Enqueues `item` to fire at absolute time `when`. An unbound lane
   /// and a time earlier than Now() are rejected.
   Status Push(Seconds when, const T& item) {
-    if (sim_ == nullptr) {
-      return Status::FailedPrecondition("lane is not bound");
+    if (sim_ == nullptr || when < sim_->now_ ||
+        (size_ > 0 && when < tail_when_)) [[unlikely]] {
+      return PushSlow(when, item);
     }
-    if (when < sim_->now_) return Status::InvalidArgument("event in the past");
-    if (size_ > 0 && when < tail_when_) {
-      sim_->queue_.Push(when, [this, item] { handler_(item); });
-      return Status::OK();
-    }
-    if (size_ == ring_.size()) Grow();
+    if (size_ == capacity_) Grow();
     const std::int64_t seq = sim_->queue_.TakeSeq();
-    ring_[(head_ + size_) & (ring_.size() - 1)] = Slot{when, seq, item};
+    ring_[(head_ + size_) & (capacity_ - 1)] = Slot{when, seq, item};
     if (size_ == 0) PublishFront(when, seq);
     tail_when_ = when;
     ++size_;
@@ -75,6 +71,18 @@ class FifoLane final : public LaneBase {
   }
 
  private:
+  /// Rejections and spills, kept out of line so the common push stays a
+  /// few stores.
+  [[gnu::noinline]] Status PushSlow(Seconds when, const T& item) {
+    if (sim_ == nullptr) {
+      return Status::FailedPrecondition("lane is not bound");
+    }
+    if (when < sim_->now_) return Status::InvalidArgument("event in the past");
+    // Behind the tail: the heap orders it under the same (time, seq) key.
+    sim_->queue_.Push(when, [this, item] { handler_(item); });
+    return Status::OK();
+  }
+
   struct Slot {
     Seconds when = 0;
     std::int64_t seq = 0;
@@ -84,7 +92,7 @@ class FifoLane final : public LaneBase {
   void FireFront() override {
     // Copy out before the handler runs: it may push to this lane.
     const T item = ring_[head_].item;
-    head_ = (head_ + 1) & (ring_.size() - 1);
+    head_ = (head_ + 1) & (capacity_ - 1);
     --size_;
     --sim_->lane_items_;
     if (size_ > 0) {
@@ -102,15 +110,17 @@ class FifoLane final : public LaneBase {
 
   /// Doubles the ring (power-of-two capacity) and unwraps it.
   void Grow() {
-    std::vector<Slot> bigger(std::max<std::size_t>(16, ring_.size() * 2));
+    std::vector<Slot> bigger(std::max<std::size_t>(16, capacity_ * 2));
     for (std::size_t i = 0; i < size_; ++i) {
-      bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+      bigger[i] = ring_[(head_ + i) & (capacity_ - 1)];
     }
     ring_ = std::move(bigger);
+    capacity_ = ring_.size();
     head_ = 0;
   }
 
   std::vector<Slot> ring_;
+  std::size_t capacity_ = 0;  ///< ring_.size(), a power of two
   std::size_t head_ = 0;
   Seconds tail_when_ = 0;
   Handler handler_;
