@@ -41,10 +41,6 @@ class FifoLane final : public LaneBase {
  public:
   using Handler = MoveOnlyFunction<void(const T&)>;
 
-  FifoLane() = default;
-  FifoLane(FifoLane&&) = default;
-  FifoLane& operator=(FifoLane&&) = default;
-
   /// Registers the lane with `sim` and sets its handler. Bind once the
   /// lane and whatever the handler captures have reached their final
   /// address (e.g. in a server's Run(), not in its constructor).
