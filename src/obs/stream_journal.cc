@@ -169,7 +169,9 @@ StreamJournalSummary StreamJournal::Summarize() const {
   s.count = static_cast<std::int64_t>(entries_.size());
   for (const auto& e : entries_) {
     if (e.phase == StreamPhase::kDeparted) ++s.departed;
-    if (e.phase == StreamPhase::kShed) ++s.still_shed;
+    // Departure ends the run, not the shed: a stream that departs shed
+    // is still shed.
+    if (e.sheds > e.readmits) ++s.still_shed;
     if (e.sheds > 0) ++s.shed;
     if (e.readmits > 0) ++s.readmitted;
     if (e.degrades > 0) ++s.degraded;

@@ -123,7 +123,7 @@ struct StreamJournalSummary {
   std::int64_t count = 0;
   std::int64_t departed = 0;
   std::int64_t shed = 0;        ///< streams shed at least once
-  std::int64_t still_shed = 0;  ///< phase == kShed at the end
+  std::int64_t still_shed = 0;  ///< shed and not re-admitted at the end
   std::int64_t readmitted = 0;  ///< streams re-admitted at least once
   std::int64_t degraded = 0;    ///< streams degraded at least once
   std::int64_t underflow_streams = 0;  ///< streams with >= 1 underflow

@@ -96,6 +96,37 @@ std::string HttpGet(int port, const std::string& path) {
   return response;
 }
 
+TEST(JournalSloE2eTest, UnrepairedOutageLeavesStreamsStillShed) {
+  // Device 1 fails at t=10 and is never repaired: the shed tail of the
+  // cached range stays shed until the run ends and every stream departs.
+  obs::StreamJournal journal;
+  obs::SloMonitor slo;
+  obs::MetricsRegistry metrics;
+  auto config = StripedOutage(&journal, &slo, &metrics, /*faulted=*/false);
+  config.fault_plan = fault::FaultPlan::FromScript(
+      {{kFailAt, fault::FaultKind::kMemsDeviceFail, 1, 0, 0}});
+  auto result = RunMediaServer(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  std::int64_t never_readmitted = 0;
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    const obs::StreamJournalEntry& e = journal.entry(i);
+    EXPECT_EQ(e.phase, obs::StreamPhase::kDeparted);
+    if (e.sheds > 0 && e.readmits == 0) ++never_readmitted;
+  }
+  ASSERT_GT(never_readmitted, 0) << "the outage shed nothing";
+  const obs::StreamJournalSummary summary = journal.Summarize();
+  EXPECT_EQ(summary.departed, summary.count);
+  EXPECT_EQ(summary.still_shed, never_readmitted);
+  EXPECT_DOUBLE_EQ(metrics.gauge("stream.still_shed")->value(),
+                   static_cast<double>(never_readmitted));
+  const std::string json =
+      BuildRunReport(config, result.value(), &metrics).ToJson();
+  EXPECT_NE(json.find("\"still_shed\":" + std::to_string(never_readmitted)),
+            std::string::npos)
+      << json.substr(0, 2000);
+}
+
 TEST(JournalSloE2eTest, FaultRunJournalsShedReadmitBurnsBudgetAndDiffs) {
   // --- the faulted run ---
   obs::StreamJournal journal;

@@ -151,6 +151,22 @@ TEST(StreamJournalTest, SummarizeCountsOutcomes) {
   EXPECT_NEAR(s.min_headroom, 1.0 - 90.0 / 100.0, 1e-12);
 }
 
+TEST(StreamJournalTest, DepartingShedStreamCountsAsStillShed) {
+  // Departure records the end of the run, not a re-admission: a stream
+  // shed and never re-admitted stays still-shed after it departs.
+  StreamJournal j;
+  const std::size_t a = j.EnsureStream(1, 1e6, 100.0, 0.0);
+  const std::size_t b = j.EnsureStream(2, 1e6, 100.0, 0.0);
+  j.MarkShed(a, 1.0);
+  j.MarkShed(b, 1.0);
+  j.MarkReadmitted(b, 2.0);
+  j.Finalize(5.0);
+  const StreamJournalSummary s = j.Summarize();
+  EXPECT_EQ(s.departed, 2);
+  EXPECT_EQ(s.shed, 2);
+  EXPECT_EQ(s.still_shed, 1);
+}
+
 TEST(StreamJournalTest, PublishSummaryExportsGauges) {
   StreamJournal j;
   const std::size_t slot = j.EnsureStream(1, 1e6, 100.0, 0.0);
