@@ -95,8 +95,9 @@ ScenarioResult RunScenario(const Scenario& scenario,
   }
 
   sim::TraceLog trace;
+  config.sinks.trace = &trace;
   auto server = server::MemsPipelineServer::Create(
-      &disk, std::move(bank), streams, config, &trace);
+      &disk, std::move(bank), streams, config);
   if (!server.ok()) {
     out.create_error = server.status().ToString();
     return out;

@@ -231,7 +231,7 @@ void BM_DirectServerTelemetry(benchmark::State& state) {
     obs::MetricsRegistry registry;
     server::DirectServerConfig config;
     config.cycle = 0.5;
-    config.metrics = enabled ? &registry : nullptr;
+    config.sinks.metrics = enabled ? &registry : nullptr;
     std::vector<server::StreamSpec> streams;
     for (int i = 0; i < 8; ++i) {
       server::StreamSpec s;
@@ -379,7 +379,7 @@ void BM_DirectServerAudit(benchmark::State& state) {
                         obs::QosDomain::kDisk);
     }
     auditor.Seal();
-    config.auditor = enabled ? &auditor : nullptr;
+    config.sinks.auditor = enabled ? &auditor : nullptr;
     auto srv = server::DirectStreamingServer::Create(&disk, streams, config);
     (void)srv.value().Run(20.0);
     benchmark::DoNotOptimize(srv.value().report().ios_completed);

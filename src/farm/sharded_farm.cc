@@ -325,7 +325,7 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
                                 obs::QosDomain::kDisk);
             }
             auditor.Seal();
-            dsc.auditor = &auditor;
+            dsc.sinks.auditor = &auditor;
           }
 
           auto server = server::DirectStreamingServer::Create(

@@ -81,9 +81,8 @@ struct FarmShardEntry {
 };
 
 /// Farm-run summary embedded as the "farm" block (schema v4, additive —
-/// v4 consumers that don't know the block keep working). Plain data:
-/// filled by the farm layer (farm::BuildFarmBlock) or by the legacy
-/// server::RunFarm aggregator.
+/// v4 consumers that don't know the block keep working). Plain data,
+/// filled by the farm layer (farm::BuildFarmBlock).
 struct FarmBlock {
   std::string policy;            ///< placement policy name
   std::int64_t shards = 0;

@@ -18,13 +18,11 @@
 #include "device/disk_scheduler.h"
 #include "device/mems_device.h"
 #include "fault/degradation.h"
-#include "fault/fault_injector.h"
 #include "model/mems_cache.h"
 #include "obs/metrics.h"
-#include "obs/qos_auditor.h"
-#include "obs/timeline.h"
 #include "server/qos_counters.h"
 #include "server/stream_batch.h"
+#include "server/telemetry.h"
 #include "server/timecycle_server.h"
 #include "sim/fifo_lane.h"
 #include "sim/simulator.h"
@@ -59,22 +57,18 @@ struct CacheServerConfig {
   device::SchedulerPolicy disk_policy = device::SchedulerPolicy::kCLook;
   bool deterministic = true;
   std::uint64_t seed = 42;
-  /// Optional telemetry: per-side cycle-slack histograms, per-stream
-  /// occupancy, run summary gauges. Null (the default) costs one pointer
-  /// test per update site. Not owned; must outlive the server.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Optional online QoS auditor. Register the streams in spec order:
-  /// uncached streams with domain kDisk, cached streams with domain
-  /// kMems (replicated policy: device = position-among-cached mod k;
-  /// striped: device 0, the lock-step cycle closes with device -1), and
-  /// Seal() before Run(). Not owned.
-  obs::QosAuditor* auditor = nullptr;
-  /// Optional timeline recorder: per-stream DRAM occupancy. Not owned.
-  obs::TimelineRecorder* timelines = nullptr;
-  /// Optional fault injection: the plan's device faults are applied to
-  /// the bank (tip loss, fail, repair) and disk IOs pay the spike
-  /// penalty. Not owned; must outlive the server.
-  fault::FaultInjector* faults = nullptr;
+  /// Optional sinks. Register the auditor's streams in spec order:
+  /// uncached streams with domain kDisk, cached streams with domain kMems
+  /// (replicated policy: device = position-among-cached mod k; striped:
+  /// device 0, the lock-step cycle closes with device -1). The plan's
+  /// device faults are applied to the bank (tip loss, fail, repair) and
+  /// disk IOs pay the spike penalty. The journal holds cached streams
+  /// under the Theorem-3/4 MEMS-cycle envelope and disk streams under
+  /// Theorem 1's; degradation verdicts land as kShed / kReadmitted /
+  /// kDegraded transitions. The SLO monitor gets "cycle_slack" and
+  /// "underflow" per cycle plus "availability" (shed streams burn the
+  /// budget).
+  Sinks sinks;
   /// Optional graceful degradation: on every device fault the manager
   /// re-solves the Theorem 3/4 sizing for the degraded bank and the
   /// server applies the verdict — reshape the MEMS cycle, shed the
@@ -86,14 +80,6 @@ struct CacheServerConfig {
   /// factor * B̄ * cycle); re-plans resize the audited bounds with the
   /// same factor. 0 disables bound updates.
   double dram_bound_factor = 2.0;
-  /// Optional per-stream lifecycle journal. Streams self-register at
-  /// Create (cached streams under the Theorem-3/4 MEMS-cycle envelope,
-  /// disk streams under Theorem 1's); degradation verdicts land as
-  /// kShed / kReadmitted / kDegraded transitions. Not owned.
-  obs::StreamJournal* journal = nullptr;
-  /// Optional SLO monitor: "cycle_slack" and "underflow" per cycle plus
-  /// "availability" (shed streams burn the budget). Not owned.
-  obs::SloMonitor* slo = nullptr;
 };
 
 /// Post-run statistics, split by side.
@@ -118,8 +104,7 @@ class CacheStreamingServer {
  public:
   static Result<CacheStreamingServer> Create(
       device::DiskDrive* disk, std::vector<device::MemsDevice> bank,
-      std::vector<CacheStreamSpec> streams, const CacheServerConfig& config,
-      sim::TraceLog* trace = nullptr);
+      std::vector<CacheStreamSpec> streams, const CacheServerConfig& config);
 
   /// Simulates `duration` seconds. May be called once.
   Status Run(Seconds duration);
@@ -133,8 +118,7 @@ class CacheStreamingServer {
   CacheStreamingServer(device::DiskDrive* disk,
                        std::vector<device::MemsDevice> bank,
                        std::vector<CacheStreamSpec> streams,
-                       const CacheServerConfig& config,
-                       sim::TraceLog* trace);
+                       const CacheServerConfig& config);
 
   void RunDiskCycle(Seconds deadline);
   void RunStripedCycle(Seconds deadline);
@@ -212,7 +196,7 @@ class CacheStreamingServer {
   sim::FifoLane<PlaybackStart> starts_;
   CacheServerReport report_;
   bool ran_ = false;
-  // Degradation state (all no-ops when config_.faults is null).
+  // Degradation state (all no-ops when config_.sinks.faults is null).
   std::vector<bool> device_alive_;      ///< per MEMS device
   std::vector<Placement> placement_;    ///< per stream (kCache if cached)
   std::vector<std::vector<std::size_t>> replicated_assign_;  ///< per device
@@ -224,26 +208,14 @@ class CacheStreamingServer {
   /// Per-stream audited DRAM bound mirror: re-plans re-derive the total
   /// budget as the sum of the per-stream sizings they just installed.
   std::vector<Bytes> audited_bound_;
-  // Telemetry handles (null when config_.metrics is null).
+  std::int64_t shed_streams_ = 0;  ///< placement_ == kShed
+  StreamTelemetry telemetry_;      ///< per stream
+  // Telemetry handles (null when config_.sinks.metrics is null).
   obs::HistogramMetric* disk_slack_hist_ = nullptr;
   obs::HistogramMetric* mems_slack_hist_ = nullptr;
   obs::Counter* disk_cycles_metric_ = nullptr;
   obs::Counter* mems_cycles_metric_ = nullptr;
   obs::Counter* ios_metric_ = nullptr;
-  std::vector<obs::TimeWeightedGauge*> dram_occupancy_;  ///< per stream
-  // Timeline handles (null when config_.timelines is null).
-  std::vector<obs::TimelineSeries*> dram_series_;  ///< per stream
-  // Journal/SLO handles (null / -1 when the hooks are off).
-  obs::StreamJournal* journal_ = nullptr;
-  std::vector<std::ptrdiff_t> jslot_;      ///< per stream
-  std::vector<std::int64_t> uf_seen_;      ///< underflows already journaled
-  obs::Slo* slo_underflow_ = nullptr;
-  obs::Slo* slo_slack_ = nullptr;
-  obs::Slo* slo_availability_ = nullptr;
-
-  /// Cycle-end SLO/journal bookkeeping: slack outcome, underflow delta
-  /// scan, and the availability sample (shed streams burn the budget).
-  void ObserveCycleOutcomes(Seconds now, bool overrun);
 };
 
 }  // namespace memstream::server

@@ -206,10 +206,11 @@ TEST(PipelineTest, Fig5TraceShowsRoundRobinRouting) {
   const BytesPerSecond b = 1 * kMBps;
   Sized sized = SizeWithTheorem2(disk, n, b, 3);
   sim::TraceLog trace;
+  sized.config.sinks.trace = &trace;
   auto server = MemsPipelineServer::Create(
       &disk, G3Bank(3),
       Spread(n, b, disk.Capacity(), 2 * b * sized.config.t_disk),
-      sized.config, &trace);
+      sized.config);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.value().Run(sized.config.t_disk * 6).ok());
 

@@ -264,7 +264,7 @@ TEST(QosAuditorServerTest, CreateRejectsMismatchedRegistration) {
 
   server::DirectServerConfig config;
   config.cycle = cycle.value();
-  config.auditor = &auditor;
+  config.sinks.auditor = &auditor;
   auto server = server::DirectStreamingServer::Create(
       &disk, Spread(n, b, disk.Capacity(), 2 * b * cycle.value()), config);
   EXPECT_FALSE(server.ok());
@@ -292,7 +292,7 @@ TEST(QosAuditorServerTest, AnalyticSizingAuditsCleanOnDirectServer) {
 
   server::DirectServerConfig config;
   config.cycle = cycle.value();
-  config.auditor = &auditor;
+  config.sinks.auditor = &auditor;
   auto server =
       server::DirectStreamingServer::Create(&disk, streams, config);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -331,9 +331,9 @@ TEST(QosAuditorServerTest, UndersizedBufferSeedsExactCounterExample) {
 
   server::DirectServerConfig config;
   config.cycle = cycle.value();
-  config.auditor = &auditor;
-  auto server =
-      server::DirectStreamingServer::Create(&disk, streams, config, &log);
+  config.sinks.auditor = &auditor;
+  config.sinks.trace = &log;
+  auto server = server::DirectStreamingServer::Create(&disk, streams, config);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   ASSERT_TRUE(server.value().Run(20.0).ok());
 
@@ -409,7 +409,7 @@ TEST(QosAuditorServerTest, EdfOccupancyAuditIsClean) {
 
   server::EdfServerConfig config;
   config.io_playback = io_playback;
-  config.auditor = &auditor;
+  config.sinks.auditor = &auditor;
   auto server =
       server::EdfStreamingServer::Create(&disk, streams, config);
   ASSERT_TRUE(server.ok()) << server.status().ToString();

@@ -123,9 +123,9 @@ TEST(DirectServerTest, TraceRecordsCyclesAndIos) {
   sim::TraceLog trace;
   DirectServerConfig config;
   config.cycle = 0.5;
+  config.sinks.trace = &trace;
   auto server = DirectStreamingServer::Create(
-      &disk, Spread(5, 100 * kKBps, disk.Capacity(), 1 * kMB), config,
-      &trace);
+      &disk, Spread(5, 100 * kKBps, disk.Capacity(), 1 * kMB), config);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.value().Run(5.0).ok());
   EXPECT_GE(trace.Count(sim::TraceKind::kCycleStart), 9);
