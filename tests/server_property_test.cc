@@ -4,6 +4,7 @@
 // envelope of the analytic figure. This is the library's strongest
 // claim, so it is checked wholesale rather than at hand-picked points.
 
+#include <algorithm>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -63,8 +64,7 @@ INSTANTIATE_TEST_SUITE_P(
                    model::CachePolicy::kReplicated}),
     PointName);
 
-TEST_P(ServerSweep, AnalyticSizingExecutesJitterFree) {
-  const SweepPoint& p = GetParam();
+MediaServerConfig ConfigFor(const SweepPoint& p, Seconds duration) {
   MediaServerConfig config;
   config.mode = p.mode;
   config.disk = device::FutureDisk2007();
@@ -74,9 +74,12 @@ TEST_P(ServerSweep, AnalyticSizingExecutesJitterFree) {
   config.cached_fraction_of_streams = 0.5;
   config.num_streams = p.n;
   config.bit_rate = p.bit_rate;
-  config.sim_duration = 25;
+  config.sim_duration = duration;
+  return config;
+}
 
-  auto result = RunMediaServer(config);
+TEST_P(ServerSweep, AnalyticSizingExecutesJitterFree) {
+  auto result = RunMediaServer(ConfigFor(GetParam(), 25));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().qos.underflow_events, 0);
   EXPECT_DOUBLE_EQ(result.value().qos.underflow_time, 0.0);
@@ -91,25 +94,34 @@ TEST_P(ServerSweep, AnalyticSizingExecutesJitterFree) {
 }
 
 TEST_P(ServerSweep, DeterministicReplay) {
-  const SweepPoint& p = GetParam();
-  if (p.mode != ServerMode::kDirect) {
-    GTEST_SKIP() << "replay spot-check runs on the direct mode only";
-  }
-  MediaServerConfig config;
-  config.mode = p.mode;
-  config.disk = device::FutureDisk2007();
-  config.disk.inner_rate = config.disk.outer_rate;
-  config.num_streams = p.n;
-  config.bit_rate = p.bit_rate;
-  config.sim_duration = 10;
+  // Two runs of one configuration agree on every reported quantity,
+  // bit for bit, in every mode.
+  const MediaServerConfig config = ConfigFor(GetParam(), 10);
   auto a = RunMediaServer(config);
   auto b = RunMediaServer(config);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value().ios_completed, b.value().ios_completed);
-  EXPECT_DOUBLE_EQ(a.value().sim_peak_dram, b.value().sim_peak_dram);
-  EXPECT_DOUBLE_EQ(a.value().disk_utilization,
-                   b.value().disk_utilization);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  const MediaServerResult& x = a.value();
+  const MediaServerResult& y = b.value();
+  EXPECT_GT(x.ios_completed, 0);
+  EXPECT_EQ(x.analytic_dram_total, y.analytic_dram_total);
+  EXPECT_EQ(x.disk_cycle, y.disk_cycle);
+  EXPECT_EQ(x.mems_cycle, y.mems_cycle);
+  EXPECT_EQ(x.qos.underflow_events, y.qos.underflow_events);
+  EXPECT_EQ(x.qos.underflow_time, y.qos.underflow_time);
+  EXPECT_EQ(x.qos.overflow_events, y.qos.overflow_events);
+  EXPECT_EQ(x.qos.overflow_time, y.qos.overflow_time);
+  EXPECT_EQ(x.qos.violations, y.qos.violations);
+  EXPECT_EQ(x.cycle_overruns, y.cycle_overruns);
+  EXPECT_EQ(x.sim_peak_dram, y.sim_peak_dram);
+  EXPECT_EQ(x.disk_utilization, y.disk_utilization);
+  EXPECT_EQ(x.mems_utilization, y.mems_utilization);
+  EXPECT_EQ(x.ios_completed, y.ios_completed);
+  ASSERT_NE(x.auditor, nullptr);
+  ASSERT_NE(y.auditor, nullptr);
+  EXPECT_EQ(x.auditor->disk_cycles_audited(), y.auditor->disk_cycles_audited());
+  EXPECT_EQ(x.auditor->mems_cycles_audited(), y.auditor->mems_cycles_audited());
+  EXPECT_EQ(x.auditor->total_violations(), y.auditor->total_violations());
 }
 
 }  // namespace
