@@ -94,6 +94,84 @@ TEST(SchedulerTest, ElevatorBeatsFcfsOnRandomBatch) {
       << "elevator should cut positioning time drastically";
 }
 
+// Reference elevator order: a stable sort by offset, split at the head
+// into an upward sweep and the rest (ascending for C-LOOK, descending
+// for SCAN).
+std::vector<std::size_t> ReferenceElevatorOrder(
+    bool circular, std::int64_t head, const std::vector<IoSpan>& batch) {
+  std::vector<std::size_t> sorted(batch.size());
+  std::iota(sorted.begin(), sorted.end(), std::size_t{0});
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return batch[a].offset < batch[b].offset;
+                   });
+  std::vector<std::size_t> up;
+  std::vector<std::size_t> down;
+  for (std::size_t i : sorted) {
+    (batch[i].offset >= head ? up : down).push_back(i);
+  }
+  if (!circular) std::reverse(down.begin(), down.end());
+  up.insert(up.end(), down.begin(), down.end());
+  return up;
+}
+
+TEST(SchedulerTest, ElevatorOrderMatchesStableSortReference) {
+  const std::vector<std::vector<IoSpan>> batches = {
+      {},
+      Batch({42}),
+      Batch({10, 20, 30, 40, 50, 60}),             // ascending
+      Batch({10, 20, 20, 20, 30, 30, 50, 50}),     // ascending, duplicates
+      Batch({7, 7, 7, 7}),                         // all equal
+      Batch({70, 10, 20, 30, 40, 50, 60}),         // out of order at front
+      Batch({10, 20, 30, 40, 50, 60, 5}),          // out of order at back
+      Batch({10, 20, 30, 40, 50, 60, 30}),         // back duplicate
+      Batch({50, 10, 90, 30, 30, 70, 10}),         // shuffled
+  };
+  const std::int64_t heads[] = {0, 9, 10, 20, 25, 30, 42, 60, 61, 1000};
+  for (bool circular : {true, false}) {
+    const SchedulerPolicy policy =
+        circular ? SchedulerPolicy::kCLook : SchedulerPolicy::kScan;
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      const std::vector<IoSpan>& batch = batches[b];
+      for (std::int64_t head : heads) {
+        const auto expected = ReferenceElevatorOrder(circular, head, batch);
+        EXPECT_EQ(ScheduleOrder(policy, head, batch), expected)
+            << SchedulerPolicyName(policy) << " batch " << b << " head "
+            << head;
+        // The allocation-free entry point writes the same order, and
+        // overwrites whatever the caller's buffers held.
+        std::vector<std::size_t> order(batch.size(), 99);
+        std::vector<std::size_t> scratch(batch.size(), 77);
+        ScheduleOrderInto(policy, head, batch.data(), batch.size(),
+                          order.data(), scratch.data());
+        EXPECT_EQ(order, expected)
+            << SchedulerPolicyName(policy) << " batch " << b << " head "
+            << head;
+      }
+    }
+  }
+}
+
+TEST(SchedulerTest, ElevatorOrderMatchesReferenceOnLargeBatches) {
+  Rng rng(8192);
+  for (bool sorted : {true, false}) {
+    std::vector<IoSpan> batch;
+    std::int64_t offset = 0;
+    for (int i = 0; i < 8192; ++i) {
+      // Small steps make duplicate offsets common.
+      offset = sorted ? offset + rng.NextInt(0, 3) : rng.NextInt(0, 20000);
+      batch.push_back({offset, 1 * kMB});
+    }
+    for (std::int64_t head : {std::int64_t{0}, batch[4096].offset,
+                              std::int64_t{1} << 40}) {
+      EXPECT_EQ(ScheduleOrder(SchedulerPolicy::kCLook, head, batch),
+                ReferenceElevatorOrder(true, head, batch));
+      EXPECT_EQ(ScheduleOrder(SchedulerPolicy::kScan, head, batch),
+                ReferenceElevatorOrder(false, head, batch));
+    }
+  }
+}
+
 TEST(SchedulerTest, PolicyNames) {
   EXPECT_STREQ(SchedulerPolicyName(SchedulerPolicy::kScan), "SCAN");
   EXPECT_STREQ(SchedulerPolicyName(SchedulerPolicy::kCLook), "C-LOOK");

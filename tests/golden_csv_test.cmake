@@ -1,5 +1,5 @@
 # Byte-identical CSV determinism for the batched SoA cycle engine: runs
-# the smoke-trimmed figure benches at 1 and at 4 sweep threads and
+# the smoke-trimmed figure and simulation benches at 1 and 4 threads and
 # requires every CSV to match the committed goldens in tests/golden/
 # byte for byte. Invoked by the golden_csv_determinism ctest (see
 # tests/CMakeLists.txt); regenerate the goldens by running the benches
