@@ -53,27 +53,25 @@ Result<DiskGeometry> DiskGeometry::Create(Bytes capacity,
   return geo;
 }
 
-Result<const Zone*> DiskGeometry::ZoneAt(Bytes offset) const {
-  if (offset < 0 || offset >= capacity_) {
-    return Status::OutOfRange("offset beyond disk capacity");
-  }
+std::size_t DiskGeometry::ZoneIndexOf(Bytes offset) const {
   auto it = std::upper_bound(
       zones_.begin(), zones_.end(), offset,
       [](Bytes off, const Zone& z) { return off < z.start_offset; });
   // upper_bound returns the first zone starting after `offset`; step back.
-  return &*std::prev(it);
+  return static_cast<std::size_t>(it - zones_.begin()) - 1;
+}
+
+Result<const Zone*> DiskGeometry::ZoneAt(Bytes offset) const {
+  if (offset < 0 || offset >= capacity_) {
+    return Status::OutOfRange("offset beyond disk capacity");
+  }
+  return &zones_[ZoneIndexOf(offset)];
 }
 
 Result<std::int64_t> DiskGeometry::CylinderAt(Bytes offset) const {
   auto zone = ZoneAt(offset);
   MEMSTREAM_RETURN_IF_ERROR(zone.status());
-  const Zone& z = *zone.value();
-  const double frac = (offset - z.start_offset) / z.capacity;
-  const auto span = z.last_cylinder - z.first_cylinder + 1;
-  const auto cyl =
-      z.first_cylinder +
-      static_cast<std::int64_t>(frac * static_cast<double>(span));
-  return std::min(cyl, z.last_cylinder);
+  return zone.value()->CylinderOf(offset);
 }
 
 Result<BytesPerSecond> DiskGeometry::RateAt(Bytes offset) const {

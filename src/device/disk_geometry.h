@@ -5,6 +5,8 @@
 #ifndef MEMSTREAM_DEVICE_DISK_GEOMETRY_H_
 #define MEMSTREAM_DEVICE_DISK_GEOMETRY_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -22,6 +24,17 @@ struct Zone {
   BytesPerSecond transfer_rate = 0;
   Bytes start_offset = 0;           ///< first byte of the zone
   Bytes capacity = 0;               ///< bytes held by the zone
+
+  /// Cylinder holding `offset`, linear across the zone's cylinders and
+  /// clamped to the last one. Meaningful for offsets inside the zone.
+  std::int64_t CylinderOf(Bytes offset) const {
+    const double frac = (offset - start_offset) / capacity;
+    const auto span = last_cylinder - first_cylinder + 1;
+    const auto cyl = first_cylinder +
+                     static_cast<std::int64_t>(frac *
+                                               static_cast<double>(span));
+    return std::min(cyl, last_cylinder);
+  }
 };
 
 /// Immutable geometry computed from capacity, cylinder count, zone count,
@@ -50,7 +63,13 @@ class DiskGeometry {
   Result<BytesPerSecond> RateAt(Bytes offset) const;
 
  private:
+  friend class DiskDrive;  // services IOs through ZoneIndexOf
+
   DiskGeometry() = default;
+
+  /// Index of the last zone starting at or before `offset`, which must
+  /// lie in [0, capacity): the lookup behind ZoneAt, without its check.
+  std::size_t ZoneIndexOf(Bytes offset) const;
 
   Bytes capacity_ = 0;
   std::int64_t num_cylinders_ = 0;

@@ -117,13 +117,21 @@ class MemsDevice final : public BlockDevice {
   }
 
  private:
-  explicit MemsDevice(MemsParameters params) : params_(std::move(params)) {}
+  explicit MemsDevice(MemsParameters params)
+      : params_(std::move(params)),
+        region_capacity_(params_.capacity /
+                         static_cast<double>(params_.num_regions)) {}
 
-  Bytes RegionCapacity() const {
-    return params_.capacity / static_cast<double>(params_.num_regions);
-  }
+  /// Sled coordinate of an offset in [0, capacity): the arithmetic
+  /// behind Locate, without its range check.
+  SledPosition PositionOf(Bytes offset) const;
+
+  /// Where the sled stops after streaming `bytes` from `start`: the
+  /// arithmetic behind EndOf.
+  SledPosition Advance(SledPosition start, Bytes bytes) const;
 
   MemsParameters params_;
+  Bytes region_capacity_;  ///< bytes per X region (capacity / num_regions)
   std::int64_t current_region_ = 0;
   double current_y_ = 0.0;  ///< fraction of the Y travel, in [0, 1]
   double rate_scale_ = 1.0;  ///< surviving-tip fraction (tip-loss faults)
