@@ -52,14 +52,24 @@ void SstfOrderInto(std::int64_t head, const IoSpan* batch, std::size_t n,
 void ScanOrderInto(std::int64_t head, const IoSpan* batch, std::size_t n,
                    bool circular, std::size_t* order, std::size_t* scratch) {
   std::iota(scratch, scratch + n, std::size_t{0});
-  // Equal offsets tie-break on the index, which reproduces stable_sort's
-  // order over the iota input without its temporary merge buffer — the
-  // cycle engines call this once per cycle and must stay allocation-free.
-  std::sort(scratch, scratch + n, [&](std::size_t a, std::size_t b) {
-    const std::int64_t oa = batch[a].offset;
-    const std::int64_t ob = batch[b].offset;
-    return oa != ob ? oa < ob : a < b;
-  });
+  // Streams laid out at ascending offsets with one shared cursor step
+  // hand over batches already in offset order; for those the sorted
+  // permutation below is the identity, so skip the sort.
+  const bool ordered = std::is_sorted(
+      batch, batch + n, [](const IoSpan& a, const IoSpan& b) {
+        return a.offset < b.offset;
+      });
+  if (!ordered) {
+    // Equal offsets tie-break on the index, which reproduces
+    // stable_sort's order over the iota input without its temporary
+    // merge buffer — the cycle engines call this once per cycle and must
+    // stay allocation-free.
+    std::sort(scratch, scratch + n, [&](std::size_t a, std::size_t b) {
+      const std::int64_t oa = batch[a].offset;
+      const std::int64_t ob = batch[b].offset;
+      return oa != ob ? oa < ob : a < b;
+    });
+  }
   // Split into requests at/above the head (serviced on the upward sweep)
   // and below it.
   std::size_t out = 0;
