@@ -19,13 +19,6 @@ ThreadState::ThreadState() : nodes(new Node[kMaxNodes]) {
 
 using internal::ThreadState;
 
-Profiler& Profiler::Global() {
-  // Leaked singleton: instrumented scopes and the atexit dump may run
-  // during static destruction, so the profiler must never be destroyed.
-  static Profiler* instance = new Profiler();
-  return *instance;
-}
-
 void Profiler::Enable() {
   std::lock_guard<std::mutex> lock(mu_);
   if (enabled_.load(std::memory_order_relaxed) != 0) return;

@@ -106,7 +106,12 @@ struct ThreadState {
 /// threading and lifetime rules.
 class Profiler {
  public:
-  static Profiler& Global();
+  static Profiler& Global() {
+    // Leaked singleton: instrumented scopes and the atexit dump may run
+    // during static destruction, so the profiler must never be destroyed.
+    static Profiler* const instance = new Profiler();
+    return *instance;
+  }
 
   /// Turns recording on. Scopes opened while disabled cost one atomic
   /// load; scopes opened while enabled accumulate into the tree.
@@ -159,8 +164,10 @@ class Profiler {
   std::vector<std::unique_ptr<internal::ThreadState>> states_;
   /// 0 = disabled; otherwise the current epoch. Thread-local cached
   /// states are revalidated against this word, so Reset() (which bumps
-  /// the epoch) safely invalidates every thread's cache.
-  std::atomic<std::uint64_t> enabled_{0};
+  /// the epoch) safely invalidates every thread's cache. Static and
+  /// constant-initialized, so a disabled scope reads it inline without
+  /// touching the singleton.
+  static inline std::atomic<std::uint64_t> enabled_{0};
   std::uint64_t epoch_ = 0;
   std::atomic<ClockFn> clock_{nullptr};
   std::atomic<AllocCounterFn> alloc_counter_{nullptr};
@@ -175,8 +182,10 @@ class Profiler {
 class ProfScope {
  public:
   explicit ProfScope(const char* name) {
+    // Disabled: one load and a branch, the null sink.
+    if (Profiler::enabled_.load(std::memory_order_acquire) == 0) return;
     internal::ThreadState* ts = Profiler::Global().CurrentThreadState();
-    if (ts == nullptr) return;  // disabled: the one-branch null sink
+    if (ts == nullptr) return;  // disabled since the check above
     ts_ = ts;
     Enter(name);
   }
