@@ -1,6 +1,8 @@
 #include "obs/metrics.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -22,7 +24,59 @@ std::string FormatDouble(double v) {
   return out.str();
 }
 
+/// One RFC 4180 CSV line -> cells (quoted cells, "" escapes).
+std::vector<std::string> SplitCsvLine(const std::string& line) {
+  std::vector<std::string> cells(1);
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (c == '"' && quoted && i + 1 < line.size() && line[i + 1] == '"') {
+      cells.back().push_back(line[++i]);
+    } else if (c == '"') {
+      quoted = !quoted;
+    } else if (c == ',' && !quoted) {
+      cells.emplace_back();
+    } else if (c != '\r' || quoted) {
+      cells.back().push_back(c);
+    }
+  }
+  return cells;
+}
+
+/// The number in `cell`; 0 when it is not one or, as a count, does not
+/// fit an int64.
+double CsvNumber(const std::string& cell, bool count) {
+  char* end = nullptr;
+  const double v = std::strtod(cell.c_str(), &end);
+  const bool ok = end != cell.c_str() && (!count || std::abs(v) < 9.2e18);
+  return ok ? v : 0;
+}
+
 }  // namespace
+
+std::vector<MetricSample> ParseMetricsCsv(const std::string& text) {
+  std::vector<MetricSample> rows;
+  std::istringstream in(text);
+  std::string line;
+  std::getline(in, line);  // header
+  while (std::getline(in, line)) {
+    const std::vector<std::string> c = SplitCsvLine(line);
+    if (c.size() < 10) continue;
+    MetricSample s;
+    s.name = c[0];
+    s.kind = c[1];
+    s.value = CsvNumber(c[2], false);
+    s.count = static_cast<std::int64_t>(CsvNumber(c[3], true));
+    s.min = CsvNumber(c[4], false);
+    s.max = CsvNumber(c[5], false);
+    s.mean = CsvNumber(c[6], false);
+    s.p50 = CsvNumber(c[7], false);
+    s.p95 = CsvNumber(c[8], false);
+    s.p99 = CsvNumber(c[9], false);
+    rows.push_back(std::move(s));
+  }
+  return rows;
+}
 
 Counter* MetricsRegistry::counter(const std::string& name) {
   Entry& e = metrics_[name];

@@ -103,6 +103,11 @@ struct MetricSample {
   double p99 = 0;
 };
 
+/// Parses MetricsRegistry::ToCsvText() output (header line first) back
+/// into samples. Rows with fewer than ten cells are skipped; cells that
+/// are not numbers read as 0.
+std::vector<MetricSample> ParseMetricsCsv(const std::string& text);
+
 /// Owner of all metrics for one run. Get-or-create semantics: asking for
 /// an existing name returns the same handle (kind mismatches return the
 /// existing metric of the requested kind's accessor as nullptr).

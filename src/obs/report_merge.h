@@ -1,240 +1,53 @@
 // Run-report aggregation: loads one-or-many run.report.json documents,
-// metrics CSV snapshots, and BENCH_sweeps.json files into a single
-// bundle and renders it as merged Markdown or a standalone single-file
-// HTML dashboard (inline CSS + SVG, no external assets). This is the
-// library behind tools/memstream-report; the CLI is a thin argv shim so
-// tests exercise the real logic in-process.
+// metrics CSV snapshots, BENCH_sweeps.json and BENCH_trajectory.json
+// files into a single bundle and renders it as merged Markdown or a
+// standalone single-file HTML dashboard (inline CSS + SVG, no external
+// assets), or compares two bundles (--diff). Run reports stay parsed
+// JSON trees: one presentation table in report_merge.cc says how each
+// known block renders and which of its leaves --diff compares; a block
+// it does not declare still renders and diffs generically. This is the
+// library behind tools/memstream-report (a thin argv shim).
 
 #ifndef MEMSTREAM_OBS_REPORT_MERGE_H_
 #define MEMSTREAM_OBS_REPORT_MERGE_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "obs/json_parser.h"
 #include "obs/metrics.h"
-#include "obs/timeline.h"
 
 namespace memstream::obs {
 
 /// What a given input file parsed as.
 enum class ReportInputKind {
-  kRunReport,       ///< a RunReport JSON document (schema v1 or v2)
+  kRunReport,       ///< a RunReport JSON document (any schema version)
   kBenchSweeps,     ///< a BENCH_sweeps.json array of bench cost records
   kPerfTrajectory,  ///< a BENCH_trajectory.json array of perf records
   kMetricsCsv,      ///< a MetricsRegistry::ToCsvText() snapshot
   kUnknown,
 };
 
-/// One QoS violation as read back from a report (invariant kept as its
-/// wire name; the reader does not need the enum).
-struct LoadedViolation {
-  std::string invariant;
-  std::int64_t stream_id = -1;
-  std::int64_t cycle_index = -1;
-  double time = 0;
-  double expected = 0;
-  double observed = 0;
-  std::string detail;
-  std::int64_t trace_index = -1;
-};
-
-/// One timeline series as read back from a report.
-struct LoadedSeries {
-  std::string name;
-  std::string unit;
-  std::vector<TimelinePoint> points;
-};
-
-/// One fault timeline entry as read back from a report's "faults" block.
-struct LoadedFaultEntry {
-  double time = 0;
-  std::string kind;
-  std::int64_t device = -1;
-  double magnitude = 0;
-  std::string action;  ///< re-plan applied / "cleared"; "" = none
-};
-
-/// One shed/re-admit ledger row from the "faults" block.
-struct LoadedShedRecord {
-  std::int64_t stream_id = -1;
-  double shed_time = 0;
-  std::int64_t shed_cycle = -1;
-  double readmit_time = -1;  ///< -1 = never re-admitted
-};
-
-/// The "faults" block of one run, loaded.
-struct LoadedFaults {
-  std::int64_t events = 0;
-  std::int64_t repairs = 0;
-  std::int64_t replans = 0;
-  std::int64_t sheds = 0;
-  std::int64_t readmits = 0;
-  std::int64_t dropped_during_burst = 0;
-  double total_shed_time = 0;
-  std::vector<LoadedFaultEntry> timeline;
-  std::vector<LoadedShedRecord> shed_streams;
-};
-
-/// One per-stream row of a report's "streams" block (schema v4).
-struct LoadedStreamEntry {
-  std::int64_t id = -1;
-  std::string phase;  ///< "admitted"|"playing"|"degraded"|"shed"|"departed"
-  std::int64_t ios = 0;
-  std::int64_t underflows = 0;
-  std::int64_t sheds = 0;
-  std::int64_t readmits = 0;
-  std::int64_t degrades = 0;
-  double headroom = 1.0;
-  double occ_p95 = 0;
-};
-
-/// The "streams" block (per-stream lifecycle journal) of one run.
-struct LoadedStreams {
-  std::int64_t count = 0;
-  std::int64_t departed = 0;
-  std::int64_t shed = 0;
-  std::int64_t still_shed = 0;
-  std::int64_t readmitted = 0;
-  std::int64_t degraded = 0;
-  std::int64_t underflow_streams = 0;
-  std::int64_t total_ios = 0;
-  std::int64_t total_underflows = 0;
-  double min_headroom = 1.0;
-  std::vector<LoadedStreamEntry> per_stream;
-};
-
-/// One per-shard row of a report's "farm" block (schema v4 additive).
-struct LoadedFarmShard {
-  std::int64_t shard = 0;
-  std::int64_t streams = 0;
-  std::int64_t ios = 0;
-  std::int64_t underflow_events = 0;
-  std::int64_t cycle_overruns = 0;
-  std::int64_t qos_violations = 0;
-  std::int64_t failed_over_in = 0;
-  std::int64_t shed = 0;
-  double peak_dram_bytes = 0;
-  double utilization = 0;
-};
-
-/// The "farm" block (sharded scale-out run) of one run.
-struct LoadedFarm {
-  std::string policy;
-  std::int64_t shards = 0;
-  std::int64_t titles = 0;
-  std::int64_t total_copies = 0;
-  std::int64_t offered = 0;
-  std::int64_t admitted = 0;
-  std::int64_t rejected = 0;
-  std::int64_t failovers = 0;
-  std::int64_t shed = 0;
-  std::int64_t readmits = 0;
-  double availability = 1.0;
-  double peak_dram_per_shard = 0;
-  double mean_utilization = 0;
-  std::vector<LoadedFarmShard> per_shard;
-};
-
-/// One SLO row of a report's "slo" block (schema v4).
-struct LoadedSlo {
-  std::string name;
-  double objective = 0;
-  std::int64_t good = 0;
-  std::int64_t bad = 0;
-  double attainment = 1.0;
-  double budget_remaining = 1.0;
-  double burn_rate = 0;
-  bool exhausted = false;
-};
-
-/// One run.report.json, loaded.
-struct LoadedRunReport {
+/// One run.report.json as loaded: its source path, display title (the
+/// document's "title", or the path when that is empty) and JSON tree.
+struct ReportRun {
   std::string path;
   std::string title;
-  std::int64_t schema_version = 0;
-  std::vector<std::pair<std::string, std::string>> config;
-  std::vector<std::pair<std::string, double>> analytic;
-  std::vector<std::pair<std::string, double>> simulated;
-  std::vector<MetricSample> metrics;
-
-  bool has_qos = false;
-  std::int64_t total_violations = 0;
-  std::int64_t disk_cycles_audited = 0;
-  std::int64_t mems_cycles_audited = 0;
-  std::vector<LoadedViolation> violations;
-
-  bool has_faults = false;
-  LoadedFaults faults;
-
-  bool has_streams = false;
-  LoadedStreams streams;
-
-  bool has_farm = false;
-  LoadedFarm farm;
-
-  bool has_slo = false;
-  bool slo_healthy = true;
-  std::vector<LoadedSlo> slos;
-
-  std::int64_t trace_dropped_records = -1;
-  std::vector<LoadedSeries> timelines;
-
-  /// simulated[key] - analytic[key] for keys present in both.
-  struct Delta {
-    std::string key;
-    double analytic = 0;
-    double simulated = 0;
-    double delta = 0;
-    double rel = 0;  ///< delta / |analytic| (0 when analytic == 0)
-  };
-  std::vector<Delta> Deltas() const;
-};
-
-/// One bench cost record from BENCH_sweeps.json (mirrors
-/// exp::BenchSweepRecord without the exp dependency).
-struct LoadedBenchRecord {
-  std::string bench;
-  std::int64_t tasks = 0;
-  std::int64_t threads = 1;
-  double wall_seconds = 0;
-  std::int64_t events = 0;
-  double events_per_sec = 0;
-};
-
-/// One perf-trajectory record from BENCH_trajectory.json (mirrors
-/// exp::PerfRecord without the exp dependency).
-struct LoadedPerfRecord {
-  std::string bench;
-  std::string kind;  ///< "sweep" | "micro"
-  bool smoke = false;
-  std::int64_t run = 0;
-  std::int64_t repeats = 1;
-  double wall_seconds = 0;
-  double wall_p50 = 0;
-  double wall_p99 = 0;
-  double events_per_sec = 0;
-  double allocs_per_event = -1;
+  JsonValue doc;
 };
 
 /// Everything the dashboard renders, merged across input files.
 struct ReportBundle {
-  std::vector<LoadedRunReport> runs;
+  std::vector<ReportRun> runs;
   /// Metrics CSV snapshots: (source path, parsed rows).
   std::vector<std::pair<std::string, std::vector<MetricSample>>> csvs;
-  std::vector<LoadedBenchRecord> bench;
-  std::vector<LoadedPerfRecord> perf;
+  std::vector<JsonValue> bench;  ///< BENCH_sweeps.json record objects
+  std::vector<JsonValue> perf;   ///< BENCH_trajectory.json record objects
   /// Per-file load problems (file kept out of the bundle).
   std::vector<std::string> errors;
-
-  /// All violations across runs, tagged with the run title.
-  std::vector<std::pair<std::string, LoadedViolation>> AllViolations() const;
-  /// Histogram-kind metric samples whose name mentions `needle`
-  /// (e.g. "slack"), tagged with their source (run title or CSV path).
-  std::vector<std::pair<std::string, MetricSample>> HistogramsMatching(
-      const std::string& needle) const;
 };
 
 /// Sniffs content (not filename): JSON object with "schema_version" ->
@@ -287,18 +100,20 @@ struct DiffRow {
   bool significant = false;
 };
 
-/// All compared sections for one pair of runs matched across bundles.
+/// The compared numeric leaves of one report block, as dotted keys.
+struct DiffSection {
+  std::string name;  ///< the block's key ("simulated", "slo", ...)
+  std::vector<DiffRow> rows;
+  std::size_t elided = 0;  ///< insignificant rows dropped (metrics)
+};
+
+/// All compared sections for one pair of runs matched across bundles:
+/// declared blocks in presentation-table order, then undeclared ones;
+/// a block without numeric leaves on either side has no section.
 struct RunPairDiff {
   std::string title;
-  std::vector<DiffRow> analytic;
-  std::vector<DiffRow> simulated;
-  std::vector<DiffRow> qos;      ///< violation/audit counters
-  std::vector<DiffRow> faults;   ///< fault/shed/availability counters
-  std::vector<DiffRow> farm;     ///< farm aggregates + per-shard keys
-  std::vector<DiffRow> streams;  ///< journal outcome counts + headroom
-  std::vector<DiffRow> slo;      ///< per-SLO attainment/budget/burn
-  std::vector<DiffRow> metrics;  ///< embedded metric samples by name
-  std::size_t metrics_elided = 0;  ///< insignificant rows dropped
+  std::vector<DiffSection> sections;
+  const DiffSection* Find(const std::string& name) const;  ///< or null
 };
 
 /// The full comparison of two bundles.
@@ -322,12 +137,12 @@ BundleDiff ComputeBundleDiff(const ReportBundle& a, const ReportBundle& b,
                              const std::string& label_a,
                              const std::string& label_b);
 
-/// Renders the diff as Markdown (significant rows bolded).
+/// Renders the significant rows of the diff as Markdown (keys bolded).
 std::string RenderMarkdownDiff(const BundleDiff& diff,
                                const std::string& title);
 
-/// Renders the diff as a standalone single-file HTML page (significant
-/// rows highlighted; improvement/regression colored by sign).
+/// Renders the significant rows of the diff as a standalone single-file
+/// HTML page (each shown row highlighted).
 std::string RenderHtmlDiff(const BundleDiff& diff, const std::string& title);
 
 }  // namespace memstream::obs

@@ -232,9 +232,13 @@ TEST(JournalSloE2eTest, FaultRunJournalsShedReadmitBurnsBudgetAndDiffs) {
       obs::ComputeBundleDiff(clean_bundle, faulted_bundle, obs::DiffOptions{},
                              "clean.json", "faulted.json");
   ASSERT_EQ(diff.pairs.size(), 1u);
+  const obs::DiffSection* slo_diff = diff.pairs[0].Find("slo");
+  const obs::DiffSection* streams_diff = diff.pairs[0].Find("streams");
+  ASSERT_NE(slo_diff, nullptr);
+  ASSERT_NE(streams_diff, nullptr);
   bool availability_flagged = false;
   std::string slo_rows;
-  for (const auto& row : diff.pairs[0].slo) {
+  for (const auto& row : slo_diff->rows) {
     slo_rows += row.key + " a=" + std::to_string(row.a) +
                 " b=" + std::to_string(row.b) +
                 " delta=" + std::to_string(row.delta) +
@@ -250,7 +254,7 @@ TEST(JournalSloE2eTest, FaultRunJournalsShedReadmitBurnsBudgetAndDiffs) {
       << "diff did not flag the availability budget burn:\n"
       << slo_rows;
   bool shed_flagged = false;
-  for (const auto& row : diff.pairs[0].streams) {
+  for (const auto& row : streams_diff->rows) {
     if (row.key == "shed") {
       shed_flagged = row.significant && row.delta > 0;
     }

@@ -155,6 +155,26 @@ TEST(MetricsRegistryTest, CsvHasHeaderAndOneRowPerMetric) {
   EXPECT_EQ(lines, 3u);  // header + 2 metrics
 }
 
+TEST(MetricsRegistryTest, ParseMetricsCsvReadsTheSnapshotBack) {
+  MetricsRegistry registry;
+  registry.counter("ios, \"quoted\"")->Increment(7);
+  HistogramMetric* h = registry.histogram("slack", {0, 1, 10});
+  for (double v : {0.1, 0.4, 0.9}) h->Observe(v);
+  const std::vector<MetricSample> want = registry.Snapshot();
+  const std::vector<MetricSample> got =
+      ParseMetricsCsv(registry.ToCsvText() + "\nshort,row\n");
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_EQ(got[i].kind, want[i].kind);
+    EXPECT_NEAR(got[i].value, want[i].value, 1e-5);  // 6 digits
+    EXPECT_EQ(got[i].count, want[i].count);
+    EXPECT_NEAR(got[i].p95, want[i].p95, 1e-5);
+  }
+  // A count no int64 holds reads as 0 instead of overflowing.
+  EXPECT_EQ(ParseMetricsCsv("h\nx,counter,1,inf,0,0,0,0,0,0\n")[0].count, 0);
+}
+
 TEST(MetricsRegistryTest, WriteCsvRoundTrips) {
   MetricsRegistry registry;
   registry.counter("written")->Increment(9);

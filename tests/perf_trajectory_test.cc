@@ -179,8 +179,8 @@ TEST(ReportMergeTest, ClassifiesAndRendersPerfTrajectory) {
   ASSERT_TRUE(
       obs::AddReportInput("BENCH_trajectory.json", json, &bundle).ok());
   ASSERT_EQ(bundle.perf.size(), 2u);
-  EXPECT_EQ(bundle.perf[0].bench, "fig9_cache_throughput");
-  EXPECT_EQ(bundle.perf[1].run, 2);
+  EXPECT_EQ(bundle.perf[0].Str("bench"), "fig9_cache_throughput");
+  EXPECT_EQ(bundle.perf[1].Num("run"), 2);
 
   const std::string md = obs::RenderMarkdownReport(bundle, "t");
   EXPECT_NE(md.find("## Perf trajectory"), std::string::npos) << md;

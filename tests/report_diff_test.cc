@@ -55,6 +55,13 @@ const DiffRow* FindRow(const std::vector<DiffRow>& rows,
   return nullptr;
 }
 
+/// The row `key` of `pair`'s section `section`, or null.
+const DiffRow* FindRow(const RunPairDiff& pair, const std::string& section,
+                       const std::string& key) {
+  const DiffSection* rows = pair.Find(section);
+  return rows != nullptr ? FindRow(rows->rows, key) : nullptr;
+}
+
 TEST(ReportDiffTest, FaultedVsCleanHighlightsAvailabilityAndSheds) {
   ReportBundle clean;
   ASSERT_TRUE(AddReportInput("clean.json", MakeRun("run", false), &clean)
@@ -70,22 +77,22 @@ TEST(ReportDiffTest, FaultedVsCleanHighlightsAvailabilityAndSheds) {
   EXPECT_TRUE(diff.only_in_b.empty());
   const RunPairDiff& pair = diff.pairs[0];
 
-  const DiffRow* shed = FindRow(pair.streams, "shed");
+  const DiffRow* shed = FindRow(pair, "streams", "shed");
   ASSERT_NE(shed, nullptr);
   EXPECT_DOUBLE_EQ(shed->a, 0);
   EXPECT_DOUBLE_EQ(shed->b, 1);
   EXPECT_DOUBLE_EQ(shed->delta, 1);
   EXPECT_TRUE(shed->significant);
-  const DiffRow* readmitted = FindRow(pair.streams, "readmitted");
+  const DiffRow* readmitted = FindRow(pair, "streams", "readmitted");
   ASSERT_NE(readmitted, nullptr);
   EXPECT_DOUBLE_EQ(readmitted->delta, 1);
 
-  const DiffRow* attainment = FindRow(pair.slo, "availability.attainment");
+  const DiffRow* attainment = FindRow(pair, "slo", "availability.attainment");
   ASSERT_NE(attainment, nullptr);
   EXPECT_LT(attainment->delta, 0);  // faulted run attains less
   EXPECT_TRUE(attainment->significant);
 
-  const DiffRow* underflows = FindRow(pair.simulated, "underflow_events");
+  const DiffRow* underflows = FindRow(pair, "simulated", "underflow_events");
   ASSERT_NE(underflows, nullptr);
   EXPECT_DOUBLE_EQ(underflows->delta, 6);
   EXPECT_TRUE(underflows->significant);
@@ -103,7 +110,9 @@ TEST(ReportDiffTest, IdenticalRunsProduceNoSignificantRows) {
   ASSERT_EQ(diff.pairs.size(), 1u);
   EXPECT_EQ(diff.SignificantCount(), 0u);
   // The rows are still compared, just not flagged.
-  EXPECT_FALSE(diff.pairs[0].simulated.empty());
+  const DiffSection* simulated = diff.pairs[0].Find("simulated");
+  ASSERT_NE(simulated, nullptr);
+  EXPECT_FALSE(simulated->rows.empty());
 }
 
 TEST(ReportDiffTest, ThresholdsSuppressSmallRelativeChanges) {
@@ -120,14 +129,15 @@ TEST(ReportDiffTest, ThresholdsSuppressSmallRelativeChanges) {
 
   DiffOptions strict;  // default 2% threshold: 1% is noise
   const BundleDiff quiet = ComputeBundleDiff(a, b, strict, "a", "b");
-  const DiffRow* row = FindRow(quiet.pairs[0].simulated, "ios_completed");
+  const DiffRow* row = FindRow(quiet.pairs[0], "simulated", "ios_completed");
   ASSERT_NE(row, nullptr);
   EXPECT_FALSE(row->significant);
 
   DiffOptions loose;
   loose.rel_threshold = 0.005;  // 0.5%: now it matters
   const BundleDiff loud = ComputeBundleDiff(a, b, loose, "a", "b");
-  EXPECT_TRUE(FindRow(loud.pairs[0].simulated, "ios_completed")->significant);
+  EXPECT_TRUE(
+      FindRow(loud.pairs[0], "simulated", "ios_completed")->significant);
 }
 
 TEST(ReportDiffTest, UnpairedRunsAndOneSidedKeysAreMarked) {
@@ -156,11 +166,11 @@ TEST(ReportDiffTest, UnpairedRunsAndOneSidedKeysAreMarked) {
   ASSERT_TRUE(AddReportInput("ka.json", ra.ToJson(), &ka).ok());
   ASSERT_TRUE(AddReportInput("kb.json", rb.ToJson(), &kb).ok());
   const BundleDiff kd = ComputeBundleDiff(ka, kb, DiffOptions{}, "a", "b");
-  const DiffRow* only_a = FindRow(kd.pairs[0].simulated, "only_a_metric");
+  const DiffRow* only_a = FindRow(kd.pairs[0], "simulated", "only_a_metric");
   ASSERT_NE(only_a, nullptr);
   EXPECT_TRUE(only_a->only_a);
   EXPECT_TRUE(only_a->significant);
-  const DiffRow* only_b = FindRow(kd.pairs[0].simulated, "only_b_metric");
+  const DiffRow* only_b = FindRow(kd.pairs[0], "simulated", "only_b_metric");
   ASSERT_NE(only_b, nullptr);
   EXPECT_TRUE(only_b->only_b);
 }

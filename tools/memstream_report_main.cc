@@ -1,12 +1,14 @@
 // memstream-report: merges one-or-many run.report.json documents,
-// metrics CSV snapshots, and BENCH_sweeps.json files into a combined
-// Markdown report and/or a standalone single-file HTML dashboard.
+// metrics CSV snapshots, BENCH_sweeps.json and BENCH_trajectory.json
+// files into a combined Markdown report and/or a standalone single-file
+// HTML dashboard.
 //
 //   memstream-report run1.json run2.json BENCH_sweeps.json
 //       -o dashboard.html --md report.md --title "nightly"
 //
 // Differential mode aligns two run bundles and renders only the deltas
-// (metrics, SLO attainment, per-stream outcomes, perf records):
+// (metrics, SLO attainment, per-stream outcomes, perf records). The
+// inputs split in half: the first half is side A, the rest side B.
 //
 //   memstream-report --diff clean.report.json faulted.report.json
 //       [--threshold 0.02] [-o delta.html] [--md delta.md]
@@ -15,11 +17,13 @@
 // Markdown output goes to stdout. Exit status: 0 on success, 1 on usage
 // errors, 2 when every input failed to load.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/report_merge.h"
@@ -33,9 +37,10 @@ int Usage(const char* argv0) {
                "       %s --diff <runA> <runB> [--threshold <rel>] "
                "[-o out.html] [--md out.md] [--title <title>]\n"
                "  inputs: run.report.json / metrics CSV / "
-               "BENCH_sweeps.json (content-sniffed)\n"
-               "  --diff: compare two inputs (A vs B) and render only "
-               "significant deltas\n"
+               "BENCH_sweeps.json / BENCH_trajectory.json "
+               "(content-sniffed)\n"
+               "  --diff: compare the first half of the inputs (A) with "
+               "the rest (B) and render only significant deltas\n"
                "  --threshold: relative significance cutoff for --diff "
                "(default 0.02)\n",
                argv0, argv0);
@@ -47,6 +52,24 @@ bool WriteFile(const std::string& path, const std::string& content) {
   if (!out) return false;
   out << content;
   return static_cast<bool>(out);
+}
+
+/// Writes `html` and `markdown` to the paths given, Markdown to stdout
+/// when neither is. Returns 0, or 2 when a file cannot be written.
+int WriteOutputs(const std::string& html_path, const std::string& html,
+                 const std::string& md_path, const std::string& markdown) {
+  for (const auto& [path, content] : {std::pair{&html_path, &html},
+                                      std::pair{&md_path, &markdown}}) {
+    if (path->empty()) continue;
+    if (!WriteFile(*path, *content)) {
+      std::fprintf(stderr, "error: cannot write %s\n", path->c_str());
+      return 2;
+    }
+    std::fprintf(stderr, "wrote %s (%zu bytes)\n", path->c_str(),
+                 content->size());
+  }
+  if (html_path.empty() && md_path.empty()) std::cout << markdown;
+  return 0;
 }
 
 int RunDiff(const std::vector<std::string>& inputs,
@@ -80,27 +103,9 @@ int RunDiff(const std::vector<std::string>& inputs,
   const memstream::obs::BundleDiff diff = memstream::obs::ComputeBundleDiff(
       bundle_a, bundle_b, options, label_a, label_b);
 
-  if (!html_path.empty()) {
-    const std::string html = memstream::obs::RenderHtmlDiff(diff, title);
-    if (!WriteFile(html_path, html)) {
-      std::fprintf(stderr, "error: cannot write %s\n", html_path.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "wrote %s (%zu bytes)\n", html_path.c_str(),
-                 html.size());
-  }
-  const std::string markdown = memstream::obs::RenderMarkdownDiff(diff, title);
-  if (!md_path.empty()) {
-    if (!WriteFile(md_path, markdown)) {
-      std::fprintf(stderr, "error: cannot write %s\n", md_path.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "wrote %s (%zu bytes)\n", md_path.c_str(),
-                 markdown.size());
-  } else if (html_path.empty()) {
-    std::cout << markdown;
-  }
-  return 0;
+  return WriteOutputs(html_path, memstream::obs::RenderHtmlDiff(diff, title),
+                      md_path,
+                      memstream::obs::RenderMarkdownDiff(diff, title));
 }
 
 }  // namespace
@@ -130,7 +135,8 @@ int main(int argc, char** argv) {
       if (++i >= argc) return Usage(argv[0]);
       char* end = nullptr;
       diff_options.rel_threshold = std::strtod(argv[i], &end);
-      if (end == nullptr || *end != '\0' ||
+      if (end == argv[i] || *end != '\0' ||
+          !std::isfinite(diff_options.rel_threshold) ||
           diff_options.rel_threshold < 0) {
         std::fprintf(stderr, "bad --threshold: %s\n", argv[i]);
         return Usage(argv[0]);
@@ -173,27 +179,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (!html_path.empty()) {
-    const std::string html =
-        memstream::obs::RenderHtmlDashboard(bundle, title);
-    if (!WriteFile(html_path, html)) {
-      std::fprintf(stderr, "error: cannot write %s\n", html_path.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "wrote %s (%zu bytes)\n", html_path.c_str(),
-                 html.size());
-  }
-  const std::string markdown =
-      memstream::obs::RenderMarkdownReport(bundle, title);
-  if (!md_path.empty()) {
-    if (!WriteFile(md_path, markdown)) {
-      std::fprintf(stderr, "error: cannot write %s\n", md_path.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "wrote %s (%zu bytes)\n", md_path.c_str(),
-                 markdown.size());
-  } else if (html_path.empty()) {
-    std::cout << markdown;
-  }
-  return 0;
+  return WriteOutputs(
+      html_path, memstream::obs::RenderHtmlDashboard(bundle, title), md_path,
+      memstream::obs::RenderMarkdownReport(bundle, title));
 }
