@@ -277,38 +277,7 @@ std::string RunReport::ToJson() const {
 
   if (slo != nullptr && slo->size() > 0) {
     w.Key("slo");
-    w.BeginObject();
-    std::string detail;
-    w.Key("healthy");
-    w.Bool(slo->healthy(&detail));
-    w.Key("slos");
-    w.BeginArray();
-    for (const Slo* s : slo->Snapshot()) {
-      w.BeginObject();
-      w.Key("name");
-      w.String(s->spec().name);
-      w.Key("description");
-      w.String(s->spec().description);
-      w.Key("objective");
-      w.Number(s->spec().objective);
-      w.Key("window_seconds");
-      w.Number(s->spec().window_seconds);
-      w.Key("good");
-      w.Int(s->good());
-      w.Key("bad");
-      w.Int(s->bad());
-      w.Key("attainment");
-      w.Number(s->attainment());
-      w.Key("budget_remaining");
-      w.Number(s->budget_remaining());
-      w.Key("burn_rate");
-      w.Number(s->burn_rate());
-      w.Key("exhausted");
-      w.Bool(s->exhausted());
-      w.EndObject();
-    }
-    w.EndArray();
-    w.EndObject();
+    slo->WriteJson(&w);
   }
 
   if (timelines != nullptr && timelines->size() > 0) {

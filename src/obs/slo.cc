@@ -138,44 +138,48 @@ bool SloMonitor::healthy(std::string* detail) const {
 }
 
 std::string SloMonitor::StatusJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
   JsonWriter w;
-  w.BeginObject();
+  WriteJson(&w);
+  return w.str();
+}
+
+void SloMonitor::WriteJson(JsonWriter* w) const {
+  std::lock_guard<std::mutex> lock(mu_);
   bool all_healthy = true;
   for (const Slo& s : slos_) {
     if (s.exhausted()) all_healthy = false;
   }
-  w.Key("healthy");
-  w.Bool(all_healthy);
-  w.Key("slos");
-  w.BeginArray();
+  w->BeginObject();
+  w->Key("healthy");
+  w->Bool(all_healthy);
+  w->Key("slos");
+  w->BeginArray();
   for (const Slo& s : slos_) {
-    w.BeginObject();
-    w.Key("name");
-    w.String(s.spec().name);
-    w.Key("description");
-    w.String(s.spec().description);
-    w.Key("objective");
-    w.Number(s.spec().objective);
-    w.Key("window_seconds");
-    w.Number(s.spec().window_seconds);
-    w.Key("good");
-    w.Int(s.good());
-    w.Key("bad");
-    w.Int(s.bad());
-    w.Key("attainment");
-    w.Number(s.attainment());
-    w.Key("budget_remaining");
-    w.Number(s.budget_remaining());
-    w.Key("burn_rate");
-    w.Number(s.burn_rate());
-    w.Key("exhausted");
-    w.Bool(s.exhausted());
-    w.EndObject();
+    w->BeginObject();
+    w->Key("name");
+    w->String(s.spec().name);
+    w->Key("description");
+    w->String(s.spec().description);
+    w->Key("objective");
+    w->Number(s.spec().objective);
+    w->Key("window_seconds");
+    w->Number(s.spec().window_seconds);
+    w->Key("good");
+    w->Int(s.good());
+    w->Key("bad");
+    w->Int(s.bad());
+    w->Key("attainment");
+    w->Number(s.attainment());
+    w->Key("budget_remaining");
+    w->Number(s.budget_remaining());
+    w->Key("burn_rate");
+    w->Number(s.burn_rate());
+    w->Key("exhausted");
+    w->Bool(s.exhausted());
+    w->EndObject();
   }
-  w.EndArray();
-  w.EndObject();
-  return w.str();
+  w->EndArray();
+  w->EndObject();
 }
 
 void SloMonitor::PublishGauges(MetricsRegistry* metrics) const {

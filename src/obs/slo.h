@@ -36,6 +36,8 @@
 
 namespace memstream::obs {
 
+class JsonWriter;
+
 /// Declarative definition of one SLO.
 struct SloSpec {
   std::string name;         ///< metric-safe slug, e.g. "underflow"
@@ -131,6 +133,10 @@ class SloMonitor {
   ///   "bad":...,"attainment":...,"budget_remaining":...,
   ///   "burn_rate":...,"exhausted":...},...]}
   std::string StatusJson() const;
+
+  /// Writes the StatusJson() object as the next value of `w`, reading
+  /// every SLO under the monitor's lock (the run report's "slo" block).
+  void WriteJson(JsonWriter* w) const;
 
   /// Publishes slo.<name>.{attainment,budget_remaining,burn_rate} gauges.
   void PublishGauges(MetricsRegistry* metrics) const;
