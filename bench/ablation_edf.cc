@@ -103,13 +103,13 @@ int main() {
         row.tc_underflows = tcr.qos.underflow_events;
         row.tc_per_io =
             tcr.ios_completed
-                ? ToMs(tcr.total_busy /
+                ? ToMs(tcr.disk.busy /
                        static_cast<double>(tcr.ios_completed))
                 : 0;
         row.edf_underflows = edfr.qos.underflow_events;
         row.edf_per_io =
             edfr.ios_completed
-                ? ToMs(edfr.total_busy /
+                ? ToMs(edfr.disk.busy /
                        static_cast<double>(edfr.ios_completed))
                 : 0;
         return row;

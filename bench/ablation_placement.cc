@@ -159,8 +159,8 @@ int main() {
           row.dram_per_stream_kb =
               sizing.value().s_mems_dram_schedulable / kKB;
           row.underflows = r.qos.underflow_events;
-          row.overruns = r.mems_overruns;
-          row.peak_dram_mb = ToMB(r.peak_dram_demand);
+          row.overruns = r.mems.overruns;
+          row.peak_dram_mb = ToMB(r.peak_dram);
           return row;
         });
     for (std::size_t i = 0; i < placements.size(); ++i) {

@@ -124,7 +124,7 @@ ScenarioResult RunScenario(const Scenario& scenario,
   }
   const auto& report = server.value().report();
   out.underflows = report.qos.underflow_events;
-  out.overruns = report.mems_overruns;
+  out.overruns = report.mems.overruns;
   return out;
 }
 

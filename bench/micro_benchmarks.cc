@@ -286,7 +286,7 @@ void BM_DirectServerCycles(benchmark::State& state) {
     }
     auto srv = server::DirectStreamingServer::Create(&disk, streams, config);
     (void)srv.value().Run(20.0);
-    cycles += srv.value().report().cycles;
+    cycles += srv.value().report().disk.cycles;
   }
   state.SetItemsProcessed(cycles);
 }

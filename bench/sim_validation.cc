@@ -208,7 +208,7 @@ int main() {
           row.ok = true;
           row.cycle = config.cycle;
           row.underflows = r.qos.underflow_events;
-          row.overruns = r.cycle_overruns;
+          row.overruns = r.disk.overruns;
           row.underflow_time = r.qos.underflow_time;
           return row;
         });

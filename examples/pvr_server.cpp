@@ -82,12 +82,12 @@ int main(int argc, char** argv) {
               static_cast<long long>(report.qos.overflow_events),
               report.qos.overflow_time);
   std::printf("  cycle overruns:        %lld\n",
-              static_cast<long long>(report.cycle_overruns));
+              static_cast<long long>(report.disk.overruns));
   std::printf("  best-effort served:    %lld IOs (%.1f MB)\n",
               static_cast<long long>(report.best_effort_ios),
               ToMB(report.best_effort_bytes));
   std::printf("  disk utilization:      %.0f%%\n",
-              100 * report.device_utilization);
+              100 * report.disk.utilization);
 
   Bytes captured = 0;
   for (const auto& r : server.value().record_sessions()) {

@@ -342,15 +342,15 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
 
           const server::ServerReport& rep = server.value().report();
           row.ran = true;
-          row.cycles = rep.cycles;
+          row.cycles = rep.disk.cycles;
           row.ios = rep.ios_completed;
-          row.overruns = rep.cycle_overruns;
+          row.overruns = rep.disk.overruns;
           row.underflows = rep.qos.underflow_events;
           row.violations = cfg->audit ? auditor.total_violations() : 0;
-          row.peak_dram = rep.peak_buffer_demand;
+          row.peak_dram = rep.peak_dram;
           // The server always finishes its last cycle, so raw busy time
-          // can spill past the epoch; clamp like device_utilization does.
-          row.busy = std::min(rep.total_busy, len);
+          // can spill past the epoch; clamp like disk.utilization does.
+          row.busy = std::min(rep.disk.busy, len);
           ctx.AddEvents(rep.ios_completed);
           if (want_per_stream) {
             row.per_stream.reserve(ids.size());

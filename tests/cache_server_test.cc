@@ -94,13 +94,13 @@ TEST_P(CachePolicyTest, AnalyticSizingJitterFree) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   ASSERT_TRUE(server.value().Run(30.0).ok());
 
-  const CacheServerReport& report = server.value().report();
+  const ServerReport& report = server.value().report();
   EXPECT_EQ(report.qos.underflow_events, 0);
   EXPECT_DOUBLE_EQ(report.qos.underflow_time, 0.0);
-  EXPECT_EQ(report.disk_overruns, 0);
-  EXPECT_EQ(report.mems_overruns, 0);
-  EXPECT_GT(report.disk_cycles, 0);
-  EXPECT_GT(report.mems_cycles, 0);
+  EXPECT_EQ(report.disk.overruns, 0);
+  EXPECT_EQ(report.mems.overruns, 0);
+  EXPECT_GT(report.disk.cycles, 0);
+  EXPECT_GT(report.mems.cycles, 0);
 }
 
 TEST_P(CachePolicyTest, EveryStreamPlays) {
@@ -132,7 +132,7 @@ TEST(CacheServerTest, CacheOnlyWorkloadNeedsNoDisk) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   ASSERT_TRUE(server.value().Run(20.0).ok());
   EXPECT_EQ(server.value().report().qos.underflow_events, 0);
-  EXPECT_EQ(server.value().report().disk_cycles, 0);
+  EXPECT_EQ(server.value().report().disk.cycles, 0);
 }
 
 TEST(CacheServerTest, ReplicatedSpreadsLoadAcrossDevices) {
@@ -144,8 +144,8 @@ TEST(CacheServerTest, ReplicatedSpreadsLoadAcrossDevices) {
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.value().Run(20.0).ok());
   // Per-device utilization well below 1 (load split 3 ways).
-  EXPECT_LT(server.value().report().mems_utilization, 0.5);
-  EXPECT_GT(server.value().report().mems_utilization, 0.0);
+  EXPECT_LT(server.value().report().mems.utilization, 0.5);
+  EXPECT_GT(server.value().report().mems.utilization, 0.0);
 }
 
 TEST(CacheServerTest, UndersizedCacheCycleUnderflows) {
@@ -160,7 +160,7 @@ TEST(CacheServerTest, UndersizedCacheCycleUnderflows) {
       CacheStreamingServer::Create(&disk, G3Bank(1), w.streams, w.config);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.value().Run(20.0).ok());
-  EXPECT_GT(server.value().report().mems_overruns, 0);
+  EXPECT_GT(server.value().report().mems.overruns, 0);
 }
 
 TEST(CacheServerTest, CachedStreamBeyondBankRejected) {

@@ -88,13 +88,13 @@ TEST(PipelineTest, Fig4SingleDeviceTenStreams) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   ASSERT_TRUE(server.value().Run(60.0).ok());
 
-  const MemsPipelineReport& report = server.value().report();
+  const ServerReport& report = server.value().report();
   EXPECT_EQ(report.qos.underflow_events, 0);
   EXPECT_DOUBLE_EQ(report.qos.underflow_time, 0.0);
-  EXPECT_EQ(report.disk_overruns, 0);
-  EXPECT_EQ(report.mems_overruns, 0);
-  EXPECT_GT(report.disk_cycles, 3);
-  EXPECT_GT(report.mems_cycles, report.disk_cycles);
+  EXPECT_EQ(report.disk.overruns, 0);
+  EXPECT_EQ(report.mems.overruns, 0);
+  EXPECT_GT(report.disk.cycles, 3);
+  EXPECT_GT(report.mems.cycles, report.disk.cycles);
 }
 
 TEST(PipelineTest, Fig5ThreeDeviceBank) {
@@ -109,10 +109,10 @@ TEST(PipelineTest, Fig5ThreeDeviceBank) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   ASSERT_TRUE(server.value().Run(60.0).ok());
 
-  const MemsPipelineReport& report = server.value().report();
+  const ServerReport& report = server.value().report();
   EXPECT_EQ(report.qos.underflow_events, 0);
   EXPECT_DOUBLE_EQ(report.qos.underflow_time, 0.0);
-  EXPECT_EQ(report.mems_overruns, 0);
+  EXPECT_EQ(report.mems.overruns, 0);
   // All 45 streams play.
   for (std::size_t i = 0; i < server.value().num_streams(); ++i) {
     EXPECT_GT(server.value().session(i).total_deposited(), 0.0)
@@ -152,8 +152,8 @@ TEST(PipelineTest, DramDemandNearAnalyticSizing) {
   // DRAM: peak demand within 2x the schedulable sizing (plus slack).
   const Bytes analytic = static_cast<double>(n) *
                          sized.sizing.s_mems_dram_schedulable;
-  EXPECT_LE(server.value().report().peak_dram_demand, 2.2 * analytic);
-  EXPECT_GT(server.value().report().peak_dram_demand, 0.3 * analytic);
+  EXPECT_LE(server.value().report().peak_dram, 2.2 * analytic);
+  EXPECT_GT(server.value().report().peak_dram, 0.3 * analytic);
 }
 
 TEST(PipelineTest, UndersizedMemsCycleUnderflows) {
@@ -169,7 +169,7 @@ TEST(PipelineTest, UndersizedMemsCycleUnderflows) {
       sized.config);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.value().Run(60.0).ok());
-  EXPECT_GT(server.value().report().mems_overruns +
+  EXPECT_GT(server.value().report().mems.overruns +
                 server.value().report().qos.underflow_events,
             0);
 }
@@ -271,10 +271,10 @@ TEST(PipelineTest, StripedPlacementJitterFreeAtItsOwnSizing) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   ASSERT_TRUE(server.value().Run(60.0).ok());
 
-  const MemsPipelineReport& report = server.value().report();
+  const ServerReport& report = server.value().report();
   EXPECT_EQ(report.qos.underflow_events, 0);
-  EXPECT_EQ(report.mems_overruns, 0);
-  EXPECT_GT(report.mems_cycles, 0);
+  EXPECT_EQ(report.mems.overruns, 0);
+  EXPECT_GT(report.mems.cycles, 0);
   for (std::size_t i = 0; i < server.value().num_streams(); ++i) {
     EXPECT_GT(server.value().session(i).total_deposited(), 0.0);
   }
