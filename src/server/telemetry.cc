@@ -81,17 +81,6 @@ std::int64_t StreamTelemetry::TakeUnderflows(std::size_t i, Seconds now,
   return delta;
 }
 
-Bytes StreamTelemetry::AbsorbPlayback(Seconds horizon, PlaybackBatch& play,
-                                      QosCounters* qos) {
-  Bytes peak = 0;
-  for (std::size_t i = 0; i < play.size(); ++i) {
-    play.LevelAt(i, horizon);  // accrue trailing underflow time
-    qos->AbsorbPlayback(play.view(i));
-    peak += play.peak_level(i);
-  }
-  return peak;
-}
-
 void StreamTelemetry::Finish(Seconds horizon, const PlaybackBatch& play,
                              QosCounters* qos, const char* context) {
   if (sinks_.auditor != nullptr) {
@@ -103,18 +92,6 @@ void StreamTelemetry::Finish(Seconds horizon, const PlaybackBatch& play,
     if (streams_[i].session != kNoSession) TakeUnderflows(i, horizon, play);
     if (journaled(i)) sinks_.journal->MarkDeparted(slot(i), horizon);
   }
-}
-
-void StreamTelemetry::PublishGauges(const char* kind, const QosCounters& qos,
-                                    Bytes peak_dram) const {
-  obs::MetricsRegistry* metrics = sinks_.metrics;
-  if (metrics == nullptr) return;
-  const auto gauge = [&](const char* leaf) {
-    return metrics->gauge(std::string("server.") + kind + leaf);
-  };
-  gauge(".underflow_events")->Set(static_cast<double>(qos.underflow_events));
-  gauge(".underflow_time_s")->Set(qos.underflow_time);
-  gauge(".peak_dram_bytes")->Set(peak_dram);
 }
 
 }  // namespace memstream::server

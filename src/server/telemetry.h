@@ -117,11 +117,6 @@ class StreamTelemetry {
     if (journaled(i)) sinks_.journal->MarkDegraded(slot(i), now, detail);
   }
 
-  /// End of run: accrues every playback session's trailing underflow
-  /// time at `horizon`, absorbs the session into `qos`, and returns the
-  /// sum of the session peak levels.
-  static Bytes AbsorbPlayback(Seconds horizon, PlaybackBatch& play,
-                              QosCounters* qos);
   /// Closes the run: copies the auditor's violation total into `qos`,
   /// warns about dropped telemetry (`context` names the server), then
   /// journals trailing underflows and departs every registered stream.
@@ -129,10 +124,6 @@ class StreamTelemetry {
   /// sharing one journal must not depart other servers' streams.
   void Finish(Seconds horizon, const PlaybackBatch& play, QosCounters* qos,
               const char* context);
-
-  /// server.<kind>.{underflow_events,underflow_time_s,peak_dram_bytes}.
-  void PublishGauges(const char* kind, const QosCounters& qos,
-                     Bytes peak_dram) const;
 
  private:
   /// 32-bit indices keep a record at four words: a farm shard holds
