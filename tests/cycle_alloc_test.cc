@@ -17,7 +17,8 @@
 // closures, and a warm trace ring overwrites records in place, so
 // tracing adds no steady-state allocation either. The journaled variants
 // attach a MetricsRegistry, TimelineRecorder, StreamJournal and
-// SloMonitor to each server the same way.
+// SloMonitor to each server the same way. The EDF server has no cycles;
+// its per-IO service region is checked instead.
 
 #include <algorithm>
 #include <atomic>
@@ -40,6 +41,7 @@
 #include "model/timecycle.h"
 #include "fault/fault_plan.h"
 #include "server/cache_server.h"
+#include "server/edf_server.h"
 #include "server/media_server.h"
 #include "server/mems_pipeline_server.h"
 #include "server/timecycle_server.h"
@@ -565,6 +567,53 @@ TEST(CycleAllocTest, TracedFaultedCacheServerSteadyStateAllocFree) {
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       ASSERT_NE(result.value().faults, nullptr);
       ASSERT_EQ(result.value().faults->block().replans, 2);
+      ASSERT_GT(trace.dropped_records(), 0);
+    });
+  }
+}
+
+/// The EDF server's streams: light enough that its buffers fill up, so
+/// both the completion lane and the idle wake-up run in steady state.
+std::vector<StreamSpec> EdfStreams() {
+  std::vector<StreamSpec> streams;
+  for (int i = 0; i < 8; ++i) {
+    StreamSpec s;
+    s.id = i;
+    s.bit_rate = 1 * kMBps;
+    s.disk_offset = static_cast<double>(i) * 10 * kGB;
+    s.extent = 5 * kGB;
+    streams.push_back(s);
+  }
+  return streams;
+}
+
+TEST(CycleAllocTest, EdfServerSteadyStateAllocFree) {
+  // EDF has no cycles: each IO's service decision, and its completion
+  // and playback start on the lanes, must allocate nothing once warm.
+  auto disk = UniformFutureDisk();
+  for (const char* region : {"server.edf.service", "sim.event.dispatch"}) {
+    ExpectSteadyStateAllocFree(region, 10.0, 60.0, [&](Seconds duration) {
+      EdfServerConfig config;
+      config.io_playback = 0.5;
+      auto srv = EdfStreamingServer::Create(&disk, EdfStreams(), config);
+      ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+      ASSERT_TRUE(srv.value().Run(duration).ok());
+      ASSERT_GT(srv.value().report().idle_time, 0);
+    });
+  }
+}
+
+TEST(CycleAllocTest, TracedEdfServerSteadyStateAllocFree) {
+  auto disk = UniformFutureDisk();
+  for (const char* region : {"server.edf.service", "sim.event.dispatch"}) {
+    ExpectSteadyStateAllocFree(region, 10.0, 60.0, [&](Seconds duration) {
+      EdfServerConfig config;
+      config.io_playback = 0.5;
+      sim::TraceLog trace(kTraceCapacity);
+      config.sinks.trace = &trace;
+      auto srv = EdfStreamingServer::Create(&disk, EdfStreams(), config);
+      ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+      ASSERT_TRUE(srv.value().Run(duration).ok());
       ASSERT_GT(trace.dropped_records(), 0);
     });
   }
