@@ -181,6 +181,6 @@ int main() {
                "at equal buffering it underflows at every load and needs "
                "severalfold larger IOs/buffers to amortize its seeks.\n";
   std::cout << "CSV: " << bench::CsvPath("ablation_edf") << "\n";
-  bench::RecordSweep("ablation_edf", runner);
+  bench::PrintSweep(runner);
   return 0;
 }

@@ -156,6 +156,6 @@ int main() {
                "absorb, so its availability falls with the failure rate. "
                "Retained streams stay violation-free in both.\n";
   std::cout << "CSV: " << bench::CsvPath("ablation_faults") << "\n";
-  bench::RecordSweep("ablation_faults", runner);
+  bench::PrintSweep(runner);
   return 0;
 }

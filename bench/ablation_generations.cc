@@ -190,6 +190,6 @@ int main() {
                "cheap per byte); each generation shrinks both the bank "
                "size and the residual DRAM further.\n";
   std::cout << "CSV: " << bench::CsvPath("ablation_generations") << "\n";
-  bench::RecordSweep("ablation_generations", runner);
+  bench::PrintSweep(runner);
   return 0;
 }

@@ -117,6 +117,6 @@ int main() {
   }
   table.Print(std::cout);
   std::cout << "\nCSV: " << bench::CsvPath("ablation_hybrid") << "\n";
-  bench::RecordSweep("ablation_hybrid", runner);
+  bench::PrintSweep(runner);
   return 0;
 }

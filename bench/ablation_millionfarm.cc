@@ -203,24 +203,14 @@ int main() {
                "replicas within the same DRAM envelope.\n";
   std::cout << "CSV: " << bench::CsvPath("ablation_millionfarm") << "\n";
 
-  // Shard-merge throughput for the perf trajectory: admitted streams
-  // per second of parallel farm execution (not IOs — admission routing
-  // plus the per-shard merge is the scaling cost this bench guards).
-  exp::BenchSweepRecord record;
-  record.bench = "ablation_millionfarm";
-  record.tasks = total_tasks;
-  record.threads = sweep_threads;
-  record.wall_seconds = total_wall;
-  record.events = total_admitted;
-  record.events_per_sec =
-      total_wall > 0 ? static_cast<double>(total_admitted) / total_wall : 0;
-  const std::string sweeps = bench::ResultsDir() + "/BENCH_sweeps.json";
-  (void)exp::AppendBenchSweepRecord(sweeps, record);
+  // Shard-merge throughput: admitted streams per second of parallel
+  // farm execution (not IOs — admission routing plus the per-shard merge
+  // is the scaling cost this bench guards).
   std::printf(
       "Sweep: %lld shard-epoch tasks on %d thread(s), %.3f s wall, "
-      "%lld streams admitted (%.0f streams/s) -> %s\n",
-      static_cast<long long>(record.tasks), record.threads,
-      record.wall_seconds, static_cast<long long>(record.events),
-      record.events_per_sec, sweeps.c_str());
+      "%lld streams admitted (%.0f streams/s)\n",
+      static_cast<long long>(total_tasks), sweep_threads, total_wall,
+      static_cast<long long>(total_admitted),
+      total_wall > 0 ? static_cast<double>(total_admitted) / total_wall : 0);
   return 0;
 }

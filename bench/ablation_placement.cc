@@ -181,6 +181,6 @@ int main() {
                "placements execute jitter-free at their own sizing, so "
                "the penalty is pure DRAM cost, not feasibility.\n";
   std::cout << "CSV: " << bench::CsvPath("ablation_placement") << "\n";
-  bench::RecordSweep("ablation_placement", runner);
+  bench::PrintSweep(runner);
   return 0;
 }

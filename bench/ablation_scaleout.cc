@@ -156,6 +156,6 @@ int main() {
                "the farm scales linearly and extra buffering stops "
                "helping.\n";
   std::cout << "CSV: " << bench::CsvPath("ablation_scaleout") << "\n";
-  bench::RecordSweep("ablation_scaleout", runner);
+  bench::PrintSweep(runner);
   return 0;
 }

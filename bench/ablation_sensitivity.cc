@@ -153,6 +153,6 @@ int main() {
                "low-bandwidth banks (0.25x) need many devices and push "
                "the break-even ratio up.\n";
   std::cout << "CSV: " << bench::CsvPath("ablation_sensitivity") << "\n";
-  bench::RecordSweep("ablation_sensitivity", runner);
+  bench::PrintSweep(runner);
   return 0;
 }

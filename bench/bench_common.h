@@ -1,6 +1,6 @@
 // Shared plumbing for the figure/table regenerators: canonical 2007
 // devices, the latency-ratio knob of §5.1, CSV output placement, and the
-// sweep-engine glue (smoke mode, BENCH_sweeps.json cost records).
+// sweep-engine glue (smoke mode, the one-line sweep cost summary).
 //
 // Concurrency: the converted benches evaluate sweep points on a
 // exp::SweepRunner pool, so everything here is either immutable after
@@ -19,7 +19,6 @@
 #include "common/units.h"
 #include "device/device_catalog.h"
 #include "exp/sweep_runner.h"
-#include "exp/sweep_stats.h"
 #include "model/profiles.h"
 
 namespace memstream::bench {
@@ -98,21 +97,15 @@ inline model::DeviceProfile MemsProfileAtRatio(double ratio) {
   return p;
 }
 
-/// Writes the runner's cumulative cost into
-/// bench_results/BENCH_sweeps.json (insert-or-replace by bench name)
-/// and echoes a one-line summary on stdout.
-inline void RecordSweep(const std::string& bench_name,
-                        const exp::SweepRunner& runner) {
-  const auto record =
-      exp::MakeBenchSweepRecord(bench_name, runner.stats());
-  const std::string path = ResultsDir() + "/BENCH_sweeps.json";
-  (void)exp::AppendBenchSweepRecord(path, record);
+/// Echoes the runner's cumulative cost as a one-line stdout summary.
+inline void PrintSweep(const exp::SweepRunner& runner) {
+  const exp::SweepStats& stats = runner.stats();
   std::printf(
       "Sweep: %lld tasks on %d thread(s), %.3f s wall, %lld events "
-      "(%.0f events/s) -> %s\n",
-      static_cast<long long>(record.tasks), record.threads,
-      record.wall_seconds, static_cast<long long>(record.events),
-      record.events_per_sec, path.c_str());
+      "(%.0f events/s)\n",
+      static_cast<long long>(stats.tasks), stats.threads,
+      stats.wall_seconds, static_cast<long long>(stats.events),
+      stats.events_per_sec());
 }
 
 }  // namespace memstream::bench

@@ -108,6 +108,6 @@ int main() {
                "an optimal k; the uniform 50:50 column only degrades as "
                "k grows.\n";
   std::cout << "CSV: " << bench::CsvPath("fig10_cache_size_sweep") << "\n";
-  bench::RecordSweep("fig10_cache_size_sweep", runner);
+  bench::PrintSweep(runner);
   return 0;
 }

@@ -196,6 +196,6 @@ int main() {
                "(Fig. 4), and with k=3 every third disk IO lands on the "
                "same device (Fig. 5).\n";
   std::cout << "CSV: " << bench::CsvPath("fig4_fig5_schedules") << "\n";
-  bench::RecordSweep("fig4_fig5_schedules", runner);
+  bench::PrintSweep(runner);
   return 0;
 }

@@ -133,6 +133,6 @@ int main() {
                "(mp3); the MEMS buffer cuts it by roughly an order of "
                "magnitude.\n";
   std::cout << "CSV: " << bench::CsvPath("fig6_dram_requirement") << "\n";
-  bench::RecordSweep("fig6_dram_requirement", runner);
+  bench::PrintSweep(runner);
   return 0;
 }

@@ -181,6 +181,6 @@ int main() {
                "50-75%.\n";
   std::cout << "CSV: " << bench::CsvPath("fig7a_cost_reduction") << ", "
             << bench::CsvPath("fig7b_cost_reduction_regions") << "\n";
-  bench::RecordSweep("fig7_cost_reduction", runner);
+  bench::PrintSweep(runner);
   return 0;
 }

@@ -123,6 +123,6 @@ int main() {
                "full load.\n";
   std::cout << "CSV: " << bench::CsvPath("fig8_total_cost_reduction")
             << "\n";
-  bench::RecordSweep("fig8_total_cost_reduction", runner);
+  bench::PrintSweep(runner);
   return 0;
 }

@@ -170,6 +170,6 @@ int main() {
                "budget (disk-bandwidth-limited), while the cache keeps "
                "adding streams.\n";
   std::cout << "CSV: " << bench::CsvPath("fig9_cache_throughput") << "\n";
-  bench::RecordSweep("fig9_cache_throughput", runner);
+  bench::PrintSweep(runner);
   return 0;
 }

@@ -37,8 +37,8 @@ namespace {
 std::atomic<std::int64_t> g_allocations{0};
 
 /// Attaches an "allocs_per_op" counter to `state`: heap allocations per
-/// loop iteration, measured from `allocs_before`. The perf-trajectory
-/// harness reads this straight out of the --benchmark_out JSON.
+/// loop iteration, measured from `allocs_before`; it shows in the console
+/// table and in --benchmark_out JSON.
 void ReportAllocsPerOp(benchmark::State& state, std::int64_t allocs_before) {
   const auto delta = static_cast<double>(
       g_allocations.load(std::memory_order_relaxed) - allocs_before);
@@ -546,8 +546,8 @@ void operator delete(void* p, const std::nothrow_t&) noexcept {
 // MEMSTREAM_SMOKE trims this binary the same way it trims the sweep
 // benches: unless the caller already picked a filter/repetition count,
 // run only the event-core + profiler benchmarks once each. ctest's
-// bench-smoke label and memstream-perf both lean on this, so the
-// trimming lives here instead of being duplicated at every call site.
+// bench-smoke label leans on this, so the trimming lives here instead of
+// at every call site.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   std::string smoke_filter =

@@ -228,6 +228,6 @@ int main() {
   }
   ablation.Print(std::cout);
   std::cout << "\nCSV: " << bench::CsvPath("sim_validation") << "\n";
-  bench::RecordSweep("sim_validation", runner);
+  bench::PrintSweep(runner);
   return 0;
 }

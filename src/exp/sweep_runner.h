@@ -41,7 +41,7 @@ struct SweepOptions {
 };
 
 /// What one sweep cost; accumulated across Map() calls on one runner and
-/// exported into bench_results/BENCH_sweeps.json by the benches.
+/// printed as each bench's one-line "Sweep:" summary.
 struct SweepStats {
   std::int64_t tasks = 0;
   int threads = 1;

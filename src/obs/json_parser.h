@@ -1,7 +1,7 @@
 // Minimal JSON parser: enough of RFC 8259 for the report-aggregation
 // tooling to read back the artifacts this library writes (run.report.json,
-// Chrome traces, BENCH_sweeps.json). Promoted from tests/json_test_util.h
-// so production tools and tests share one implementation.
+// Chrome traces). Promoted from tests/json_test_util.h so production
+// tools and tests share one implementation.
 //
 // Not a general-purpose parser: \uXXXX escapes are kept opaque (replaced
 // by '?'), numbers are doubles (out-of-range magnitudes saturate to

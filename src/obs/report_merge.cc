@@ -202,24 +202,7 @@ const std::vector<Part> kBundleParts = {
   {.kind = kTable, .rows = "slack", .columns = {{"source", "{source}"},
     {"metric", "{name}"}, {"count", "{count:d}"}, {"min", "{min}"},
     {"p50", "{p50}"}, {"p95", "{p95}"}, {"p99", "{p99}"},
-    {"max", "{max}"}}},
-  {.kind = kHeading, .md = "Bench trajectory"},
-  {.md = "No bench sweep records found.", .style = kSrc, .when = "!bench"},
-  {.kind = kTable, .rows = "bench", .columns = {{"bench", "{bench}"},
-    {"tasks", "{tasks:d}"}, {"threads", "{threads:d}"},
-    {"wall (s)", "{wall_seconds}"}, {"events", "{events:d}"},
-    {"events/s", "{events_per_sec}"}}},
-  {.md = "wall-clock across records: {wall:spark=480x80}", .when = "wall",
-   .only = kHtml},
-  {.kind = kHeading, .md = "Perf trajectory"},
-  {.md = "No perf-trajectory records found.", .style = kSrc,
-   .when = "!perf"},
-  {.kind = kTable, .rows = "perf", .columns = {{"bench", "{bench}"},
-    {"kind", "{kind}"}, {"smoke", "{smoke?yes:no}"}, {"runs", "{runs:d}"},
-    {"metric", "{metric}"}, {"latest", "{latest}"},
-    {"wall p99 (s)", "{wall_p99}", nullptr, nullptr, kHtml},
-    {"allocs/op", "{allocs_per_event|-}", nullptr, nullptr, kHtml},
-    {"trend", "{series:spark=160x36}"}}}};
+    {"max", "{max}"}}}};
 // clang-format on
 
 const Block* Declared(const std::string& key) {
@@ -253,16 +236,11 @@ JsonValue RunMeta(const ReportRun& run) {
 
 /// The bundle-wide rows: every run's "violations" and every slack
 /// histogram ("slack"; runs, then metrics CSVs) tagged with their
-/// "source"; the "bench" records and their "wall" seconds; and "perf":
-/// per (bench, kind, smoke) key in first-appearance order, the latest
-/// record by run number plus the key's "runs", plotted "metric", its
-/// "series" and "latest" value.
+/// "source".
 JsonValue BundleRows(const ReportBundle& bundle) {
   JsonValue root = Make(Type::kObject);
   auto& rows = root.object;
-  for (const char* k : {"violations", "slack", "bench", "wall", "perf"}) {
-    rows[k] = Make(Type::kArray);
-  }
+  for (const char* k : {"violations", "slack"}) rows[k] = Make(Type::kArray);
   auto add = [&rows](const char* table, JsonValue row, std::string source) {
     row.object["source"] = Str(std::move(source));
     rows[table].array.push_back(std::move(row));
@@ -290,41 +268,6 @@ JsonValue BundleRows(const ReportBundle& bundle) {
       if (slack(m)) add("slack", std::move(m), path);
     }
   }
-  rows["bench"].array = bundle.bench;
-  if (bundle.bench.size() >= 2) {
-    for (const auto& r : bundle.bench) {
-      rows["wall"].array.push_back(Num(r.Num("wall_seconds", 0)));
-    }
-  }
-  std::vector<std::string> keys;
-  std::vector<std::vector<const JsonValue*>> groups;
-  for (const JsonValue& r : bundle.perf) {
-    const std::string key = Cat(r.Str("bench"), "\x1f", r.Str("kind"),
-                                Truthy(r.Find("smoke")) ? "\x1fs" : "\x1f");
-    const std::size_t at =
-        std::find(keys.begin(), keys.end(), key) - keys.begin();
-    if (at == keys.size()) {
-      keys.push_back(key);
-      groups.emplace_back();
-    }
-    groups[at].push_back(&r);
-  }
-  for (auto& g : groups) {
-    std::stable_sort(g.begin(), g.end(), [](const auto* a, const auto* b) {
-      return a->Num("run", 0) < b->Num("run", 0);
-    });
-    bool eps = false;
-    for (const auto* r : g) eps = eps || r->Num("events_per_sec", 0) > 0;
-    JsonValue& row = rows["perf"].array.emplace_back(*g.back());
-    JsonValue& series = row.object["series"] = Make(Type::kArray);
-    for (const auto* r : g) {
-      series.array.push_back(
-          Num(r->Num(eps ? "events_per_sec" : "wall_seconds", 0)));
-    }
-    row.object["latest"] = series.array.back();
-    row.object["metric"] = Str(eps ? "events/s" : "wall (s)");
-    row.object["runs"] = Num(static_cast<double>(g.size()));
-  }
   return root;
 }
 
@@ -334,9 +277,7 @@ std::vector<Element> BuildDashboard(const ReportBundle& bundle,
   page.Add(kHeading, html ? page.Esc(title) : title, kPlain, 1);
   page.Add(kPara,
            Cat(std::to_string(bundle.runs.size()), " run report(s), ",
-               std::to_string(bundle.csvs.size()), " metrics CSV(s), ",
-               std::to_string(bundle.bench.size()), " bench record(s), ",
-               std::to_string(bundle.perf.size()), " perf record(s)"),
+               std::to_string(bundle.csvs.size()), " metrics CSV(s)"),
            kSrc);
   for (const auto& err : bundle.errors) {
     page.Add(kWarn, html ? page.Esc(err) : err);
@@ -370,19 +311,8 @@ ReportInputKind Classify(const std::string& content, JsonValue* doc) {
   }
   bool ok = false;
   *doc = ParseJson(content, &ok);
-  if (ok && doc->is_object() && doc->Find("schema_version") != nullptr) {
-    return ReportInputKind::kRunReport;
-  }
-  if (!ok || !doc->is_array()) return ReportInputKind::kUnknown;
-  // Empty arrays count: an empty BENCH_sweeps.json merges to nothing.
-  // Trajectory records are schema-versioned; plain sweep records carry
-  // only the bench key, so the version is checked first.
-  if (doc->array.empty()) return ReportInputKind::kBenchSweeps;
-  if (doc->array[0].Find("schema_version") != nullptr) {
-    return ReportInputKind::kPerfTrajectory;
-  }
-  return doc->array[0].Find("bench") != nullptr
-             ? ReportInputKind::kBenchSweeps
+  return ok && doc->is_object() && doc->Find("schema_version") != nullptr
+             ? ReportInputKind::kRunReport
              : ReportInputKind::kUnknown;
 }
 
@@ -403,15 +333,8 @@ Status AddReportInput(const std::string& path, const std::string& content,
     const std::string title = doc.Str("title");
     bundle->runs.push_back(
         {path, title.empty() ? path : title, std::move(doc)});
-  } else if (kind != ReportInputKind::kUnknown) {
-    auto& records = kind == ReportInputKind::kBenchSweeps ? bundle->bench
-                                                          : bundle->perf;
-    for (JsonValue& r : doc.array) {
-      if (r.is_object()) records.push_back(std::move(r));
-    }
   } else {
-    bundle->errors.push_back(path + ": not a run report, metrics CSV, "
-                             "BENCH_sweeps.json, or BENCH_trajectory.json");
+    bundle->errors.push_back(path + ": not a run report or metrics CSV");
     return Status::InvalidArgument(bundle->errors.back());
   }
   return Status::OK();
@@ -567,44 +490,9 @@ RunPairDiff DiffRuns(const ReportRun& ra, const ReportRun& rb,
   return pair;
 }
 
-/// Wall seconds of the latest perf/bench record per bench key.
-KeyValues PerfKeyValues(const ReportBundle& bundle) {
-  KeyValues kv;
-  auto upsert = [&kv](const std::string& key, const JsonValue& r) {
-    auto it = std::find_if(kv.begin(), kv.end(),
-                           [&key](const auto& e) { return e.first == key; });
-    if (it == kv.end()) it = kv.insert(it, {key, 0});
-    it->second = r.Num("wall_seconds", 0);  // later records win (run order)
-  };
-  for (const auto& r : bundle.bench) {
-    upsert(Cat(r.Str("bench"), " (sweep wall s)"), r);
-  }
-  for (const auto& r : bundle.perf) {
-    upsert(Cat(r.Str("bench"), "/", r.Str("kind"), " (wall s)"), r);
-  }
-  return kv;
-}
-
 std::vector<Element> BuildDiff(const BundleDiff& diff,
                                const std::string& title, bool html) {
   Page page(html);
-  auto table = [&page](const std::vector<DiffRow>& rows, const char* key) {
-    Element t{kTable};
-    t.sig = true;
-    t.head = {page.html() ? "key" : key, "A", "B", "delta"};
-    for (const DiffRow& r : rows) {
-      if (!r.significant) continue;
-      t.rows.push_back(
-          {{page.Esc(r.key)},
-           {r.only_b ? "-" : FormatDouble(r.a)},
-           {r.only_a ? "-" : FormatDouble(r.b)},
-           {r.only_a   ? "only in A"
-            : r.only_b ? "only in B"
-                       : Cat(FormatDouble(r.delta), " (",
-                             FormatDouble(r.rel * 100), "%)")}});
-    }
-    page.Add(std::move(t));
-  };
   page.Add(kHeading, html ? page.Esc(title) : title, kPlain, 1);
   page.Add(kPara,
            html ? Cat("A: ", page.Esc(diff.label_a), "<br>B: ",
@@ -633,23 +521,26 @@ std::vector<Element> BuildDiff(const BundleDiff& diff,
                  kOk);
         continue;
       }
-      table(section.rows, "key");
+      Element t{kTable};
+      t.sig = true;
+      t.head = {"key", "A", "B", "delta"};
+      for (const DiffRow& r : section.rows) {
+        if (!r.significant) continue;
+        t.rows.push_back(
+            {{page.Esc(r.key)},
+             {r.only_b ? "-" : FormatDouble(r.a)},
+             {r.only_a ? "-" : FormatDouble(r.b)},
+             {r.only_a   ? "only in A"
+              : r.only_b ? "only in B"
+                         : Cat(FormatDouble(r.delta), " (",
+                               FormatDouble(r.rel * 100), "%)")}});
+      }
+      page.Add(std::move(t));
       page.Add(kPara,
                Cat(std::to_string(total - significant),
                    " insignificant row(s) elided"),
                kNote);
     }
-  }
-  page.Add(kHeading, "Perf", kPlain, 2);
-  if (diff.perf.empty() && !html) {
-    page.Add(kPara, "No perf/bench records on either side.");
-  } else if (CountSignificant(diff.perf) == 0) {
-    page.Add(kPara,
-             Cat("No significant perf differences (",
-                 std::to_string(diff.perf.size()), " compared)."),
-             kOk);
-  } else {
-    table(diff.perf, "bench");
   }
   return page.elements();
 }
@@ -664,7 +555,7 @@ const DiffSection* RunPairDiff::Find(const std::string& name) const {
 }
 
 std::size_t BundleDiff::SignificantCount() const {
-  std::size_t n = CountSignificant(perf);
+  std::size_t n = 0;
   for (const auto& pair : pairs) {
     for (const auto& s : pair.sections) n += CountSignificant(s.rows);
   }
@@ -708,7 +599,6 @@ BundleDiff ComputeBundleDiff(const ReportBundle& a, const ReportBundle& b,
   for (const ReportRun* run : rest_b) {
     if (run != nullptr) diff.only_in_b.push_back(run->title);
   }
-  diff.perf = DiffKeyValues(PerfKeyValues(a), PerfKeyValues(b), options);
   return diff;
 }
 

@@ -1,12 +1,12 @@
-// Run-report aggregation: loads one-or-many run.report.json documents,
-// metrics CSV snapshots, BENCH_sweeps.json and BENCH_trajectory.json
-// files into a single bundle and renders it as merged Markdown or a
-// standalone single-file HTML dashboard (inline CSS + SVG, no external
-// assets), or compares two bundles (--diff). Run reports stay parsed
-// JSON trees: one presentation table in report_merge.cc says how each
-// known block renders and which of its leaves --diff compares; a block
-// it does not declare still renders and diffs generically. This is the
-// library behind tools/memstream-report (a thin argv shim).
+// Run-report aggregation: loads one-or-many run.report.json documents
+// and metrics CSV snapshots into a single bundle and renders it as
+// merged Markdown or a standalone single-file HTML dashboard (inline CSS
+// + SVG, no external assets), or compares two bundles (--diff). Run
+// reports stay parsed JSON trees: one presentation table in
+// report_merge.cc says how each known block renders and which of its
+// leaves --diff compares; a block it does not declare still renders and
+// diffs generically. This is the library behind tools/memstream-report
+// (a thin argv shim).
 
 #ifndef MEMSTREAM_OBS_REPORT_MERGE_H_
 #define MEMSTREAM_OBS_REPORT_MERGE_H_
@@ -24,10 +24,8 @@ namespace memstream::obs {
 
 /// What a given input file parsed as.
 enum class ReportInputKind {
-  kRunReport,       ///< a RunReport JSON document (any schema version)
-  kBenchSweeps,     ///< a BENCH_sweeps.json array of bench cost records
-  kPerfTrajectory,  ///< a BENCH_trajectory.json array of perf records
-  kMetricsCsv,      ///< a MetricsRegistry::ToCsvText() snapshot
+  kRunReport,   ///< a RunReport JSON document (any schema version)
+  kMetricsCsv,  ///< a MetricsRegistry::ToCsvText() snapshot
   kUnknown,
 };
 
@@ -44,16 +42,12 @@ struct ReportBundle {
   std::vector<ReportRun> runs;
   /// Metrics CSV snapshots: (source path, parsed rows).
   std::vector<std::pair<std::string, std::vector<MetricSample>>> csvs;
-  std::vector<JsonValue> bench;  ///< BENCH_sweeps.json record objects
-  std::vector<JsonValue> perf;   ///< BENCH_trajectory.json record objects
   /// Per-file load problems (file kept out of the bundle).
   std::vector<std::string> errors;
 };
 
 /// Sniffs content (not filename): JSON object with "schema_version" ->
-/// run report; JSON array of objects with "schema_version" -> perf
-/// trajectory; JSON array of objects with "bench" -> bench sweeps; text
-/// starting with the metrics CSV header -> metrics CSV.
+/// run report; text starting with the metrics CSV header -> metrics CSV.
 ReportInputKind ClassifyReportInput(const std::string& content);
 
 /// Parses `content` (from `path`, used for labels/errors) into `bundle`.
@@ -123,9 +117,8 @@ struct BundleDiff {
   std::vector<RunPairDiff> pairs;
   std::vector<std::string> only_in_a;  ///< run titles without a partner
   std::vector<std::string> only_in_b;
-  std::vector<DiffRow> perf;  ///< wall seconds by bench/kind key
 
-  /// Significant rows across every section of every pair (+ perf).
+  /// Significant rows across every section of every pair.
   std::size_t SignificantCount() const;
 };
 

@@ -38,59 +38,40 @@ double Fraction(double v, double lo, double span) {
   return std::isfinite(f) ? std::clamp(f, 0.0, 1.0) : 0.0;
 }
 
-/// Sparkline of `v`'s samples ([t, v] pairs, or numbers at t = 0, 1, ...)
-/// scaled to the range of the finite ones: a width x height inline SVG
-/// polyline of the finite samples ("" for fewer than two), or text bars
-/// where a non-finite sample draws the bottom bar.
-std::string Sparkline(const JsonValue* v, int width, int height,
-                      bool html) {
-  static const char* const kBars[] = {"▁", "▂", "▃", "▄",
-                                      "▅", "▆", "▇", "█"};
+/// Sparkline of `v`'s finite [t, v] samples scaled to their range: a
+/// width x height inline SVG polyline ("" for fewer than two samples).
+std::string Sparkline(const JsonValue* v, int width, int height) {
   std::vector<std::pair<double, double>> pts;
   for (const JsonValue& p : Items(v)) {
-    if (p.is_number()) pts.emplace_back(pts.size(), p.number);
-    if (p.array.size() == 2) {
+    if (p.array.size() == 2 && std::isfinite(p.array[0].number) &&
+        std::isfinite(p.array[1].number)) {
       pts.emplace_back(p.array[0].number, p.array[1].number);
     }
   }
-  auto finite = [](const std::pair<double, double>& p) {
-    return std::isfinite(p.first) && std::isfinite(p.second);
-  };
+  if (pts.size() < 2) return "";
   double x_lo = INFINITY, x_hi = -INFINITY;
   double y_lo = INFINITY, y_hi = -INFINITY;
-  std::size_t n = 0;
-  for (const auto& p : pts) {
-    if (!finite(p)) continue;
-    ++n;
-    x_lo = std::min(x_lo, p.first);
-    x_hi = std::max(x_hi, p.first);
-    y_lo = std::min(y_lo, p.second);
-    y_hi = std::max(y_hi, p.second);
+  for (const auto& [x, y] : pts) {
+    x_lo = std::min(x_lo, x);
+    x_hi = std::max(x_hi, x);
+    y_lo = std::min(y_lo, y);
+    y_hi = std::max(y_hi, y);
   }
   const double x_span = x_hi - x_lo > 0 ? x_hi - x_lo : 1;
   const double y_span = y_hi - y_lo > 0 ? y_hi - y_lo : 1;
-  std::string out;
-  if (!html) {
-    for (const auto& p : pts) {
-      const double f = Fraction(p.second, y_lo, y_span);
-      out += kBars[std::min(7, static_cast<int>(f * 8))];
-    }
-    return out;
-  }
-  if (n < 2) return out;
   const std::string w = std::to_string(width);
   const std::string h = std::to_string(height);
-  out = Cat("<svg viewBox=\"0 0 ", w, " ", h, "\" width=\"", w,
-            "\" height=\"", h, "\" preserveAspectRatio=\"none\">",
-            "<polyline fill=\"none\" stroke=\"#2a6fb0\" ",
-            "stroke-width=\"1.5\" points=\"");
+  std::string out = Cat(
+      "<svg viewBox=\"0 0 ", w, " ", h, "\" width=\"", w, "\" height=\"", h,
+      "\" preserveAspectRatio=\"none\">",
+      "<polyline fill=\"none\" stroke=\"#2a6fb0\" ",
+      "stroke-width=\"1.5\" points=\"");
   const char* sep = "";
-  for (const auto& p : pts) {
-    if (!finite(p)) continue;
-    const double x = 2 + Fraction(p.first, x_lo, x_span) * (width - 4);
-    const double y =
-        height - 2 - Fraction(p.second, y_lo, y_span) * (height - 4);
-    out += Cat(sep, FormatDouble(x), ",", FormatDouble(y));
+  for (const auto& [x, y] : pts) {
+    out += Cat(sep, FormatDouble(2 + Fraction(x, x_lo, x_span) * (width - 4)),
+               ",",
+               FormatDouble(height - 2 -
+                            Fraction(y, y_lo, y_span) * (height - 4)));
     sep = " ";
   }
   return out + "\"/></svg>";
@@ -118,8 +99,7 @@ std::string Expand(const std::string& tmpl, const Scope& scope, bool html) {
       char* x = nullptr;
       const long width = std::strtol(arg.c_str() + 6, &x, 10);
       const long height = *x == 'x' ? std::strtol(x + 1, nullptr, 10) : 0;
-      out += Sparkline(v, static_cast<int>(width), static_cast<int>(height),
-                       html);
+      out += Sparkline(v, static_cast<int>(width), static_cast<int>(height));
     } else if (arg == "n") {
       out += std::to_string(Items(v).size());
     } else if (kind == '|' && (v == nullptr || v->number < 0)) {

@@ -80,8 +80,8 @@ struct Element {
 /// A table column. Templates expand `{path}` to the escaped display text
 /// of the value at dotted `path` (in the row for cells; in the scope,
 /// then the outer scope, for lines); a suffix changes the form: `:d`
-/// integer, `:n` array length, `:spark=WxH` sparkline (text bars in
-/// Markdown, a W x H SVG in HTML), `|T` T when absent or negative,
+/// integer, `:n` array length, `:spark=WxH` sparkline of [t, v] pairs
+/// (a W x H SVG, for HTML parts), `|T` T when absent or negative,
 /// `?A:B` literal A when the value is truthy, else B.
 struct Column {
   const char* head;

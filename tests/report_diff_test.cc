@@ -1,6 +1,6 @@
 // Tests of the differential run comparison behind `memstream-report
 // --diff`: run pairing, per-section deltas (simulated, streams, slo,
-// faults, perf), significance thresholds, and the Markdown/HTML
+// faults), significance thresholds, and the Markdown/HTML
 // renderings. Reports are authored through the real RunReport /
 // StreamJournal / SloMonitor classes so the JSON round trip is the one
 // production writes.
@@ -173,25 +173,6 @@ TEST(ReportDiffTest, UnpairedRunsAndOneSidedKeysAreMarked) {
   const DiffRow* only_b = FindRow(kd.pairs[0], "simulated", "only_b_metric");
   ASSERT_NE(only_b, nullptr);
   EXPECT_TRUE(only_b->only_b);
-}
-
-TEST(ReportDiffTest, PerfRecordsDiffByBenchKey) {
-  const char* sweeps_a =
-      R"([{"bench":"sim_validation","tasks":1,"threads":1,
-           "wall_seconds":10.0,"events":100,"events_per_sec":10}])";
-  const char* sweeps_b =
-      R"([{"bench":"sim_validation","tasks":1,"threads":1,
-           "wall_seconds":15.0,"events":100,"events_per_sec":6.6}])";
-  ReportBundle a;
-  ReportBundle b;
-  ASSERT_TRUE(AddReportInput("BENCH_sweeps.json", sweeps_a, &a).ok());
-  ASSERT_TRUE(AddReportInput("BENCH_sweeps.json", sweeps_b, &b).ok());
-  const BundleDiff diff =
-      ComputeBundleDiff(a, b, DiffOptions{}, "a", "b");
-  const DiffRow* row = FindRow(diff.perf, "sim_validation (sweep wall s)");
-  ASSERT_NE(row, nullptr);
-  EXPECT_DOUBLE_EQ(row->delta, 5.0);
-  EXPECT_TRUE(row->significant);
 }
 
 TEST(ReportDiffTest, RenderersEmbedTheComparison) {

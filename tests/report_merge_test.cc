@@ -17,6 +17,7 @@
 namespace memstream::obs {
 namespace {
 
+/// A bench sweep-cost array, the format memstream-report no longer reads.
 std::string BenchSweepsJson() {
   return R"([
     {"bench":"sim_validation","tasks":7,"threads":4,
@@ -85,8 +86,8 @@ TEST(ReportMergeTest, ClassifiesInputsByContent) {
   EXPECT_EQ(ClassifyReportInput(MakeRunReportJson("r", false)),
             ReportInputKind::kRunReport);
   EXPECT_EQ(ClassifyReportInput(BenchSweepsJson()),
-            ReportInputKind::kBenchSweeps);
-  EXPECT_EQ(ClassifyReportInput("[]"), ReportInputKind::kBenchSweeps);
+            ReportInputKind::kUnknown);
+  EXPECT_EQ(ClassifyReportInput("[]"), ReportInputKind::kUnknown);
   EXPECT_EQ(ClassifyReportInput("not json at all"),
             ReportInputKind::kUnknown);
   EXPECT_EQ(ClassifyReportInput("{\"foo\":1}"), ReportInputKind::kUnknown);
@@ -100,8 +101,12 @@ TEST(ReportMergeTest, MergesRunsAndBenchRecordsIntoOneBundle) {
   ASSERT_TRUE(
       AddReportInput("b.json", MakeRunReportJson("run B", false), &bundle)
           .ok());
-  ASSERT_TRUE(
+  // Bench records are not an input kind: the file is an error and the
+  // runs stay in the bundle.
+  EXPECT_FALSE(
       AddReportInput("BENCH_sweeps.json", BenchSweepsJson(), &bundle).ok());
+  ASSERT_EQ(bundle.errors.size(), 1u);
+  EXPECT_NE(bundle.errors[0].find("BENCH_sweeps.json"), std::string::npos);
 
   ASSERT_EQ(bundle.runs.size(), 2u);
   const JsonValue& run_a = bundle.runs[0].doc;
@@ -121,9 +126,6 @@ TEST(ReportMergeTest, MergesRunsAndBenchRecordsIntoOneBundle) {
   ASSERT_EQ(timelines->array.size(), 1u);
   EXPECT_EQ(timelines->array[0].Str("name"), "stream.3.dram_bytes");
   EXPECT_EQ(timelines->array[0].Find("points")->array.size(), 8u);
-  EXPECT_EQ(bundle.bench.size(), 3u);
-  EXPECT_EQ(bundle.bench[2].Str("bench"), "ablation_edf");
-  EXPECT_DOUBLE_EQ(bundle.bench[1].Num("wall_seconds"), 11.0);
 
   // One merged violation row, tagged with its run.
   const std::string md = RenderMarkdownReport(bundle, "t");
@@ -202,14 +204,18 @@ TEST(ReportMergeTest, MarkdownHasViolationAndBenchSections) {
   ASSERT_TRUE(
       AddReportInput("a.json", MakeRunReportJson("run A", true), &bundle)
           .ok());
-  ASSERT_TRUE(
+  EXPECT_FALSE(
       AddReportInput("BENCH_sweeps.json", BenchSweepsJson(), &bundle).ok());
 
   const std::string md = RenderMarkdownReport(bundle, "nightly");
   EXPECT_NE(md.find("## Violations"), std::string::npos);
   EXPECT_NE(md.find("disk_cycle_overrun"), std::string::npos);
-  EXPECT_NE(md.find("## Bench trajectory"), std::string::npos);
-  EXPECT_NE(md.find("sim_validation"), std::string::npos);
+  // The rejected bench file shows as a load warning, not as a section.
+  EXPECT_NE(md.find("BENCH_sweeps.json: not a run report"),
+            std::string::npos)
+      << md;
+  EXPECT_EQ(md.find("## Bench trajectory"), std::string::npos);
+  EXPECT_EQ(md.find("sim_validation"), std::string::npos);
 }
 
 TEST(ReportMergeTest, HtmlDashboardIsStandaloneWithAllSections) {
@@ -220,13 +226,11 @@ TEST(ReportMergeTest, HtmlDashboardIsStandaloneWithAllSections) {
   ASSERT_TRUE(
       AddReportInput("b.json", MakeRunReportJson("run B", false), &bundle)
           .ok());
-  ASSERT_TRUE(
-      AddReportInput("BENCH_sweeps.json", BenchSweepsJson(), &bundle).ok());
 
   const std::string html = RenderHtmlDashboard(bundle, "nightly <&>");
   EXPECT_NE(html.find("<h2>Violations</h2>"), std::string::npos);
   EXPECT_NE(html.find("disk_cycle_overrun"), std::string::npos);
-  EXPECT_NE(html.find("<h2>Bench trajectory</h2>"), std::string::npos);
+  EXPECT_NE(html.find("<h2>Slack percentiles</h2>"), std::string::npos);
   EXPECT_NE(html.find("run B"), std::string::npos);
   // Title is escaped.
   EXPECT_NE(html.find("nightly &lt;&amp;&gt;"), std::string::npos);
@@ -265,28 +269,26 @@ TEST(MemstreamReportCliTest, MergesReportsIntoOneHtmlDashboard) {
       WriteTempFile("cli_a.report.json", MakeRunReportJson("run A", true));
   const std::string b =
       WriteTempFile("cli_b.report.json", MakeRunReportJson("run B", false));
-  const std::string sweeps =
-      WriteTempFile("cli_sweeps.json", BenchSweepsJson());
   const std::string html = ::testing::TempDir() + "cli_dashboard.html";
   const std::string md = ::testing::TempDir() + "cli_report.md";
 
   const std::string cmd = std::string(MEMSTREAM_REPORT_BIN) + " " + a +
-                          " " + b + " " + sweeps + " -o " + html + " --md " +
-                          md + " --title nightly";
+                          " " + b + " -o " + html + " --md " + md +
+                          " --title nightly";
   ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
 
   const std::string dashboard = Slurp(html);
   ASSERT_FALSE(dashboard.empty());
   EXPECT_NE(dashboard.find("<h2>Violations</h2>"), std::string::npos);
   EXPECT_NE(dashboard.find("disk_cycle_overrun"), std::string::npos);
-  EXPECT_NE(dashboard.find("<h2>Bench trajectory</h2>"), std::string::npos);
+  EXPECT_NE(dashboard.find("<h2>Slack percentiles</h2>"), std::string::npos);
   EXPECT_NE(dashboard.find("run A"), std::string::npos);
   EXPECT_NE(dashboard.find("run B"), std::string::npos);
   EXPECT_EQ(dashboard.find("<script"), std::string::npos);
 
   const std::string markdown = Slurp(md);
   EXPECT_NE(markdown.find("## Violations"), std::string::npos);
-  EXPECT_NE(markdown.find("## Bench trajectory"), std::string::npos);
+  EXPECT_NE(markdown.find("## Slack percentiles"), std::string::npos);
 }
 
 TEST(MemstreamReportCliTest, RejectsEmptyAndNonFiniteThresholds) {
@@ -415,26 +417,13 @@ TEST(ReportMergeTest, UndeclaredBlockRendersAndDiffsWithoutReaderCode) {
             std::string::npos);
 }
 
-TEST(ReportMergeTest, NonFiniteSamplesDrawBottomBarsAndNoNanCoordinates) {
-  // 1e999 parses to +inf: the middle run's events/s and one timeline
-  // point are not finite.
-  const std::string trajectory = R"([
-    {"schema_version":1,"bench":"b","kind":"sweep","run":1,
-     "wall_seconds":1,"events_per_sec":1e6},
-    {"schema_version":1,"bench":"b","kind":"sweep","run":2,
-     "wall_seconds":1,"events_per_sec":1e999},
-    {"schema_version":1,"bench":"b","kind":"sweep","run":3,
-     "wall_seconds":1,"events_per_sec":2e6}])";
+TEST(ReportMergeTest, NonFiniteTimelinePointsDrawNoNanCoordinates) {
+  // 1e999 parses to +inf: two of the timeline's points are not finite.
   const std::string report = R"({"schema_version":4,"title":"r",
     "timelines":[{"name":"s","unit":"u",
                   "points":[[0,1],[1,-1e999],[2,3],[3,1e999]]}]})";
   ReportBundle bundle;
-  ASSERT_TRUE(AddReportInput("BENCH_trajectory.json", trajectory, &bundle)
-                  .ok());
   ASSERT_TRUE(AddReportInput("r.json", report, &bundle).ok());
-
-  const std::string md = RenderMarkdownReport(bundle, "t");
-  EXPECT_NE(md.find("| 2e+06 | ▁▁█ |"), std::string::npos) << md;
 
   const std::string html = RenderHtmlDashboard(bundle, "t");
   std::size_t svgs = 0;
@@ -446,8 +435,9 @@ TEST(ReportMergeTest, NonFiniteSamplesDrawBottomBarsAndNoNanCoordinates) {
     EXPECT_EQ(coords.find("inf"), std::string::npos) << coords;
     ++svgs;
   }
-  EXPECT_EQ(svgs, 2u) << html;  // the perf trend and the timeline
-  EXPECT_NE(html.find("points=\"2,34 158,2\""), std::string::npos) << html;
+  EXPECT_EQ(svgs, 1u) << html;
+  // The two finite points span the 240 x 36 box.
+  EXPECT_NE(html.find("points=\"2,34 238,2\""), std::string::npos) << html;
 }
 
 TEST(ReportMergeTest, UndeclaredBlockNestedToMaxDepthRenders) {

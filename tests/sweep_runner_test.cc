@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/csv_writer.h"
-#include "exp/sweep_stats.h"
 #include "sim/simulator.h"
 
 namespace memstream::exp {
@@ -158,6 +157,11 @@ TEST(SweepRunnerTest, StatsAccumulateAcrossSweeps) {
   EXPECT_EQ(runner.stats().events, 35);
   EXPECT_EQ(runner.stats().threads, 2);
   EXPECT_GE(runner.stats().wall_seconds, 0.0);
+
+  SweepStats stats;
+  stats.wall_seconds = 0.5;
+  stats.events = 1000;
+  EXPECT_EQ(stats.events_per_sec(), 2000.0);
 }
 
 TEST(SweepRunnerTest, ResolveThreadCountHonorsEnvOverride) {
@@ -168,39 +172,6 @@ TEST(SweepRunnerTest, ResolveThreadCountHonorsEnvOverride) {
   EXPECT_GE(ResolveThreadCount(0), 1);
   ::unsetenv("MEMSTREAM_THREADS");
   EXPECT_GE(ResolveThreadCount(0), 1);
-}
-
-TEST(BenchSweepRecordTest, JsonRoundTripAndInPlaceReplacement) {
-  const auto dir = std::filesystem::temp_directory_path();
-  const std::string path = (dir / "memstream_bench_sweeps.json").string();
-  std::filesystem::remove(path);
-
-  SweepStats stats;
-  stats.tasks = 12;
-  stats.threads = 4;
-  stats.wall_seconds = 0.5;
-  stats.events = 1000;
-  auto record = MakeBenchSweepRecord("fig6_dram_requirement", stats);
-  EXPECT_EQ(record.events_per_sec, 2000.0);
-  ASSERT_TRUE(AppendBenchSweepRecord(path, record).ok());
-
-  auto other = MakeBenchSweepRecord("fig7_cost_reduction", stats);
-  ASSERT_TRUE(AppendBenchSweepRecord(path, other).ok());
-
-  // Re-recording the first bench replaces its line, preserving order.
-  record.events = 4000;
-  record.events_per_sec = 8000;
-  ASSERT_TRUE(AppendBenchSweepRecord(path, record).ok());
-
-  const std::string contents = ReadFile(path);
-  EXPECT_EQ(contents.find("fig6_dram_requirement"),
-            contents.rfind("fig6_dram_requirement"))
-      << "must not duplicate records";
-  EXPECT_NE(contents.find("\"events\":4000"), std::string::npos);
-  EXPECT_NE(contents.find("fig7_cost_reduction"), std::string::npos);
-  EXPECT_EQ(contents.front(), '[');
-  EXPECT_LT(contents.find("fig6"), contents.find("fig7"));
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
-// memstream-report: merges one-or-many run.report.json documents,
-// metrics CSV snapshots, BENCH_sweeps.json and BENCH_trajectory.json
-// files into a combined Markdown report and/or a standalone single-file
-// HTML dashboard.
+// memstream-report: merges one-or-many run.report.json documents and
+// metrics CSV snapshots into a combined Markdown report and/or a
+// standalone single-file HTML dashboard.
 //
-//   memstream-report run1.json run2.json BENCH_sweeps.json
+//   memstream-report run1.json run2.json metrics.csv
 //       -o dashboard.html --md report.md --title "nightly"
 //
 // Differential mode aligns two run bundles and renders only the deltas
-// (metrics, SLO attainment, per-stream outcomes, perf records). The
-// inputs split in half: the first half is side A, the rest side B.
+// (metrics, SLO attainment, per-stream outcomes). The inputs split in
+// half: the first half is side A, the rest side B.
 //
 //   memstream-report --diff clean.report.json faulted.report.json
 //       [--threshold 0.02] [-o delta.html] [--md delta.md]
@@ -36,8 +35,7 @@ int Usage(const char* argv0) {
                "[--title <title>]\n"
                "       %s --diff <runA> <runB> [--threshold <rel>] "
                "[-o out.html] [--md out.md] [--title <title>]\n"
-               "  inputs: run.report.json / metrics CSV / "
-               "BENCH_sweeps.json / BENCH_trajectory.json "
+               "  inputs: run.report.json / metrics CSV "
                "(content-sniffed)\n"
                "  --diff: compare the first half of the inputs (A) with "
                "the rest (B) and render only significant deltas\n"
