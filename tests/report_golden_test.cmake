@@ -1,11 +1,11 @@
 # Byte-identical memstream-report output: renders the committed fixture
-# inputs in tests/golden/report/ (two run reports, a metrics CSV, a
-# BENCH_sweeps.json and a BENCH_trajectory.json, all written by the real
-# writers) as the Markdown and HTML dashboard and as the Markdown and HTML
-# --diff, and requires each output to match its committed golden byte for
-# byte. Invoked by the report_golden ctest (see tests/CMakeLists.txt).
-# The inputs are passed as paths relative to the fixture directory so the
-# rendered "source" labels do not depend on where the tree is checked out.
+# inputs in tests/golden/report/ (two run reports and a metrics CSV, all
+# written by the real writers) as the Markdown and HTML dashboard and as
+# the Markdown and HTML --diff, and requires each output to match its
+# committed golden byte for byte. Invoked by the report_golden ctest
+# (see tests/CMakeLists.txt). The inputs are passed as paths relative to
+# the fixture directory so the rendered "source" labels do not depend on
+# where the tree is checked out.
 #
 # Inputs: REPORT_BIN, FIXTURE_DIR, WORK_DIR.
 
@@ -14,7 +14,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 
 execute_process(
     COMMAND "${REPORT_BIN}" clean.report.json faulted.report.json
-            metrics.csv BENCH_sweeps.json BENCH_trajectory.json
+            metrics.csv
             -o "${WORK_DIR}/dashboard.html" --md "${WORK_DIR}/dashboard.md"
             --title "memstream report golden"
     WORKING_DIRECTORY "${FIXTURE_DIR}"
@@ -24,11 +24,11 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "memstream-report dashboard failed (rc=${rc})")
 endif()
 
-# Four inputs split in half: A = clean run + sweeps, B = faulted run +
-# trajectory, so the perf section shows one-sided keys.
+# Four inputs split in half: A = clean run + metrics CSV, B = faulted
+# run + the same CSV, which loads on both sides but is not compared.
 execute_process(
-    COMMAND "${REPORT_BIN}" --diff clean.report.json BENCH_sweeps.json
-            faulted.report.json BENCH_trajectory.json
+    COMMAND "${REPORT_BIN}" --diff clean.report.json metrics.csv
+            faulted.report.json metrics.csv
             -o "${WORK_DIR}/diff.html" --md "${WORK_DIR}/diff.md"
             --title "memstream diff golden"
     WORKING_DIRECTORY "${FIXTURE_DIR}"
