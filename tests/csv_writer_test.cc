@@ -18,8 +18,15 @@ std::string ReadAll(const std::string& path) {
 
 class CsvWriterTest : public ::testing::Test {
  protected:
+  // One file per test: ctest runs each case as its own process, in
+  // parallel with the others.
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "memstream_csv_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
+  }
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/memstream_csv_test.csv";
+  std::string path_;
 };
 
 TEST_F(CsvWriterTest, WritesHeaderAndRows) {
