@@ -57,13 +57,13 @@ def collect(parent, change, spec):
     for w in spec["workloads"]:
         name = w["name"]
         for i, seed in enumerate(SEEDS):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
+            order = ("parent", "change")
+            for side in order if i % 2 == 0 else reversed(order):
                 result = run_once(trees[side], name, seed)
                 samples[side].setdefault(name, []).append(result)
+                wall = result["metrics"].get("wall_s", {}).get("value")
                 print(f"{name} pair {i} {side}: correct={result['correct']}"
-                      f" wall_s={result['metrics'].get('wall_s', {}).get('value')}",
-                      file=sys.stderr, flush=True)
+                      f" wall_s={wall}", file=sys.stderr, flush=True)
     return samples
 
 
@@ -85,14 +85,8 @@ def metric_values(runs, metric, side, workload):
     return values
 
 
-def verdict(spec, parent, change):
-    """Compares {workload: [result]} sample lists under the spec.
-
-    Returns (failures, rows): failures is a list of messages, empty when
-    the change passes; rows hold (workload, metric, parent quartiles,
-    change quartiles) for the report. Raises SpecError when the spec
-    lacks a workload or bound the samples need, or the reverse.
-    """
+def spec_items(spec):
+    """(workload names, end-to-end metrics) of a spec that gates."""
     workloads = [w["name"] for w in spec.get("workloads", [])]
     metrics = spec.get("end_to_end", [])
     if not workloads or not metrics:
@@ -101,6 +95,18 @@ def verdict(spec, parent, change):
         if "bound" not in m or m.get("better") not in ("lower", "higher"):
             raise SpecError(f"spec metric {m.get('name')} has no bound "
                             "or direction")
+    return workloads, metrics
+
+
+def verdict(spec, parent, change):
+    """Compares {workload: [result]} sample lists under the spec.
+
+    Returns (failures, rows): failures is a list of messages, empty when
+    the change passes; rows hold (workload, metric, parent quartiles,
+    change quartiles) for the report. Raises SpecError when the spec
+    lacks a workload or bound the samples need, or the reverse.
+    """
+    workloads, metrics = spec_items(spec)
     for side, samples in (("parent", parent), ("change", change)):
         if set(samples) != set(workloads):
             raise SpecError(f"{side} workloads {sorted(samples)} are not "
@@ -145,8 +151,9 @@ def main(argv):
     parent, change = (str(Path(t).resolve()) for t in argv[1:])
     with open(Path(parent) / "BENCHMARK.json") as f:
         spec = json.load(f)
-    samples = collect(parent, change, spec)
     try:
+        spec_items(spec)
+        samples = collect(parent, change, spec)
         failures, rows = verdict(spec, samples["parent"], samples["change"])
     except SpecError as e:
         print(f"perf_ab: {e}", file=sys.stderr)
