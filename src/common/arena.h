@@ -70,7 +70,8 @@ class CycleArena {
     // old block is parked until Reset() (its live pointers die there).
     std::size_t size = block_size_ == 0 ? 256 : block_size_;
     while (size < need) size *= 2;
-    auto bigger = std::make_unique<std::byte[]>(size);
+    // Scratch is handed out uninitialized, so the block is not zeroed.
+    auto bigger = std::make_unique_for_overwrite<std::byte[]>(size);
     if (block_ != nullptr && used_ > 0) {
       // Keep this cycle's prefix addressable: copy is unnecessary (the
       // callers still point into the old block), just retain it.

@@ -104,6 +104,9 @@ class QosAuditor {
   QosAuditor(const QosAuditor&) = delete;
   QosAuditor& operator=(const QosAuditor&) = delete;
 
+  /// Sizes the stream registry for `n` AddStream calls.
+  void Reserve(std::size_t n) { streams_.reserve(n); }
+
   /// Registers an admitted stream. `dram_bound` is the per-stream DRAM
   /// sizing (0 = unchecked); `domain` selects the one-IO-per-cycle
   /// check; `device` is the stream's MEMS device for kMems domains with

@@ -70,6 +70,7 @@ CacheStreamingServer::CacheStreamingServer(
       streams_(std::move(streams)),
       config_(config) {
   play_cursor_.assign(streams_.size(), 0);
+  play_.Reserve(streams_.size());
   // Cached streams live under the Theorem-3/4 MEMS-cycle envelope, disk
   // streams under Theorem 1's (matching the audited bounds).
   const double factor =

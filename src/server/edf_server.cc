@@ -42,6 +42,7 @@ EdfStreamingServer::EdfStreamingServer(device::DiskDrive* disk,
       streams_(std::move(streams)),
       config_(config) {
   play_cursor_.assign(streams_.size(), 0);
+  play_.Reserve(streams_.size());
   for (const auto& s : streams_) {
     const std::size_t i = play_.Add(s.id, s.bit_rate);
     telemetry_.Add(s.id, s.bit_rate, 2.0 * s.bit_rate * config_.io_playback,

@@ -71,6 +71,7 @@ MemsPipelineServer::MemsPipelineServer(device::DiskDrive* disk,
   resident_.assign(streams_.size(), 0);
   read_deficit_.assign(streams_.size(), 0);
   first_write_done_.assign(streams_.size(), 0);
+  play_.Reserve(streams_.size());
 
   const bool striped =
       config_.placement == model::BufferPlacement::kStripedIos;

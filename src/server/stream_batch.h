@@ -74,6 +74,20 @@ struct PlaybackStart {
 /// SoA playback state for n streams, addressed by dense index.
 class PlaybackBatch {
  public:
+  /// Sizes every per-stream array for `n` streams.
+  void Reserve(std::size_t n) {
+    id_.reserve(n);
+    bit_rate_.reserve(n);
+    playing_.reserve(n);
+    dry_.reserve(n);
+    last_update_.reserve(n);
+    level_.reserve(n);
+    total_deposited_.reserve(n);
+    peak_level_.reserve(n);
+    underflow_events_.reserve(n);
+    underflow_time_.reserve(n);
+  }
+
   /// Registers a stream; returns its dense index.
   std::size_t Add(std::int64_t id, BytesPerSecond bit_rate) {
     const std::size_t i = id_.size();
@@ -180,6 +194,21 @@ class PlaybackBatch {
 /// arithmetic identical to RecordingSession.
 class RecordingBatch {
  public:
+  /// Sizes every per-stream array for `n` streams.
+  void Reserve(std::size_t n) {
+    id_.reserve(n);
+    bit_rate_.reserve(n);
+    capacity_.reserve(n);
+    recording_.reserve(n);
+    over_.reserve(n);
+    last_update_.reserve(n);
+    level_.reserve(n);
+    total_drained_.reserve(n);
+    peak_level_.reserve(n);
+    overflow_events_.reserve(n);
+    overflow_time_.reserve(n);
+  }
+
   std::size_t Add(std::int64_t id, BytesPerSecond bit_rate,
                   Bytes staging_capacity) {
     const std::size_t i = id_.size();

@@ -31,6 +31,12 @@ DirectStreamingServer::DirectStreamingServer(device::DiskDrive* disk,
       config_(config) {
   play_cursor_.assign(streams_.size(), 0);
   session_index_.reserve(streams_.size());
+  const auto reads = static_cast<std::size_t>(
+      std::count_if(streams_.begin(), streams_.end(), [](const StreamSpec& s) {
+        return s.direction == StreamDirection::kRead;
+      }));
+  play_.Reserve(reads);
+  record_.Reserve(streams_.size() - reads);
   for (const auto& s : streams_) {
     // Read streams live under the Theorem-1 double-buffer envelope
     // (2*B*T); write streams under their staging allocation.
