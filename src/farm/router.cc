@@ -1,6 +1,7 @@
 #include "farm/router.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 namespace memstream::farm {
@@ -30,8 +31,9 @@ Result<AdmissionRouter> AdmissionRouter::Create(const Placement* placement,
 }
 
 RouteDecision AdmissionRouter::Route(std::int64_t title,
-                                     BytesPerSecond bit_rate) {
-  ++attempts_;
+                                     BytesPerSecond bit_rate,
+                                     RouteTally* tally) {
+  ++tally->attempts;
   RouteDecision decision;
   decision.reason = "no live replica";
 
@@ -60,7 +62,7 @@ RouteDecision AdmissionRouter::Route(std::int64_t title,
     server::AdmissionDecision d =
         controllers_[static_cast<std::size_t>(s)].TryAdmit(bit_rate);
     if (d.admitted) {
-      ++admitted_;
+      ++tally->admitted;
       decision.admitted = true;
       decision.shard = s;
       decision.streams_on_shard = d.streams_after;
@@ -70,7 +72,7 @@ RouteDecision AdmissionRouter::Route(std::int64_t title,
     }
     decision.reason = std::move(d.reason);
   }
-  ++rejected_;
+  ++tally->rejected;
   return decision;
 }
 
@@ -87,6 +89,43 @@ Status AdmissionRouter::SetShardUp(std::int32_t shard, bool up) {
   }
   up_[static_cast<std::size_t>(shard)] = up;
   return Status::OK();
+}
+
+TitleGroups GroupTitles(const Placement& placement) {
+  // Union-find over shards whose roots are always a group's lowest
+  // shard; `of_title` first holds each title's first candidate.
+  std::vector<std::int32_t> parent(
+      static_cast<std::size_t>(placement.num_shards()));
+  std::iota(parent.begin(), parent.end(), 0);
+  auto root = [&parent](std::int32_t s) {
+    while (parent[static_cast<std::size_t>(s)] != s) {
+      s = parent[static_cast<std::size_t>(s)];
+    }
+    return s;
+  };
+  TitleGroups groups;
+  groups.of_title.resize(static_cast<std::size_t>(placement.num_titles()));
+  for (std::int64_t t = 0; t < placement.num_titles(); ++t) {
+    const ShardSet set = placement.Lookup(t);
+    std::int32_t low = root(set.shard[0]);
+    for (std::int32_t i = 1; i < set.count; ++i) {
+      std::int32_t high = root(set.shard[static_cast<std::size_t>(i)]);
+      if (high < low) std::swap(low, high);
+      parent[static_cast<std::size_t>(high)] = low;
+    }
+    groups.of_title[static_cast<std::size_t>(t)] = set.shard[0];
+  }
+  // Roots come first in shard order, so labels follow lowest shards.
+  std::vector<std::int32_t> label(parent.size(), -1);
+  for (std::size_t s = 0; s < parent.size(); ++s) {
+    const auto r = static_cast<std::size_t>(root(static_cast<std::int32_t>(s)));
+    if (label[r] < 0) label[r] = groups.count++;
+    label[s] = label[r];
+  }
+  for (std::int32_t& g : groups.of_title) {
+    g = label[static_cast<std::size_t>(g)];
+  }
+  return groups;
 }
 
 }  // namespace memstream::farm

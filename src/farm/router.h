@@ -7,10 +7,14 @@
 //
 // The router also carries the farm's availability state: a shard marked
 // down (fault::FaultPlan node failure) is skipped by Route until its
-// repair event marks it back up. All calls are made from the single
-// orchestration thread (see sharded_farm.cc); the router is not
-// internally synchronized and is deliberately clock-free, so routing the
-// same request sequence is deterministic at any thread count.
+// repair event marks it back up. The router is not internally
+// synchronized and is deliberately clock-free, so routing the same
+// request sequence is deterministic at any thread count. A Route call
+// reads and writes only the controllers of the title's candidate shards,
+// so calls for titles in different shard groups (GroupTitles) may run
+// concurrently as long as each counts into its own RouteTally and no
+// shard changes state meanwhile; every other call is made from one
+// thread.
 
 #ifndef MEMSTREAM_FARM_ROUTER_H_
 #define MEMSTREAM_FARM_ROUTER_H_
@@ -36,6 +40,21 @@ struct RouterConfig {
   model::LatencyFn node_latency;
 };
 
+/// Farm-level routing tallies (plain counters instead of wall-clock
+/// metrics, so routing stays deterministic).
+struct RouteTally {
+  std::int64_t attempts = 0;
+  std::int64_t admitted = 0;
+  std::int64_t rejected = 0;
+
+  RouteTally& operator+=(const RouteTally& other) {
+    attempts += other.attempts;
+    admitted += other.admitted;
+    rejected += other.rejected;
+    return *this;
+  }
+};
+
 /// Outcome of routing one request.
 struct RouteDecision {
   bool admitted = false;
@@ -53,7 +72,14 @@ class AdmissionRouter {
 
   /// Offers a stream of `bit_rate` for `title` to the title's live
   /// replicas, least-loaded first (ties to the lowest shard id).
-  RouteDecision Route(std::int64_t title, BytesPerSecond bit_rate);
+  RouteDecision Route(std::int64_t title, BytesPerSecond bit_rate) {
+    return Route(title, bit_rate, &tally_);
+  }
+  /// Route, counting into `tally` instead of the router's own tallies
+  /// (the concurrent form; fold `tally` in with AddTally afterwards).
+  RouteDecision Route(std::int64_t title, BytesPerSecond bit_rate,
+                      RouteTally* tally);
+  void AddTally(const RouteTally& tally) { tally_ += tally; }
 
   /// Releases one admitted stream of `bit_rate` from `shard`.
   Status Release(std::int32_t shard, BytesPerSecond bit_rate);
@@ -78,11 +104,9 @@ class AdmissionRouter {
     return controllers_[static_cast<std::size_t>(shard)];
   }
 
-  // Farm-level routing tallies (kept here instead of wall-clock metrics
-  // so routing stays deterministic).
-  std::int64_t attempts() const { return attempts_; }
-  std::int64_t admitted() const { return admitted_; }
-  std::int64_t rejected() const { return rejected_; }
+  std::int64_t attempts() const { return tally_.attempts; }
+  std::int64_t admitted() const { return tally_.admitted; }
+  std::int64_t rejected() const { return tally_.rejected; }
 
  private:
   explicit AdmissionRouter(const Placement* placement)
@@ -91,10 +115,20 @@ class AdmissionRouter {
   const Placement* placement_;
   std::vector<server::AdmissionController> controllers_;  ///< per shard
   std::vector<bool> up_;
-  std::int64_t attempts_ = 0;
-  std::int64_t admitted_ = 0;
-  std::int64_t rejected_ = 0;
+  RouteTally tally_;
 };
+
+/// The shard groups of a placement: two shards share a group when some
+/// title has a copy on both, directly or through a chain of titles. No
+/// title's candidates cross a group, so groups route independently.
+struct TitleGroups {
+  std::int32_t count = 0;              ///< number of groups
+  std::vector<std::int32_t> of_title;  ///< group of each title
+};
+
+/// Unions every title's candidate ShardSet into shard groups, numbered
+/// in order of each group's lowest shard.
+TitleGroups GroupTitles(const Placement& placement);
 
 }  // namespace memstream::farm
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
+#include "common/profiler.h"
 #include "model/timecycle.h"
 #include "obs/qos_auditor.h"
 #include "server/timecycle_server.h"
@@ -12,10 +14,39 @@
 namespace memstream::farm {
 namespace {
 
-/// One admitted stream's routing state. shard == -1 while shed.
+/// One offer of the t = 0 wave: its title and the shard that admitted
+/// it (-1 = rejected). After the wave, the per-shard id lists say where
+/// each admitted stream lives.
 struct StreamRec {
   std::int64_t title = 0;
   std::int32_t shard = -1;
+};
+
+/// Ascending stream ids: one shard's residents, or the shed streams.
+/// The ids appended since the last Settle() must be ascending among
+/// themselves; Settle() merges them into the sorted prefix.
+class IdList {
+ public:
+  const std::vector<std::int32_t>& ids() const { return ids_; }
+  std::size_t size() const { return ids_.size(); }
+  void Reserve(std::size_t n) { ids_.reserve(n); }
+  void Append(std::int32_t id) { ids_.push_back(id); }
+
+  /// Empties the list, handing its ids to the caller.
+  std::vector<std::int32_t> Take() {
+    sorted_ = 0;
+    return std::exchange(ids_, {});
+  }
+
+  void Settle() {
+    const auto mid = ids_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+    std::inplace_merge(ids_.begin(), mid, ids_.end());
+    sorted_ = ids_.size();
+  }
+
+ private:
+  std::vector<std::int32_t> ids_;
+  std::size_t sorted_ = 0;
 };
 
 /// Per-stream activity of one epoch, collected only when a journal is
@@ -50,8 +81,9 @@ Status Validate(const ShardedFarmConfig& config) {
   if (config.num_titles < 1) {
     return Status::InvalidArgument("num_titles must be >= 1");
   }
-  if (config.offered_streams < 0) {
-    return Status::InvalidArgument("offered_streams must be >= 0");
+  if (config.offered_streams < 0 ||
+      config.offered_streams > std::numeric_limits<std::int32_t>::max()) {
+    return Status::InvalidArgument("offered_streams must be in [0, 2^31)");
   }
   if (config.bit_rate <= 0) {
     return Status::InvalidArgument("bit_rate must be > 0");
@@ -76,6 +108,51 @@ std::vector<Seconds> EpochBoundaries(const ShardedFarmConfig& config) {
   std::sort(cuts.begin(), cuts.end());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
   return cuts;
+}
+
+/// The t = 0 admission wave: draws every offer's title, routes the
+/// offers and returns the admitted ones in offer order (stream id =
+/// index). No title's candidates cross a shard group, so each group's
+/// offers route independently, in offer order, with exactly the
+/// decisions of one serial pass. Groups are dealt round-robin onto at
+/// most one lane per sweep thread; each lane scans the offers for its
+/// own groups, and the lanes' tallies fold into the router after the
+/// barrier.
+std::vector<StreamRec> AdmissionWave(const ShardedFarmConfig& config,
+                                     const Placement& placement,
+                                     const workload::ZipfSampler& sampler,
+                                     AdmissionRouter* router,
+                                     exp::SweepRunner* runner) {
+  PROF_SCOPE("farm.wave");
+  // Until the compaction below, streams[i] is offer i.
+  Rng rng(config.seed);
+  std::vector<StreamRec> streams(
+      static_cast<std::size_t>(config.offered_streams));
+  for (StreamRec& rec : streams) rec.title = sampler.Sample(rng);
+
+  TitleGroups groups = GroupTitles(placement);
+  const std::int32_t lanes = std::min(groups.count, runner->threads());
+  std::vector<std::int32_t> lane_of_title = std::move(groups.of_title);
+  for (std::int32_t& g : lane_of_title) g %= lanes;
+  std::vector<RouteTally> tallies = runner->Map(
+      lanes, [&](exp::TaskContext& ctx) -> RouteTally {
+        const auto lane = static_cast<std::int32_t>(ctx.index());
+        RouteTally tally;
+        for (StreamRec& rec : streams) {
+          if (lane_of_title[static_cast<std::size_t>(rec.title)] != lane) {
+            continue;
+          }
+          const RouteDecision d =
+              router->Route(rec.title, config.bit_rate, &tally);
+          rec.shard = d.admitted ? d.shard : -1;
+        }
+        return tally;
+      });
+  for (const RouteTally& tally : tallies) router->AddTally(tally);
+  // Compacting in offer order keeps every stream id what a serial wave
+  // assigns.
+  std::erase_if(streams, [](const StreamRec& rec) { return rec.shard < 0; });
+  return streams;
 }
 
 }  // namespace
@@ -119,23 +196,36 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
         static_cast<std::int32_t>(s);
   }
 
+  exp::SweepOptions so;
+  so.threads = config.threads;
+  so.base_seed = config.seed;
+  exp::SweepRunner runner(so);
+
   // --- t = 0 admission wave -------------------------------------------
   auto sampler =
       workload::ZipfSampler::Create(config.num_titles, config.zipf_exponent);
   MEMSTREAM_RETURN_IF_ERROR(sampler.status());
-  Rng rng(config.seed);
-  std::vector<StreamRec> streams;
-  streams.reserve(static_cast<std::size_t>(config.offered_streams));
-  for (std::int64_t i = 0; i < config.offered_streams; ++i) {
-    const std::int64_t title = sampler.value().Sample(rng);
-    RouteDecision d = router.value().Route(title, config.bit_rate);
-    if (d.admitted) {
-      streams.push_back({title, d.shard});
-      ++farm.admitted;
-    } else {
-      ++farm.rejected;
-    }
+  std::vector<StreamRec> streams =
+      AdmissionWave(config, *placement.value(), sampler.value(),
+                    &router.value(), &runner);
+  // The wave is not part of the shard-epoch sweep the report describes.
+  const exp::SweepStats wave_sweep = runner.stats();
+  farm.admitted = static_cast<std::int64_t>(streams.size());
+  farm.rejected = farm.offered - farm.admitted;
+
+  // Residents of each shard and the shed streams, ids ascending. Fail
+  // and repair events walk only these; each epoch's tasks read them.
+  std::vector<IdList> members(static_cast<std::size_t>(config.num_shards));
+  for (std::int64_t s = 0; s < config.num_shards; ++s) {
+    members[static_cast<std::size_t>(s)].Reserve(static_cast<std::size_t>(
+        router.value().admitted_on(static_cast<std::int32_t>(s))));
   }
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    members[static_cast<std::size_t>(streams[i].shard)].Append(
+        static_cast<std::int32_t>(i));
+  }
+  for (IdList& m : members) m.Settle();
+  IdList shed;
 
   // Register the admitted streams with the farm journal under the
   // Theorem-1 envelope of their home shard's steady-state cycle.
@@ -174,11 +264,6 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
   starts.push_back(0.0);
   for (Seconds t : cuts) starts.push_back(t);
 
-  exp::SweepOptions so;
-  so.threads = config.threads;
-  so.base_seed = config.seed;
-  exp::SweepRunner runner(so);
-
   std::vector<double> up_seconds(
       static_cast<std::size_t>(config.num_shards), 0.0);
   double served_stream_seconds = 0;
@@ -192,23 +277,33 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
 
     // Apply this boundary's fault events (plan order) before running.
     if (epoch > 0) {
+      PROF_SCOPE("farm.fault_events");
       for (const fault::FaultEvent& e : config.faults.events()) {
         if (e.time != t0 || e.device < 0 || e.device >= config.num_shards) {
           continue;
         }
         const std::int32_t s = static_cast<std::int32_t>(e.device);
+        auto readmit = [&](std::int32_t id, const RouteDecision& d) {
+          members[static_cast<std::size_t>(d.shard)].Append(id);
+          ++farm.readmits;
+          if (config.journal != nullptr) {
+            const std::ptrdiff_t slot = config.journal->SlotOf(id);
+            if (slot >= 0) {
+              config.journal->MarkReadmitted(static_cast<std::size_t>(slot),
+                                             t0);
+            }
+          }
+        };
         if (e.kind == fault::FaultKind::kMemsDeviceFail) {
           MEMSTREAM_RETURN_IF_ERROR(router.value().SetShardUp(s, false));
-          for (std::size_t i = 0; i < streams.size(); ++i) {
-            if (streams[i].shard != s) continue;
+          for (const std::int32_t id :
+               members[static_cast<std::size_t>(s)].Take()) {
             MEMSTREAM_RETURN_IF_ERROR(
                 router.value().Release(s, config.bit_rate));
-            streams[i].shard = -1;
             ++farm.shed_actions;
             ++farm.per_shard[static_cast<std::size_t>(s)].shed;
             if (config.journal != nullptr) {
-              const std::ptrdiff_t slot =
-                  config.journal->SlotOf(static_cast<std::int64_t>(i));
+              const std::ptrdiff_t slot = config.journal->SlotOf(id);
               if (slot >= 0) {
                 config.journal->MarkShed(static_cast<std::size_t>(slot), t0);
               }
@@ -216,58 +311,40 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
             // Fail over: the dead shard is skipped, so this lands on
             // the least-loaded surviving replica (if the title has one
             // with headroom).
-            RouteDecision d =
-                router.value().Route(streams[i].title, config.bit_rate);
+            const RouteDecision d = router.value().Route(
+                streams[static_cast<std::size_t>(id)].title, config.bit_rate);
             if (d.admitted) {
-              streams[i].shard = d.shard;
               ++farm.failovers;
-              ++farm.readmits;
               ++farm.per_shard[static_cast<std::size_t>(d.shard)]
                     .failed_over_in;
-              if (config.journal != nullptr) {
-                const std::ptrdiff_t slot =
-                    config.journal->SlotOf(static_cast<std::int64_t>(i));
-                if (slot >= 0) {
-                  config.journal->MarkReadmitted(
-                      static_cast<std::size_t>(slot), t0);
-                }
-              }
+              readmit(id, d);
+            } else {
+              shed.Append(id);
             }
           }
         } else if (e.kind == fault::FaultKind::kMemsDeviceRepair) {
           MEMSTREAM_RETURN_IF_ERROR(router.value().SetShardUp(s, true));
-          for (std::size_t i = 0; i < streams.size(); ++i) {
-            if (streams[i].shard != -1) continue;
-            RouteDecision d =
-                router.value().Route(streams[i].title, config.bit_rate);
-            if (!d.admitted) continue;
-            streams[i].shard = d.shard;
-            ++farm.readmits;
-            if (config.journal != nullptr) {
-              const std::ptrdiff_t slot =
-                  config.journal->SlotOf(static_cast<std::int64_t>(i));
-              if (slot >= 0) {
-                config.journal->MarkReadmitted(static_cast<std::size_t>(slot),
-                                               t0);
-              }
+          for (const std::int32_t id : shed.Take()) {
+            const RouteDecision d = router.value().Route(
+                streams[static_cast<std::size_t>(id)].title, config.bit_rate);
+            if (d.admitted) {
+              readmit(id, d);
+            } else {
+              shed.Append(id);
             }
           }
         }
+        // The event walked its list in ascending id, so every append
+        // was ascending; the next event at this instant reads them.
+        for (IdList& m : members) m.Settle();
+        shed.Settle();
       }
     }
 
     // Constant per-epoch stream sets, ids ascending per shard.
-    std::vector<std::vector<std::int64_t>> shard_streams(
-        static_cast<std::size_t>(config.num_shards));
-    std::int64_t serving = 0;
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      if (streams[i].shard < 0) continue;
-      shard_streams[static_cast<std::size_t>(streams[i].shard)].push_back(
-          static_cast<std::int64_t>(i));
-      ++serving;
-    }
-    const std::int64_t shed_now =
-        static_cast<std::int64_t>(streams.size()) - serving;
+    const auto shed_now = static_cast<std::int64_t>(shed.size());
+    const std::int64_t serving =
+        static_cast<std::int64_t>(streams.size()) - shed_now;
     served_stream_seconds += static_cast<double>(serving) * len;
     unserved_stream_seconds += static_cast<double>(shed_now) * len;
 
@@ -278,8 +355,8 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
         config.num_shards, [&, cfg](exp::TaskContext& ctx) -> ShardEpoch {
           ShardEpoch row;
           const std::int32_t s = static_cast<std::int32_t>(ctx.index());
-          const std::vector<std::int64_t>& ids =
-              shard_streams[static_cast<std::size_t>(s)];
+          const std::vector<std::int32_t>& ids =
+              members[static_cast<std::size_t>(s)].ids();
           if (!router.value().shard_up(s) || ids.empty()) return row;
           row.streams = static_cast<std::int64_t>(ids.size());
 
@@ -319,6 +396,7 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
           dsc.deterministic = true;
           dsc.seed = ctx.seed();
           if (cfg->audit) {
+            auditor.Reserve(specs.size());
             for (const server::StreamSpec& spec : specs) {
               auditor.AddStream(spec.id, spec.bit_rate,
                                 2 * spec.bit_rate * t_cycle,
@@ -436,6 +514,9 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
   const double total_ss = served_stream_seconds + unserved_stream_seconds;
   farm.availability = total_ss > 0 ? served_stream_seconds / total_ss : 1.0;
   farm.sweep = runner.stats();
+  farm.sweep.tasks -= wave_sweep.tasks;
+  farm.sweep.events -= wave_sweep.events;
+  farm.sweep.wall_seconds -= wave_sweep.wall_seconds;
 
   if (config.journal != nullptr) config.journal->Finalize(config.duration);
   if (config.metrics != nullptr) {

@@ -4,7 +4,13 @@
 // farm-level admission router (farm/router.h) deciding which shard each
 // stream lands on and a fault::FaultPlan failing/repairing whole nodes.
 //
-// Execution model — epochs between fault events:
+// Execution model — one admission wave, then epochs between fault
+// events:
+//  - The t = 0 wave routes every offer through the router. Shards that
+//    no title's candidate set links form independent shard groups
+//    (farm/router.h, GroupTitles); the groups route in parallel on the
+//    same SweepRunner, each in offer order, so the admitted set and the
+//    stream ids are those of one serial pass.
 //  - The run's timeline is cut at every node fail/repair event. Within
 //    an epoch each shard's admitted set is constant, so every shard is
 //    one pure (stream set -> ServerReport) task; SweepRunner executes
@@ -14,7 +20,9 @@
 //    fault events: a failed shard's streams are shed; streams of
 //    replicated titles fail over to the least-loaded surviving replica
 //    through the router (Theorem-1 headroom re-checked); single-copy
-//    titles stay shed until the repair event, then re-admit.
+//    titles stay shed until the repair event, then re-admit. Each shard
+//    keeps its residents as a sorted id list, as do the shed streams,
+//    so an event walks only the streams it touches, in id order.
 //  - The shared StreamJournal / SloMonitor / MetricsRegistry are fed
 //    only from the orchestrator thread after each epoch barrier, in
 //    shard order, from the per-shard reports — never from inside the
@@ -121,7 +129,7 @@ struct FarmRunReport {
   Bytes peak_dram_per_shard = 0;   ///< max over shards
   double mean_utilization = 0;
   Seconds duration = 0;
-  exp::SweepStats sweep;           ///< cost of the parallel execution
+  exp::SweepStats sweep;           ///< cost of the shard-epoch sweep
   std::vector<FarmShardReport> per_shard;
 };
 

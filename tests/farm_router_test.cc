@@ -138,5 +138,61 @@ TEST(AdmissionRouterTest, ReleaseReturnsHeadroom) {
   EXPECT_FALSE(r.Release(1, 1 * kMBps).ok());
 }
 
+TEST(AdmissionRouterTest, TalliesFoldInFromConcurrentForm) {
+  auto p = ConsistentHashPlacement::Create(SmallPlacement(2, 1));
+  ASSERT_TRUE(p.ok());
+  auto router = AdmissionRouter::Create(p.value().get(), SmallRouter(1 * kGB));
+  ASSERT_TRUE(router.ok());
+  AdmissionRouter& r = router.value();
+  RouteTally tally;
+  ASSERT_TRUE(r.Route(0, 1 * kMBps, &tally).admitted);
+  EXPECT_EQ(tally.attempts, 1);
+  EXPECT_EQ(tally.admitted, 1);
+  EXPECT_EQ(r.attempts(), 0);  // counted in `tally`, not the router
+  r.AddTally(tally);
+  ASSERT_TRUE(r.Route(1, 1 * kMBps).admitted);
+  EXPECT_EQ(r.attempts(), 2);
+  EXPECT_EQ(r.admitted(), 2);
+  EXPECT_EQ(r.rejected(), 0);
+}
+
+TEST(GroupTitlesTest, GroupsFollowTitleCandidates) {
+  // Popularity-aware replicas sit num_shards / replicas apart: the head
+  // links shard s with s + 4, and the hashed tail links nothing.
+  PlacementConfig pc = SmallPlacement(8, 2);
+  pc.replication_budget = 0.2;
+  auto pop = PopularityAwarePlacement::Create(pc);
+  ASSERT_TRUE(pop.ok());
+  const TitleGroups groups = GroupTitles(*pop.value());
+  ASSERT_EQ(groups.of_title.size(), 100u);
+  for (std::int64_t t = 0; t < 100; ++t) {
+    const ShardSet set = pop.value()->Lookup(t);
+    for (std::int32_t i = 0; i < set.count; ++i) {
+      // Labels follow lowest shards, so shard s and s + 4 are group s.
+      EXPECT_EQ(groups.of_title[static_cast<std::size_t>(t)],
+                set.shard[static_cast<std::size_t>(i)] % 4)
+          << "title " << t;
+    }
+  }
+  EXPECT_EQ(groups.count, 4);
+
+  // One copy per title: every shard is its own group.
+  auto single = ConsistentHashPlacement::Create(SmallPlacement(8, 1));
+  ASSERT_TRUE(single.ok());
+  const TitleGroups apart = GroupTitles(*single.value());
+  EXPECT_EQ(apart.count, 8);
+  for (std::int64_t t = 0; t < 100; ++t) {
+    EXPECT_EQ(apart.of_title[static_cast<std::size_t>(t)],
+              single.value()->Lookup(t).shard[0]);
+  }
+
+  // Two ring successors per title chain the whole ring together.
+  auto chained = ConsistentHashPlacement::Create(SmallPlacement(8, 2));
+  ASSERT_TRUE(chained.ok());
+  const TitleGroups one = GroupTitles(*chained.value());
+  EXPECT_EQ(one.count, 1);
+  for (const std::int32_t g : one.of_title) EXPECT_EQ(g, 0);
+}
+
 }  // namespace
 }  // namespace memstream::farm

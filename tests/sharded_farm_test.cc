@@ -1,19 +1,25 @@
 // Sharded farm executor: the determinism contract (byte-identical merged
 // report, journal event order and slo.* gauges at any thread count), the
+// routing decisions against a serial full-scan reference, the
 // failover/readmit semantics of the two placements, and the farm block.
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "device/device_catalog.h"
+#include "device/disk.h"
 #include "farm/sharded_farm.h"
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/slo.h"
 #include "obs/stream_journal.h"
+#include "workload/popularity.h"
 
 namespace memstream::farm {
 namespace {
@@ -42,7 +48,7 @@ ShardedFarmConfig SmallFarm() {
   config.bit_rate = 100 * kKBps;
   config.node_disk = device::FutureDisk2007();
   config.node_disk.inner_rate = config.node_disk.outer_rate;
-  config.dram_budget_per_shard = 256 * kMB;
+  config.dram_budget_per_shard = 12 * kMB;
   config.duration = 6;
   config.seed = 42;
   return config;
@@ -54,6 +60,8 @@ TEST(ShardedFarmTest, RejectsBadConfig) {
   EXPECT_FALSE(RunShardedFarm(config).ok());
   config = SmallFarm();
   config.offered_streams = -1;
+  EXPECT_FALSE(RunShardedFarm(config).ok());
+  config.offered_streams = std::int64_t{1} << 31;  // stream ids are int32
   EXPECT_FALSE(RunShardedFarm(config).ok());
   config = SmallFarm();
   config.duration = 0;
@@ -122,6 +130,240 @@ TEST(ShardedFarmTest, MergedReportIsByteIdenticalAcrossThreadCounts) {
   ASSERT_FALSE(at_one.empty());
   EXPECT_EQ(at_one, at_eight)
       << "merged farm report must not depend on the thread count";
+}
+
+// What a farm run's admission, failover and readmit decisions come to.
+struct RoutingOutcome {
+  std::int64_t admitted = 0;
+  std::int64_t rejected = 0;
+  std::int64_t failovers = 0;
+  std::int64_t readmits = 0;
+  std::int64_t shed = 0;
+  std::vector<std::int64_t> shard_streams;  ///< residents at run end
+  std::vector<std::int64_t> shard_shed;
+  std::vector<std::int64_t> failed_over_in;
+  /// Per stream id, its journaled shed and readmit events in order.
+  std::vector<std::vector<std::pair<obs::StreamEventKind, double>>> events;
+};
+
+std::vector<std::pair<obs::StreamEventKind, double>> ShedAndReadmits(
+    const obs::StreamJournal& journal, std::int64_t id) {
+  std::vector<std::pair<obs::StreamEventKind, double>> out;
+  const std::ptrdiff_t slot = journal.SlotOf(id);
+  if (slot < 0) return out;
+  for (const obs::StreamEvent& e :
+       journal.entry(static_cast<std::size_t>(slot)).events) {
+    if (e.kind == obs::StreamEventKind::kShed ||
+        e.kind == obs::StreamEventKind::kReadmitted) {
+      out.emplace_back(e.kind, e.t);
+    }
+  }
+  return out;
+}
+
+// The farm's routing as one serial pass: route each offer as it is
+// drawn, then at every fail/repair instant scan all streams in id order
+// (a failed shard's residents shed and fail over; a repair retries every
+// shed stream). Decisions only, no simulation.
+RoutingOutcome ReferenceRouting(const ShardedFarmConfig& config) {
+  RoutingOutcome out;
+  PlacementConfig pc;
+  pc.num_shards = config.num_shards;
+  pc.num_titles = config.num_titles;
+  pc.replicas = config.replicas;
+  pc.virtual_nodes = config.virtual_nodes;
+  pc.zipf_exponent = config.zipf_exponent;
+  pc.replication_budget = config.replication_budget;
+  pc.seed = config.seed;
+  auto placement = MakePlacement(config.policy, pc);
+  EXPECT_TRUE(placement.ok());
+  auto probe = device::DiskDrive::Create(config.node_disk);
+  EXPECT_TRUE(probe.ok());
+  RouterConfig rc;
+  rc.dram_budget_per_shard = config.dram_budget_per_shard;
+  rc.node_rate = probe.value().parameters().outer_rate;
+  rc.node_latency = model::DiskLatencyFn(probe.value());
+  auto created = AdmissionRouter::Create(placement.value().get(), rc);
+  EXPECT_TRUE(created.ok());
+  AdmissionRouter& router = created.value();
+  auto sampler =
+      workload::ZipfSampler::Create(config.num_titles, config.zipf_exponent);
+  EXPECT_TRUE(sampler.ok());
+
+  struct Rec {
+    std::int64_t title = 0;
+    std::int32_t shard = -1;
+  };
+  std::vector<Rec> streams;
+  Rng rng(config.seed);
+  for (std::int64_t i = 0; i < config.offered_streams; ++i) {
+    const std::int64_t title = sampler.value().Sample(rng);
+    const RouteDecision d = router.Route(title, config.bit_rate);
+    if (d.admitted) {
+      streams.push_back({title, d.shard});
+      ++out.admitted;
+    } else {
+      ++out.rejected;
+    }
+  }
+
+  obs::StreamJournal journal;
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    journal.EnsureStream(static_cast<std::int64_t>(i), config.bit_rate, 0,
+                         0.0);
+  }
+  out.shard_shed.assign(static_cast<std::size_t>(config.num_shards), 0);
+  out.failed_over_in.assign(static_cast<std::size_t>(config.num_shards), 0);
+  std::vector<Seconds> instants;
+  for (const fault::FaultEvent& e : config.faults.events()) {
+    if (e.time > 0 && e.time < config.duration) instants.push_back(e.time);
+  }
+  std::sort(instants.begin(), instants.end());
+  instants.erase(std::unique(instants.begin(), instants.end()),
+                 instants.end());
+  for (const Seconds t : instants) {
+    for (const fault::FaultEvent& e : config.faults.events()) {
+      if (e.time != t) continue;
+      const auto s = static_cast<std::int32_t>(e.device);
+      if (e.kind == fault::FaultKind::kMemsDeviceFail) {
+        EXPECT_TRUE(router.SetShardUp(s, false).ok());
+        for (std::size_t i = 0; i < streams.size(); ++i) {
+          if (streams[i].shard != s) continue;
+          EXPECT_TRUE(router.Release(s, config.bit_rate).ok());
+          streams[i].shard = -1;
+          ++out.shed;
+          ++out.shard_shed[static_cast<std::size_t>(s)];
+          journal.MarkShed(i, t);
+          const RouteDecision d = router.Route(streams[i].title,
+                                               config.bit_rate);
+          if (!d.admitted) continue;
+          streams[i].shard = d.shard;
+          ++out.failovers;
+          ++out.readmits;
+          ++out.failed_over_in[static_cast<std::size_t>(d.shard)];
+          journal.MarkReadmitted(i, t);
+        }
+      } else if (e.kind == fault::FaultKind::kMemsDeviceRepair) {
+        EXPECT_TRUE(router.SetShardUp(s, true).ok());
+        for (std::size_t i = 0; i < streams.size(); ++i) {
+          if (streams[i].shard != -1) continue;
+          const RouteDecision d = router.Route(streams[i].title,
+                                               config.bit_rate);
+          if (!d.admitted) continue;
+          streams[i].shard = d.shard;
+          ++out.readmits;
+          journal.MarkReadmitted(i, t);
+        }
+      }
+    }
+  }
+  for (std::int32_t s = 0; s < router.num_shards(); ++s) {
+    out.shard_streams.push_back(router.admitted_on(s));
+  }
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    out.events.push_back(
+        ShedAndReadmits(journal, static_cast<std::int64_t>(i)));
+  }
+  return out;
+}
+
+RoutingOutcome FarmRouting(ShardedFarmConfig config, int threads) {
+  RoutingOutcome out;
+  obs::StreamJournal journal;
+  config.journal = &journal;
+  config.threads = threads;
+  auto result = RunShardedFarm(config);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return out;
+  const FarmRunReport& r = result.value();
+  out.admitted = r.admitted;
+  out.rejected = r.rejected;
+  out.failovers = r.failovers;
+  out.readmits = r.readmits;
+  out.shed = r.shed_actions;
+  for (const FarmShardReport& s : r.per_shard) {
+    out.shard_streams.push_back(s.streams);
+    out.shard_shed.push_back(s.shed);
+    out.failed_over_in.push_back(s.failed_over_in);
+  }
+  for (std::int64_t i = 0; i < r.admitted; ++i) {
+    out.events.push_back(ShedAndReadmits(journal, i));
+  }
+  return out;
+}
+
+// Both placements route exactly like one serial pass with full scans,
+// at 1 and 8 threads: popularity-aware (replicas on shards {s, s + 4},
+// so four shard groups), consistent hashing with one copy (a group per
+// shard) and with two (one group). Shards 0 and 4 fail at the same
+// instant, so head streams failing over from shard 0 land on shard 4
+// and are shed again; both come back at one instant.
+TEST(ShardedFarmTest, RoutingMatchesSerialFullScanReference) {
+  struct Placed {
+    PlacementPolicy policy;
+    std::int64_t replicas;
+  };
+  const Placed placements[] = {{PlacementPolicy::kPopularityAware, 2},
+                               {PlacementPolicy::kConsistentHash, 1},
+                               {PlacementPolicy::kConsistentHash, 2}};
+  std::vector<fault::FaultEvent> events;
+  for (const std::int64_t shard : {0, 4}) {
+    fault::FaultEvent down;
+    down.time = 2.0;
+    down.kind = fault::FaultKind::kMemsDeviceFail;
+    down.device = shard;
+    events.push_back(down);
+  }
+  for (const std::int64_t shard : {0, 4}) {
+    fault::FaultEvent up;
+    up.time = 4.0;
+    up.kind = fault::FaultKind::kMemsDeviceRepair;
+    up.device = shard;
+    events.push_back(up);
+  }
+  const fault::FaultPlan plan = fault::FaultPlan::FromScript(events);
+
+  bool saw_chained_failover = false;
+  for (const Placed& placed : placements) {
+    for (const std::uint64_t seed : {1u, 7u, 42u}) {
+      ShardedFarmConfig config = SmallFarm();
+      config.num_shards = 8;
+      config.offered_streams = 2000;
+      config.dram_budget_per_shard = 12 * kMB;
+      config.duration = 5;
+      config.policy = placed.policy;
+      config.replicas = placed.replicas;
+      config.replication_budget = 0.10;
+      config.faults = plan;
+      config.seed = seed;
+      config.audit = false;
+      const RoutingOutcome want = ReferenceRouting(config);
+      EXPECT_GT(want.rejected, 0);
+      EXPECT_GT(want.shed, 0);
+      if (placed.policy == PlacementPolicy::kPopularityAware &&
+          want.failed_over_in[4] > 0 && want.shard_shed[4] > 0) {
+        saw_chained_failover = true;
+      }
+      for (const int threads : {1, 8}) {
+        SCOPED_TRACE(std::string(PlacementPolicyName(placed.policy)) +
+                     " replicas " + std::to_string(placed.replicas) +
+                     " seed " + std::to_string(seed) + " threads " +
+                     std::to_string(threads));
+        const RoutingOutcome got = FarmRouting(config, threads);
+        EXPECT_EQ(got.admitted, want.admitted);
+        EXPECT_EQ(got.rejected, want.rejected);
+        EXPECT_EQ(got.failovers, want.failovers);
+        EXPECT_EQ(got.readmits, want.readmits);
+        EXPECT_EQ(got.shed, want.shed);
+        EXPECT_EQ(got.shard_streams, want.shard_streams);
+        EXPECT_EQ(got.shard_shed, want.shard_shed);
+        EXPECT_EQ(got.failed_over_in, want.failed_over_in);
+        EXPECT_EQ(got.events, want.events);
+      }
+    }
+  }
+  EXPECT_TRUE(saw_chained_failover)
+      << "no failover onto shard 4 was shed again by its own failure";
 }
 
 TEST(ShardedFarmTest, JournalRecordsShedAndReadmitInOrder) {
