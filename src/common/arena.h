@@ -56,6 +56,8 @@ class CycleArena {
 
   /// Largest byte footprint any cycle has needed so far.
   std::size_t high_water() const { return high_water_; }
+  /// Starts the high-water mark afresh (a reused server's next run).
+  void ResetHighWater() { high_water_ = used_; }
   /// Current backing-block size in bytes.
   std::size_t capacity() const { return block_size_; }
 

@@ -6,9 +6,8 @@
 #include <utility>
 
 #include "common/profiler.h"
+#include "farm/shard_workspace.h"
 #include "model/timecycle.h"
-#include "obs/qos_auditor.h"
-#include "server/timecycle_server.h"
 #include "workload/popularity.h"
 
 namespace memstream::farm {
@@ -16,11 +15,13 @@ namespace {
 
 /// One offer of the t = 0 wave: its title and the shard that admitted
 /// it (-1 = rejected). After the wave, the per-shard id lists say where
-/// each admitted stream lives.
+/// each admitted stream lives. Eight bytes: the wave holds one per
+/// offer.
 struct StreamRec {
-  std::int64_t title = 0;
+  std::int32_t title = 0;
   std::int32_t shard = -1;
 };
+static_assert(sizeof(StreamRec) == 8);
 
 /// Ascending stream ids: one shard's residents, or the shed streams.
 /// The ids appended since the last Settle() must be ascending among
@@ -49,37 +50,13 @@ class IdList {
   std::size_t sorted_ = 0;
 };
 
-/// Per-stream activity of one epoch, collected only when a journal is
-/// attached (the million-stream bench runs journal-free).
-struct StreamEpoch {
-  std::int64_t id = 0;
-  std::int64_t ios = 0;
-  Bytes bytes = 0;
-  Bytes peak = 0;
-  std::int64_t underflows = 0;
-};
-
-/// What one shard did during one epoch (the SweepRunner task row).
-struct ShardEpoch {
-  bool ran = false;
-  std::string error;  ///< non-empty = the task failed
-  std::int64_t streams = 0;
-  std::int64_t cycles = 0;
-  std::int64_t ios = 0;
-  std::int64_t overruns = 0;
-  std::int64_t underflows = 0;
-  std::int64_t violations = 0;
-  Bytes peak_dram = 0;
-  Seconds busy = 0;
-  std::vector<StreamEpoch> per_stream;
-};
-
 Status Validate(const ShardedFarmConfig& config) {
   if (config.num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  if (config.num_titles < 1) {
-    return Status::InvalidArgument("num_titles must be >= 1");
+  if (config.num_titles < 1 ||
+      config.num_titles > std::numeric_limits<std::int32_t>::max()) {
+    return Status::InvalidArgument("num_titles must be in [1, 2^31)");
   }
   if (config.offered_streams < 0 ||
       config.offered_streams > std::numeric_limits<std::int32_t>::max()) {
@@ -128,7 +105,9 @@ std::vector<StreamRec> AdmissionWave(const ShardedFarmConfig& config,
   Rng rng(config.seed);
   std::vector<StreamRec> streams(
       static_cast<std::size_t>(config.offered_streams));
-  for (StreamRec& rec : streams) rec.title = sampler.Sample(rng);
+  for (StreamRec& rec : streams) {
+    rec.title = static_cast<std::int32_t>(sampler.Sample(rng));
+  }
 
   TitleGroups groups = GroupTitles(placement);
   const std::int32_t lanes = std::min(groups.count, runner->threads());
@@ -171,8 +150,8 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
   auto placement = MakePlacement(config.policy, pc);
   MEMSTREAM_RETURN_IF_ERROR(placement.status());
 
-  // One probe node for the admission model; the per-epoch tasks build
-  // their own copies (tasks must not share mutable device state).
+  // One probe node for the admission model; each shard workspace keeps
+  // its own node (tasks must not share mutable device state).
   auto probe = device::DiskDrive::Create(config.node_disk);
   MEMSTREAM_RETURN_IF_ERROR(probe.status());
 
@@ -226,6 +205,15 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
   }
   for (IdList& m : members) m.Settle();
   IdList shed;
+  // One workspace per sweep thread that shard tasks can keep busy.
+  const auto largest = std::max_element(
+      members.begin(), members.end(),
+      [](const IdList& a, const IdList& b) { return a.size() < b.size(); });
+  ShardWorkspacePool workspaces(
+      config,
+      static_cast<int>(std::min<std::int64_t>(runner.threads(),
+                                              config.num_shards)),
+      largest->ids());
 
   // Register the admitted streams with the farm journal under the
   // Theorem-1 envelope of their home shard's steady-state cycle.
@@ -348,103 +336,20 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
     served_stream_seconds += static_cast<double>(serving) * len;
     unserved_stream_seconds += static_cast<double>(shed_now) * len;
 
-    // One pure task per shard; rows collected in shard order.
+    // One pure task per shard, built in whichever workspace is free;
+    // rows collected in shard order.
     const bool want_per_stream = config.journal != nullptr;
-    const ShardedFarmConfig* cfg = &config;
     std::vector<ShardEpoch> rows = runner.Map(
-        config.num_shards, [&, cfg](exp::TaskContext& ctx) -> ShardEpoch {
-          ShardEpoch row;
-          const std::int32_t s = static_cast<std::int32_t>(ctx.index());
-          const std::vector<std::int32_t>& ids =
-              members[static_cast<std::size_t>(s)].ids();
-          if (!router.value().shard_up(s) || ids.empty()) return row;
-          row.streams = static_cast<std::int64_t>(ids.size());
-
-          auto disk = device::DiskDrive::Create(cfg->node_disk);
-          if (!disk.ok()) {
-            row.error = disk.status().ToString();
-            return row;
-          }
-          const std::int64_t n = row.streams;
-          auto cycle = model::IoCycleLength(
-              n, cfg->bit_rate, model::DiskProfile(disk.value(), n));
-          if (!cycle.ok()) {
-            row.error = cycle.status().ToString();
-            return row;
-          }
-          const Seconds t_cycle = cycle.value();
-          const Bytes io = cfg->bit_rate * t_cycle;
-          const Bytes stride =
-              disk.value().Capacity() * 0.9 / static_cast<double>(n);
-
-          std::vector<server::StreamSpec> specs;
-          specs.reserve(ids.size());
-          for (std::size_t j = 0; j < ids.size(); ++j) {
-            server::StreamSpec spec;
-            spec.id = ids[j];
-            spec.bit_rate = cfg->bit_rate;
-            spec.disk_offset = stride * static_cast<double>(j);
-            spec.extent = std::max(stride, 2 * io);
-            specs.push_back(spec);
-          }
-
-          obs::QosAuditorConfig qac;
-          qac.disk_cycle = t_cycle;
-          obs::QosAuditor auditor(qac);
-          server::DirectServerConfig dsc;
-          dsc.cycle = t_cycle;
-          dsc.deterministic = true;
-          dsc.seed = ctx.seed();
-          if (cfg->audit) {
-            auditor.Reserve(specs.size());
-            for (const server::StreamSpec& spec : specs) {
-              auditor.AddStream(spec.id, spec.bit_rate,
-                                2 * spec.bit_rate * t_cycle,
-                                obs::QosDomain::kDisk);
-            }
-            auditor.Seal();
-            dsc.sinks.auditor = &auditor;
-          }
-
-          auto server = server::DirectStreamingServer::Create(
-              &disk.value(), std::move(specs), dsc);
-          if (!server.ok()) {
-            row.error = server.status().ToString();
-            return row;
-          }
-          Status run = server.value().Run(len);
-          if (!run.ok()) {
-            row.error = run.ToString();
-            return row;
-          }
-
-          const server::ServerReport& rep = server.value().report();
-          row.ran = true;
-          row.cycles = rep.disk.cycles;
-          row.ios = rep.ios_completed;
-          row.overruns = rep.disk.overruns;
-          row.underflows = rep.qos.underflow_events;
-          row.violations = cfg->audit ? auditor.total_violations() : 0;
-          row.peak_dram = rep.peak_dram;
-          // The server always finishes its last cycle, so raw busy time
-          // can spill past the epoch; clamp like disk.utilization does.
-          row.busy = std::min(rep.disk.busy, len);
-          ctx.AddEvents(rep.ios_completed);
-          if (want_per_stream) {
-            row.per_stream.reserve(ids.size());
-            for (std::size_t j = 0; j < ids.size(); ++j) {
-              server::StreamView v = server.value().session(j);
-              StreamEpoch se;
-              se.id = v.id();
-              se.bytes = v.total_deposited();
-              se.peak = v.peak_level();
-              se.underflows = v.underflow_events();
-              se.ios = io > 0 ? static_cast<std::int64_t>(
-                                    std::llround(se.bytes / io))
-                              : 0;
-              row.per_stream.push_back(se);
-            }
-          }
+        config.num_shards, [&](exp::TaskContext& ctx) -> ShardEpoch {
+          const auto s = static_cast<std::int32_t>(ctx.index());
+          if (!router.value().shard_up(s)) return ShardEpoch{};
+          const ShardWorkspacePool::Lease ws = workspaces.Checkout();
+          ShardEpoch row = ws->Run(
+              {.ids = members[static_cast<std::size_t>(s)].ids(),
+               .length = len,
+               .seed = ctx.seed(),
+               .per_stream = want_per_stream});
+          ctx.AddEvents(row.ios);
           return row;
         });
 

@@ -16,6 +16,8 @@
 //    one pure (stream set -> ServerReport) task; SweepRunner executes
 //    the shards in parallel and collects results in shard order, which
 //    makes the merged farm report byte-identical at any thread count.
+//    Each task builds its shard in a reused per-thread workspace
+//    (farm/shard_workspace.h) whose state never reaches a result.
 //  - At an epoch boundary the orchestrator (single thread) applies the
 //    fault events: a failed shard's streams are shed; streams of
 //    replicated titles fail over to the least-loaded surviving replica

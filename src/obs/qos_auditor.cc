@@ -52,9 +52,26 @@ std::string QosViolation::ToString() const {
   return out.str();
 }
 
-QosAuditor::QosAuditor(const QosAuditorConfig& config) : config_(config) {
+QosAuditor::QosAuditor(const QosAuditorConfig& config) { Reset(config); }
+
+void QosAuditor::Reset(const QosAuditorConfig& config) {
+  config_ = config;
   if (config_.tolerance < 0) config_.tolerance = 0;
+  streams_.clear();
+  sealed_ = false;
+  disk_cycles_ = 0;
+  mems_cycles_ = 0;
+  mems_cycle_index_.clear();
+  dram_level_sum_ = 0;
+  over_total_ = false;
+  total_violations_ = 0;
+  violations_.clear();
   violations_.reserve(config_.max_violations);
+  disk_slack_hist_ = nullptr;
+  mems_slack_hist_ = nullptr;
+  dram_headroom_hist_ = nullptr;
+  violations_metric_ = nullptr;
+  cycles_metric_ = nullptr;
   if (MetricsRegistry* metrics = config_.metrics; metrics != nullptr) {
     if (config_.disk_cycle > 0) {
       const double ms = config_.disk_cycle / kMillisecond;
@@ -93,6 +110,21 @@ std::size_t QosAuditor::AddStream(std::int64_t id, BytesPerSecond bit_rate,
   streams_.push_back(st);
   sealed_ = false;
   return streams_.size() - 1;
+}
+
+void QosAuditor::AddStreams(std::span<const std::int32_t> ids,
+                            BytesPerSecond bit_rate, Bytes dram_bound,
+                            QosDomain domain) {
+  const std::size_t first = streams_.size();
+  streams_.resize(first + ids.size());
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    StreamState& st = streams_[first + j];
+    st.id = ids[j];
+    st.bit_rate = bit_rate;
+    st.dram_bound = dram_bound;
+    st.domain = domain;
+  }
+  sealed_ = false;
 }
 
 void QosAuditor::Seal() {

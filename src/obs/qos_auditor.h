@@ -29,6 +29,7 @@
 #define MEMSTREAM_OBS_QOS_AUDITOR_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -100,12 +101,13 @@ struct QosAuditorConfig {
 /// before the run starts; the per-cycle hooks are only valid after.
 class QosAuditor {
  public:
-  explicit QosAuditor(const QosAuditorConfig& config);
+  explicit QosAuditor(const QosAuditorConfig& config = {});
   QosAuditor(const QosAuditor&) = delete;
   QosAuditor& operator=(const QosAuditor&) = delete;
 
-  /// Sizes the stream registry for `n` AddStream calls.
-  void Reserve(std::size_t n) { streams_.reserve(n); }
+  /// Makes this auditor a fresh QosAuditor(config) in place: no streams,
+  /// counts or violations, and every buffer's capacity kept.
+  void Reset(const QosAuditorConfig& config);
 
   /// Registers an admitted stream. `dram_bound` is the per-stream DRAM
   /// sizing (0 = unchecked); `domain` selects the one-IO-per-cycle
@@ -114,6 +116,11 @@ class QosAuditor {
   std::size_t AddStream(std::int64_t id, BytesPerSecond bit_rate,
                         Bytes dram_bound, QosDomain domain = QosDomain::kDisk,
                         std::int64_t device = 0);
+
+  /// AddStream() for each of `ids` in order, every one at `bit_rate`
+  /// under `dram_bound` in `domain` (device 0), with one resize.
+  void AddStreams(std::span<const std::int32_t> ids, BytesPerSecond bit_rate,
+                  Bytes dram_bound, QosDomain domain = QosDomain::kDisk);
 
   /// Freezes the stream set, allocates the per-stream audit state, and
   /// runs the setup-time checks (Eq. 7 storage bound, Eq. 8 nesting).

@@ -65,20 +65,21 @@ Result<CacheStreamingServer> CacheStreamingServer::Create(
 CacheStreamingServer::CacheStreamingServer(
     device::DiskDrive* disk, std::vector<device::MemsDevice> bank,
     std::vector<CacheStreamSpec> streams, const CacheServerConfig& config)
-    : ServerCore("cache", "cache server", disk, std::move(bank), config.sinks,
-                 streams.size(), config.seed, {.availability_slo = true}),
+    : ServerCore("cache", "cache server"),
       streams_(std::move(streams)),
       config_(config) {
+  ResetCore(disk, std::move(bank), config_.sinks, streams_.size(),
+            config_.seed, {.availability_slo = true});
   play_cursor_.assign(streams_.size(), 0);
-  play_.Reserve(streams_.size());
+  play_.Resize(streams_.size());
   // Cached streams live under the Theorem-3/4 MEMS-cycle envelope, disk
   // streams under Theorem 1's (matching the audited bounds).
   const double factor =
       config_.dram_bound_factor > 0 ? config_.dram_bound_factor : 2.0;
   for (std::size_t i = 0; i < streams_.size(); ++i) {
     const auto& s = streams_[i];
-    play_.Add(s.id, s.bit_rate);
-    telemetry_.Add(s.id, s.bit_rate,
+    play_.Set(i, s.id, s.bit_rate);
+    telemetry_.Set(i, s.id, s.bit_rate,
                    factor * s.bit_rate *
                        (s.cached ? config_.mems_cycle : config_.disk_cycle),
                    static_cast<std::ptrdiff_t>(i));

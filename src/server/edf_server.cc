@@ -37,15 +37,18 @@ EdfStreamingServer::EdfStreamingServer(device::DiskDrive* disk,
                                        std::vector<StreamSpec> streams,
                                        const EdfServerConfig& config)
     // EDF publishes no per-stream occupancy gauges.
-    : ServerCore("edf", "edf server", disk, {}, config.sinks, streams.size(),
-                 config.seed, {.occupancy_gauges = false}),
+    : ServerCore("edf", "edf server"),
       streams_(std::move(streams)),
       config_(config) {
+  ResetCore(disk, {}, config_.sinks, streams_.size(), config_.seed,
+            {.occupancy_gauges = false});
   play_cursor_.assign(streams_.size(), 0);
-  play_.Reserve(streams_.size());
-  for (const auto& s : streams_) {
-    const std::size_t i = play_.Add(s.id, s.bit_rate);
-    telemetry_.Add(s.id, s.bit_rate, 2.0 * s.bit_rate * config_.io_playback,
+  play_.Resize(streams_.size());
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
+    const StreamSpec& s = streams_[i];
+    play_.Set(i, s.id, s.bit_rate);
+    telemetry_.Set(i, s.id, s.bit_rate,
+                   2.0 * s.bit_rate * config_.io_playback,
                    static_cast<std::ptrdiff_t>(i));
   }
 }

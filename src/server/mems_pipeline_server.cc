@@ -55,10 +55,11 @@ MemsPipelineServer::MemsPipelineServer(device::DiskDrive* disk,
                                        std::vector<device::MemsDevice> bank,
                                        std::vector<StreamSpec> streams,
                                        const MemsPipelineConfig& config)
-    : ServerCore("pipeline", "mems pipeline server", disk, std::move(bank),
-                 config.sinks, streams.size(), config.seed),
+    : ServerCore("pipeline", "mems pipeline server"),
       streams_(std::move(streams)),
       config_(config) {
+  ResetCore(disk, std::move(bank), config_.sinks, streams_.size(),
+            config_.seed);
   const std::size_t k = bank_.size();
   pending_.resize(k);
   occupancy_.assign(k, 0);
@@ -71,7 +72,7 @@ MemsPipelineServer::MemsPipelineServer(device::DiskDrive* disk,
   resident_.assign(streams_.size(), 0);
   read_deficit_.assign(streams_.size(), 0);
   first_write_done_.assign(streams_.size(), 0);
-  play_.Reserve(streams_.size());
+  play_.Resize(streams_.size());
 
   const bool striped =
       config_.placement == model::BufferPlacement::kStripedIos;
@@ -82,10 +83,10 @@ MemsPipelineServer::MemsPipelineServer(device::DiskDrive* disk,
   std::vector<std::size_t> slot_index(k, 0);
   for (std::size_t i = 0; i < streams_.size(); ++i) {
     const auto& s = streams_[i];
-    play_.Add(s.id, s.bit_rate);
+    play_.Set(i, s.id, s.bit_rate);
     // Theorem 2: buffering through MEMS shrinks the per-stream DRAM
     // envelope from 2*B*T_disk to 2*B*T_mems.
-    telemetry_.Add(s.id, s.bit_rate, 2.0 * s.bit_rate * config_.t_mems,
+    telemetry_.Set(i, s.id, s.bit_rate, 2.0 * s.bit_rate * config_.t_mems,
                    static_cast<std::ptrdiff_t>(i));
     // Striping: the same 1/k-sized slot exists on every device; device 0
     // stands in for the lock-step group (all writes/reads route through

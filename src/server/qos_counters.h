@@ -24,6 +24,8 @@ struct QosCounters {
   /// auditor was wired in).
   std::int64_t violations = 0;
 
+  bool operator==(const QosCounters&) const = default;
+
   /// Folds a playout session's jitter tallies in. Call after the final
   /// LevelAt(horizon) so trailing underflow time is accrued.
   void AbsorbPlayback(const StreamSession& session) {

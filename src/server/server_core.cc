@@ -30,7 +30,10 @@ void CycleSide::Init(Kind side_kind, const std::string& metric_prefix,
   kind = side_kind;
   prefix = metric_prefix;
   scan_underflows = scan;
+  stats = {};
   device_busy.assign(devices, 0);
+  cycles_metric = nullptr;
+  slack_hist = nullptr;
   if (metrics != nullptr) {
     const double cycle_ms = cycle / kMillisecond;
     slack_hist = metrics->histogram(prefix + ".cycle_slack_ms",
@@ -39,21 +42,33 @@ void CycleSide::Init(Kind side_kind, const std::string& metric_prefix,
   }
 }
 
-ServerCore::ServerCore(const char* kind, const char* context,
-                       device::DiskDrive* disk,
-                       std::vector<device::MemsDevice> bank,
-                       const Sinks& sinks, std::size_t num_streams,
-                       std::uint64_t seed, StreamTelemetryOptions options)
-    : disk_(disk),
-      bank_(std::move(bank)),
-      sinks_(sinks),
-      trace_(sinks.trace),
-      rng_(seed),
-      telemetry_(sinks, num_streams, options),
-      kind_(kind),
-      context_(context) {
-  if (disk_ != nullptr) disk_name_ = disk_->name();
+void ServerCore::ResetCore(device::DiskDrive* disk,
+                           std::vector<device::MemsDevice> bank,
+                           const Sinks& sinks, std::size_t num_streams,
+                           std::uint64_t seed, StreamTelemetryOptions options) {
+  disk_ = disk;
+  bank_ = std::move(bank);
+  sinks_ = sinks;
+  trace_ = sinks.trace;
+  // The parameters' name, unlike name(), is assigned without a temporary.
+  if (disk_ != nullptr) {
+    disk_name_ = disk_->parameters().name;
+  } else {
+    disk_name_.clear();
+  }
+  bank_names_.clear();
   for (const auto& dev : bank_) bank_names_.push_back(dev.name());
+  sim_.Reset();
+  rng_ = Rng(seed);
+  telemetry_.Reset(sinks, num_streams, options);
+  arena_.Reset();
+  arena_.ResetHighWater();
+  disk_side_.device_busy.clear();
+  mems_side_.device_busy.clear();
+  report_ = {};
+  last_head_offset_ = 0;
+  horizon_ = 0;
+  ran_ = false;
 }
 
 DiskBatch ServerCore::NewDiskBatch(std::size_t capacity, bool sparse) {

@@ -65,6 +65,8 @@ struct SideStats {
   /// Disk: busy / horizon, clamped to 1 (the last cycle may end past the
   /// horizon). MEMS: mean across devices.
   double utilization = 0;
+
+  bool operator==(const SideStats&) const = default;
 };
 
 /// Post-run statistics of every simulated server.
@@ -82,6 +84,8 @@ struct ServerReport {
   Seconds idle_time = 0;             ///< EDF: disk idle, every buffer full
   std::int64_t starved_reads = 0;    ///< pipeline: DRAM reads not resident
   Bytes peak_mems_occupancy = 0;     ///< pipeline: max per-device bytes
+
+  bool operator==(const ServerReport&) const = default;
 };
 
 /// One side of a time-cycle server under one metric prefix
@@ -90,9 +94,10 @@ struct ServerReport {
 struct CycleSide {
   enum class Kind : std::uint8_t { kDisk, kMems };
 
-  /// Registers <prefix>.cycles and <prefix>.cycle_slack_ms (±cycle, 40
-  /// buckets) for `devices` devices. With `scan` false its cycles feed
-  /// the cycle-slack SLO only, without the underflow scan.
+  /// Starts the side afresh for `devices` devices and registers
+  /// <prefix>.cycles and <prefix>.cycle_slack_ms (±cycle, 40 buckets).
+  /// With `scan` false its cycles feed the cycle-slack SLO only, without
+  /// the underflow scan. A side is inactive until Init().
   void Init(Kind side_kind, const std::string& metric_prefix, Seconds cycle,
             obs::MetricsRegistry* metrics, std::size_t devices = 1,
             bool scan = true);
@@ -137,7 +142,7 @@ struct DiskBatch {
 class ServerCore {
  public:
   /// Simulates `duration` seconds of service and fills the report. May
-  /// be called once.
+  /// be called once per reset.
   Status Run(Seconds duration);
 
   const ServerReport& report() const { return report_; }
@@ -146,12 +151,18 @@ class ServerCore {
 
  protected:
   /// `kind` names the metrics (server.<kind>.*), `context` the server in
-  /// telemetry warnings. `disk` may be null (an all-cached cache
-  /// server); `bank` is empty without MEMS devices.
-  ServerCore(const char* kind, const char* context, device::DiskDrive* disk,
-             std::vector<device::MemsDevice> bank, const Sinks& sinks,
-             std::size_t num_streams, std::uint64_t seed,
-             StreamTelemetryOptions options = {});
+  /// telemetry warnings. ResetCore() binds the devices and sinks.
+  ServerCore(const char* kind, const char* context)
+      : kind_(kind), context_(context) {}
+
+  /// Makes the core a fresh, not yet run one over `disk` (null for an
+  /// all-cached cache server), `bank` (empty without MEMS devices),
+  /// `sinks` and `num_streams` streams, keeping every buffer's capacity.
+  /// The server then sizes its playback batch and registers its streams
+  /// with the telemetry. The devices' own state is the caller's.
+  void ResetCore(device::DiskDrive* disk, std::vector<device::MemsDevice> bank,
+                 const Sinks& sinks, std::size_t num_streams,
+                 std::uint64_t seed, StreamTelemetryOptions options = {});
 
   /// Binds the server's lanes and schedules its first cycles (the fault
   /// plan is scheduled after them).
@@ -243,10 +254,10 @@ class ServerCore {
     return sinks_.faults != nullptr ? sinks_.faults->DiskIoPenalty(now) : 0;
   }
 
-  device::DiskDrive* disk_;
+  device::DiskDrive* disk_ = nullptr;
   std::vector<device::MemsDevice> bank_;
   Sinks sinks_;
-  sim::TraceLog* trace_;
+  sim::TraceLog* trace_ = nullptr;
   std::string disk_name_;  ///< trace actors, resolved once
   std::vector<std::string> bank_names_;
   sim::Simulator sim_;

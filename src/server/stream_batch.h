@@ -74,34 +74,26 @@ struct PlaybackStart {
 /// SoA playback state for n streams, addressed by dense index.
 class PlaybackBatch {
  public:
-  /// Sizes every per-stream array for `n` streams.
-  void Reserve(std::size_t n) {
-    id_.reserve(n);
-    bit_rate_.reserve(n);
-    playing_.reserve(n);
-    dry_.reserve(n);
-    last_update_.reserve(n);
-    level_.reserve(n);
-    total_deposited_.reserve(n);
-    peak_level_.reserve(n);
-    underflow_events_.reserve(n);
-    underflow_time_.reserve(n);
+  /// Empties the batch and sizes every per-stream array for `n` idle,
+  /// empty streams in one pass each, keeping the arrays' capacity; Set()
+  /// then names each stream.
+  void Resize(std::size_t n) {
+    id_.assign(n, 0);
+    bit_rate_.assign(n, 0);
+    playing_.assign(n, 0);
+    dry_.assign(n, 0);
+    last_update_.assign(n, 0);
+    level_.assign(n, 0);
+    total_deposited_.assign(n, 0);
+    peak_level_.assign(n, 0);
+    underflow_events_.assign(n, 0);
+    underflow_time_.assign(n, 0);
   }
 
-  /// Registers a stream; returns its dense index.
-  std::size_t Add(std::int64_t id, BytesPerSecond bit_rate) {
-    const std::size_t i = id_.size();
-    id_.push_back(id);
-    bit_rate_.push_back(bit_rate);
-    playing_.push_back(0);
-    dry_.push_back(0);
-    last_update_.push_back(0);
-    level_.push_back(0);
-    total_deposited_.push_back(0);
-    peak_level_.push_back(0);
-    underflow_events_.push_back(0);
-    underflow_time_.push_back(0);
-    return i;
+  /// Stream `i` (of the Resize()d batch) is `id`, playing at `bit_rate`.
+  void Set(std::size_t i, std::int64_t id, BytesPerSecond bit_rate) {
+    id_[i] = id;
+    bit_rate_[i] = bit_rate;
   }
 
   std::size_t size() const { return id_.size(); }
@@ -194,36 +186,29 @@ class PlaybackBatch {
 /// arithmetic identical to RecordingSession.
 class RecordingBatch {
  public:
-  /// Sizes every per-stream array for `n` streams.
-  void Reserve(std::size_t n) {
-    id_.reserve(n);
-    bit_rate_.reserve(n);
-    capacity_.reserve(n);
-    recording_.reserve(n);
-    over_.reserve(n);
-    last_update_.reserve(n);
-    level_.reserve(n);
-    total_drained_.reserve(n);
-    peak_level_.reserve(n);
-    overflow_events_.reserve(n);
-    overflow_time_.reserve(n);
+  /// Empties the batch and sizes every per-stream array for `n` idle,
+  /// empty streams, keeping the arrays' capacity; Set() names each.
+  void Resize(std::size_t n) {
+    id_.assign(n, 0);
+    bit_rate_.assign(n, 0);
+    capacity_.assign(n, 0);
+    recording_.assign(n, 0);
+    over_.assign(n, 0);
+    last_update_.assign(n, 0);
+    level_.assign(n, 0);
+    total_drained_.assign(n, 0);
+    peak_level_.assign(n, 0);
+    overflow_events_.assign(n, 0);
+    overflow_time_.assign(n, 0);
   }
 
-  std::size_t Add(std::int64_t id, BytesPerSecond bit_rate,
-                  Bytes staging_capacity) {
-    const std::size_t i = id_.size();
-    id_.push_back(id);
-    bit_rate_.push_back(bit_rate);
-    capacity_.push_back(staging_capacity);
-    recording_.push_back(0);
-    over_.push_back(0);
-    last_update_.push_back(0);
-    level_.push_back(0);
-    total_drained_.push_back(0);
-    peak_level_.push_back(0);
-    overflow_events_.push_back(0);
-    overflow_time_.push_back(0);
-    return i;
+  /// Stream `i` is `id`, recording at `bit_rate` into a staging buffer
+  /// of `staging_capacity`.
+  void Set(std::size_t i, std::int64_t id, BytesPerSecond bit_rate,
+           Bytes staging_capacity) {
+    id_[i] = id;
+    bit_rate_[i] = bit_rate;
+    capacity_[i] = staging_capacity;
   }
 
   std::size_t size() const { return id_.size(); }

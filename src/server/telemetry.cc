@@ -14,11 +14,14 @@ Status Sinks::CheckAuditor(std::size_t num_streams) const {
   return Status::OK();
 }
 
-StreamTelemetry::StreamTelemetry(const Sinks& sinks, std::size_t num_streams,
-                                 StreamTelemetryOptions options)
-    : sinks_(sinks),
-      gauge_registry_(options.occupancy_gauges ? sinks.metrics : nullptr) {
-  streams_.reserve(num_streams);
+void StreamTelemetry::Reset(const Sinks& sinks, std::size_t num_streams,
+                            StreamTelemetryOptions options) {
+  sinks_ = sinks;
+  gauge_registry_ = options.occupancy_gauges ? sinks.metrics : nullptr;
+  slo_underflow_ = nullptr;
+  slo_slack_ = nullptr;
+  slo_availability_ = nullptr;
+  playing_ = 0;
   if (sinks_.slo != nullptr) {
     slo_underflow_ = sinks_.slo->Add(obs::StandardUnderflowSlo());
     slo_slack_ = sinks_.slo->Add(obs::StandardCycleSlackSlo());
@@ -26,13 +29,20 @@ StreamTelemetry::StreamTelemetry(const Sinks& sinks, std::size_t num_streams,
       slo_availability_ = sinks_.slo->Add(obs::StandardAvailabilitySlo());
     }
   }
+  const bool per_stream = sinks_.journal != nullptr ||
+                          gauge_registry_ != nullptr ||
+                          sinks_.timelines != nullptr ||
+                          sinks_.slo != nullptr;
+  streams_.assign(per_stream ? num_streams : 0, Stream{});
 }
 
-void StreamTelemetry::Add(std::int64_t id, BytesPerSecond bit_rate,
-                          Bytes envelope, std::ptrdiff_t session,
-                          const char* suffix) {
+void StreamTelemetry::Set(std::size_t i, std::int64_t id,
+                          BytesPerSecond bit_rate, Bytes envelope,
+                          std::ptrdiff_t session, const char* suffix) {
   if (session != kNoSession) ++playing_;
-  Stream s{static_cast<std::int32_t>(session), -1, 0, nullptr, nullptr};
+  if (streams_.empty()) return;
+  Stream& s = streams_[i];
+  s.session = static_cast<std::int32_t>(session);
   if (sinks_.journal != nullptr) {
     s.jslot = static_cast<std::int32_t>(
         sinks_.journal->EnsureStream(id, bit_rate, envelope, 0.0));
@@ -47,7 +57,6 @@ void StreamTelemetry::Add(std::int64_t id, BytesPerSecond bit_rate,
       s.series = sinks_.timelines->AddSeries(name, "bytes");
     }
   }
-  streams_.push_back(s);
 }
 
 void StreamTelemetry::EndCycle(Seconds now, bool overrun,
@@ -67,6 +76,7 @@ void StreamTelemetry::EndCycle(Seconds now, bool overrun,
 
 void StreamTelemetry::ScanStreamUnderflows(std::size_t i, Seconds now,
                                            const PlaybackBatch& play) {
+  if (streams_.empty()) return;
   const bool bad = TakeUnderflows(i, now, play) > 0;
   obs::SloRecord(slo_underflow_, now, bad ? 0 : 1, bad ? 1 : 0);
 }

@@ -66,25 +66,31 @@ class StreamTelemetry {
  public:
   static constexpr std::ptrdiff_t kNoSession = -1;
 
-  /// Registers the standard SLOs and reserves room for `num_streams`.
-  StreamTelemetry(const Sinks& sinks, std::size_t num_streams,
-                  StreamTelemetryOptions options = {});
+  /// Binds the telemetry to `sinks` for `num_streams` streams, as a fresh
+  /// one, keeping its capacity: registers the standard SLOs and, when a
+  /// sink keeps per-stream state (journal, occupancy gauges, timelines,
+  /// SLOs), sizes one record per stream. Set() then registers each
+  /// stream; without such a sink no record is kept at all.
+  void Reset(const Sinks& sinks, std::size_t num_streams,
+             StreamTelemetryOptions options = {});
 
-  /// Registers the next stream (cold path): its journal slot at t = 0
-  /// under `envelope`, and its stream.<id><suffix> occupancy gauge and
-  /// timeline series. `session` is the PlaybackBatch index whose
-  /// underflows the stream reports, or kNoSession for a recording.
-  void Add(std::int64_t id, BytesPerSecond bit_rate, Bytes envelope,
-           std::ptrdiff_t session, const char* suffix = ".dram_bytes");
+  /// Registers stream `i` (cold path, in stream order): its journal slot
+  /// at t = 0 under `envelope`, and its stream.<id><suffix> occupancy
+  /// gauge and timeline series. `session` is the PlaybackBatch index
+  /// whose underflows the stream reports, or kNoSession for a recording.
+  void Set(std::size_t i, std::int64_t id, BytesPerSecond bit_rate,
+           Bytes envelope, std::ptrdiff_t session,
+           const char* suffix = ".dram_bytes");
 
   /// A deposit (or drain) of `bytes` left stream `i`'s buffer at `level`
-  /// at time `t`: occupancy gauge, series point, audited DRAM level and
+  /// at time `t`: audited DRAM level, occupancy gauge, series point and
   /// journaled IO.
   void Deposit(std::size_t i, Seconds t, Bytes bytes, Bytes level) const {
+    obs::RecordDramLevel(sinks_.auditor, i, t, level);
+    if (streams_.empty()) return;
     const Stream& s = streams_[i];
     obs::Update(s.gauge, t, level);
     obs::Record(s.series, t, level);
-    obs::RecordDramLevel(sinks_.auditor, i, t, level);
     obs::JournalIo(sinks_.journal, s.jslot, t, bytes, level);
   }
 
@@ -126,14 +132,14 @@ class StreamTelemetry {
               const char* context);
 
  private:
-  /// 32-bit indices keep a record at four words: a farm shard holds
-  /// thousands of them.
+  /// 32-bit indices keep a record at four words: a journaled farm shard
+  /// holds thousands of them.
   struct Stream {
-    std::int32_t session;
-    std::int32_t jslot;    ///< -1 = not journaled
-    std::int64_t uf_seen;  ///< underflow events already journaled
-    obs::TimeWeightedGauge* gauge;
-    obs::TimelineSeries* series;
+    std::int32_t session = kNoSession;
+    std::int32_t jslot = -1;   ///< -1 = not journaled
+    std::int64_t uf_seen = 0;  ///< underflow events already journaled
+    obs::TimeWeightedGauge* gauge = nullptr;
+    obs::TimelineSeries* series = nullptr;
   };
 
   bool journaled(std::size_t i) const {

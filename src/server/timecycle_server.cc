@@ -9,8 +9,16 @@
 namespace memstream::server {
 
 Result<DirectStreamingServer> DirectStreamingServer::Create(
-    device::DiskDrive* disk, std::vector<StreamSpec> streams,
+    device::DiskDrive* disk, const std::vector<StreamSpec>& streams,
     const DirectServerConfig& config) {
+  DirectStreamingServer server;
+  MEMSTREAM_RETURN_IF_ERROR(server.Reset(disk, streams, config));
+  return server;
+}
+
+Status DirectStreamingServer::Reset(device::DiskDrive* disk,
+                                    const std::vector<StreamSpec>& streams,
+                                    const DirectServerConfig& config) {
   if (disk == nullptr) return Status::InvalidArgument("disk is required");
   if (streams.empty()) return Status::InvalidArgument("no streams");
   if (config.cycle <= 0) return Status::InvalidArgument("cycle must be > 0");
@@ -19,48 +27,51 @@ Result<DirectStreamingServer> DirectStreamingServer::Create(
   }
   MEMSTREAM_RETURN_IF_ERROR(CheckDiskStreams(*disk, streams, config.cycle));
   MEMSTREAM_RETURN_IF_ERROR(config.sinks.CheckAuditor(streams.size()));
-  return DirectStreamingServer(disk, std::move(streams), config);
-}
 
-DirectStreamingServer::DirectStreamingServer(device::DiskDrive* disk,
-                                             std::vector<StreamSpec> streams,
-                                             const DirectServerConfig& config)
-    : ServerCore("direct", "timecycle server", disk, {}, config.sinks,
-                 streams.size(), config.seed),
-      streams_(std::move(streams)),
-      config_(config) {
-  play_cursor_.assign(streams_.size(), 0);
-  session_index_.reserve(streams_.size());
+  streams_.assign(streams.begin(), streams.end());
+  config_ = config;
+  const std::size_t n = streams_.size();
+  ResetCore(disk, {}, config_.sinks, n, config_.seed);
+  play_cursor_.assign(n, 0);
+  session_index_.resize(n);
   const auto reads = static_cast<std::size_t>(
       std::count_if(streams_.begin(), streams_.end(), [](const StreamSpec& s) {
         return s.direction == StreamDirection::kRead;
       }));
-  play_.Reserve(reads);
-  record_.Reserve(streams_.size() - reads);
-  for (const auto& s : streams_) {
+  play_.Resize(reads);
+  record_.Resize(n - reads);
+  std::size_t next_play = 0;
+  std::size_t next_record = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const StreamSpec& s = streams_[i];
     // Read streams live under the Theorem-1 double-buffer envelope
     // (2*B*T); write streams under their staging allocation.
     if (s.direction == StreamDirection::kRead) {
-      const std::size_t si = play_.Add(s.id, s.bit_rate);
-      session_index_.push_back(si);
-      telemetry_.Add(s.id, s.bit_rate, 2.0 * s.bit_rate * config_.cycle,
+      const std::size_t si = next_play++;
+      play_.Set(si, s.id, s.bit_rate);
+      session_index_[i] = si;
+      telemetry_.Set(i, s.id, s.bit_rate, 2.0 * s.bit_rate * config_.cycle,
                      static_cast<std::ptrdiff_t>(si));
     } else {
       const Bytes staging =
           config_.staging_ios * s.bit_rate * config_.cycle;
-      session_index_.push_back(record_.Add(s.id, s.bit_rate, staging));
-      telemetry_.Add(s.id, s.bit_rate, staging, StreamTelemetry::kNoSession,
+      const std::size_t si = next_record++;
+      record_.Set(si, s.id, s.bit_rate, staging);
+      session_index_[i] = si;
+      telemetry_.Set(i, s.id, s.bit_rate, staging, StreamTelemetry::kNoSession,
                      ".staging_bytes");
     }
   }
 
   disk_side_.Init(CycleSide::Kind::kDisk, "server.direct", config_.cycle,
                   sinks_.metrics);
+  disk_util_series_ = nullptr;
   if (obs::TimelineRecorder* tl = sinks_.timelines; tl != nullptr) {
     disk_util_series_ =
         tl->AddSeries("device." + disk_name_ + ".cycle_utilization",
                       "fraction");
   }
+  return Status::OK();
 }
 
 void DirectStreamingServer::RunCycle(Seconds deadline) {
@@ -129,6 +140,9 @@ Seconds DirectStreamingServer::FillBestEffort(Seconds t0, Seconds busy) {
 }
 
 Status DirectStreamingServer::StartRun(Seconds duration) {
+  if (streams_.empty()) {
+    return Status::FailedPrecondition("no streams: Reset() the server first");
+  }
   // Untraced, completions apply inline in the cycle loop, in the order
   // the lane would fire them (tests/completion_path_test.cc pins both
   // paths to identical results). That keeps the farm's thousand-stream

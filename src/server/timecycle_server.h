@@ -52,13 +52,25 @@ struct DirectServerConfig {
   Sinks sinks;
 };
 
-/// The baseline server. Construction validates the stream set against the
-/// disk capacity; Run() executes the schedule and fills the report.
+/// The baseline server. Create() and Reset() validate the stream set
+/// against the disk capacity; Run() executes the schedule and fills the
+/// report.
 class DirectStreamingServer final : public ServerCore {
  public:
+  /// A server with no streams: Reset() gives it some before Run().
+  DirectStreamingServer() : ServerCore("direct", "timecycle server") {}
+
   static Result<DirectStreamingServer> Create(
-      device::DiskDrive* disk, std::vector<StreamSpec> streams,
+      device::DiskDrive* disk, const std::vector<StreamSpec>& streams,
       const DirectServerConfig& config);
+
+  /// Makes this server what Create(disk, streams, config) returns, in
+  /// place: every per-stream array keeps its capacity, so a server
+  /// reused for no more streams than it has held allocates nothing for
+  /// them. The server must not be moved once it has run. On error the
+  /// server is unchanged.
+  Status Reset(device::DiskDrive* disk, const std::vector<StreamSpec>& streams,
+               const DirectServerConfig& config);
 
   /// Sessions of the read (play) and write (record) streams, each in
   /// spec order; session(i) is the i-th read stream's.
@@ -69,10 +81,6 @@ class DirectStreamingServer final : public ServerCore {
   std::size_t num_streams() const { return streams_.size(); }
 
  private:
-  DirectStreamingServer(device::DiskDrive* disk,
-                        std::vector<StreamSpec> streams,
-                        const DirectServerConfig& config);
-
   Status StartRun(Seconds duration) override;
   void CloseRun() override;
   void RunCycle(Seconds deadline);

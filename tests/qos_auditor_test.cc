@@ -197,6 +197,92 @@ TEST(QosAuditorTest, RetentionCapKeepsCountingPastTheCap) {
   EXPECT_EQ(auditor.violations().size(), 2u);
 }
 
+/// Registers streams 10, 11, 12 in bulk.
+void AddThreeStreams(QosAuditor* auditor) {
+  const std::vector<std::int32_t> ids = {10, 11, 12};
+  auditor->AddStreams(ids, 1 * kMBps, 2 * kMB);
+}
+
+/// Seals the auditor and drives its three streams through cycles that
+/// breach the IO-count, IO-size, cycle-slack, per-stream and total DRAM
+/// bounds.
+void DriveViolatingRun(QosAuditor* auditor) {
+  auditor->Seal();
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    auditor->RecordIo(0, 1 * kMB);
+    auditor->RecordIo(1, cycle == 2 ? 0.5 * kMB : 1 * kMB);
+    if (cycle != 1) auditor->RecordIo(2, 1 * kMB);
+    auditor->RecordDramLevel(0, cycle + 0.5, (cycle == 3 ? 2.5 : 1.5) * kMB);
+    auditor->RecordDramLevel(1, cycle + 0.5, 1.5 * kMB);
+    auditor->EndDiskCycle(cycle, cycle == 1 ? 1.5 : 0.5);
+  }
+}
+
+std::vector<std::string> ViolationTexts(const QosAuditor& auditor) {
+  std::vector<std::string> out;
+  for (const QosViolation& v : auditor.violations()) {
+    out.push_back(v.ToString());
+  }
+  return out;
+}
+
+// A reused auditor: Reset() after a run with violations leaves exactly
+// what a freshly constructed one reports for the next run.
+TEST(QosAuditorTest, ResetAfterRunMatchesFreshAuditor) {
+  QosAuditorConfig dirty_config;
+  dirty_config.disk_cycle = 2.0;
+  dirty_config.mems_cycle = 0.5;
+  dirty_config.max_violations = 1;
+  QosAuditor reused(dirty_config);
+  for (std::int64_t i = 0; i < 8; ++i) {
+    reused.AddStream(i, 2 * kMBps, 1 * kMB, QosDomain::kMems, i % 2);
+  }
+  reused.Seal();
+  reused.RecordDramLevel(3, 0.2, 4 * kMB);
+  reused.EndMemsCycle(1, 0, 0.9);
+  reused.EndDiskCycle(0, 3.0);
+  ASSERT_GT(reused.total_violations(), 1);
+
+  QosAuditorConfig config;
+  config.disk_cycle = 1.0;
+  config.dram_total_bound = 3.5 * kMB;
+  reused.Reset(config);
+  EXPECT_EQ(reused.num_streams(), 0u);
+  EXPECT_FALSE(reused.sealed());
+  EXPECT_EQ(reused.total_violations(), 0);
+  AddThreeStreams(&reused);
+  DriveViolatingRun(&reused);
+  QosAuditor fresh(config);
+  AddThreeStreams(&fresh);
+  DriveViolatingRun(&fresh);
+
+  ASSERT_GT(fresh.total_violations(), 4);
+  EXPECT_EQ(reused.total_violations(), fresh.total_violations());
+  EXPECT_EQ(reused.disk_cycles_audited(), fresh.disk_cycles_audited());
+  EXPECT_EQ(reused.mems_cycles_audited(), fresh.mems_cycles_audited());
+  EXPECT_EQ(reused.num_streams(), fresh.num_streams());
+  EXPECT_EQ(reused.Summary(), fresh.Summary());
+  EXPECT_EQ(ViolationTexts(reused), ViolationTexts(fresh));
+}
+
+// AddStreams() is AddStream() for a run of ids at once.
+TEST(QosAuditorTest, AddStreamsMatchesAddStream) {
+  QosAuditorConfig config;
+  config.disk_cycle = 1.0;
+  config.dram_total_bound = 3.5 * kMB;
+  QosAuditor bulk(config);
+  AddThreeStreams(&bulk);
+  DriveViolatingRun(&bulk);
+  QosAuditor single(config);
+  for (const std::int64_t id : {10, 11, 12}) {
+    single.AddStream(id, 1 * kMBps, 2 * kMB, QosDomain::kDisk);
+  }
+  DriveViolatingRun(&single);
+  EXPECT_EQ(bulk.num_streams(), 3u);
+  EXPECT_EQ(ViolationTexts(bulk), ViolationTexts(single));
+  EXPECT_EQ(bulk.total_violations(), single.total_violations());
+}
+
 TEST(QosAuditorTest, MarginsLandInMetricsHistograms) {
   MetricsRegistry metrics;
   QosAuditorConfig config;

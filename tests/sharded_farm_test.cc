@@ -1,7 +1,8 @@
 // Sharded farm executor: the determinism contract (byte-identical merged
-// report, journal event order and slo.* gauges at any thread count), the
-// routing decisions against a serial full-scan reference, the
-// failover/readmit semantics of the two placements, and the farm block.
+// report, journal event order and slo.* gauges at any thread count, shard
+// rows independent of their workspace), the routing decisions against a
+// serial full-scan reference, the failover/readmit semantics of the two
+// placements, and the farm block.
 
 #include <algorithm>
 #include <string>
@@ -13,6 +14,7 @@
 #include "common/random.h"
 #include "device/device_catalog.h"
 #include "device/disk.h"
+#include "farm/shard_workspace.h"
 #include "farm/sharded_farm.h"
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
@@ -64,8 +66,52 @@ TEST(ShardedFarmTest, RejectsBadConfig) {
   config.offered_streams = std::int64_t{1} << 31;  // stream ids are int32
   EXPECT_FALSE(RunShardedFarm(config).ok());
   config = SmallFarm();
+  config.num_titles = std::int64_t{1} << 31;  // titles are int32
+  EXPECT_FALSE(RunShardedFarm(config).ok());
+  config = SmallFarm();
   config.duration = 0;
   EXPECT_FALSE(RunShardedFarm(config).ok());
+}
+
+// A shard-epoch's row and per-stream results depend only on its task:
+// a workspace dirtied by a larger shard and by a per-stream (journaled)
+// run yields exactly what a fresh one does.
+TEST(ShardedFarmTest, ShardEpochDoesNotDependOnItsWorkspace) {
+  const ShardedFarmConfig config = SmallFarm();
+  std::vector<std::int32_t> shard;
+  for (std::int32_t i = 0; i < 30; ++i) shard.push_back(3 * i + 1);
+  std::vector<std::int32_t> larger;
+  for (std::int32_t i = 0; i < 90; ++i) larger.push_back(2 * i);
+  const ShardEpochTask task{
+      .ids = shard, .length = 2.5, .seed = 17, .per_stream = true};
+
+  ShardWorkspace fresh(config);
+  const ShardEpoch want = fresh.Run(task);
+  ASSERT_TRUE(want.ran) << want.error;
+  EXPECT_EQ(want.streams, 30);
+  EXPECT_GT(want.ios, 0);
+  ASSERT_EQ(want.per_stream.size(), shard.size());
+  EXPECT_EQ(want.per_stream.back().id, shard.back());
+
+  ShardWorkspace dirty(config);
+  const ShardEpoch big = dirty.Run(
+      {.ids = larger, .length = 4.0, .seed = 3, .per_stream = true});
+  ASSERT_TRUE(big.ran) << big.error;
+  ASSERT_EQ(big.per_stream.size(), larger.size());
+  EXPECT_EQ(dirty.Run(task), want);
+
+  // Without per-stream rows the totals are unchanged.
+  ShardEpochTask totals = task;
+  totals.per_stream = false;
+  ShardEpoch want_totals = want;
+  want_totals.per_stream.clear();
+  EXPECT_EQ(dirty.Run(totals), want_totals);
+  EXPECT_EQ(fresh.Run(totals), want_totals);
+
+  // An empty shard does not run.
+  const ShardEpoch idle = dirty.Run({.ids = {}, .length = 1.0});
+  EXPECT_FALSE(idle.ran);
+  EXPECT_TRUE(idle.error.empty());
 }
 
 TEST(ShardedFarmTest, AdmitsAndServesCleanlyWithoutFaults) {

@@ -340,5 +340,140 @@ TEST(DirectServerTest, CreateValidatesInputs) {
   EXPECT_FALSE(DirectStreamingServer::Create(&disk, tiny, config).ok());
 }
 
+/// One audited run of `streams`: the auditor is registered in spec order
+/// under the Theorem-1 envelope.
+struct AuditedRun {
+  DirectServerConfig config;
+  std::vector<StreamSpec> streams;
+  Seconds duration = 0;
+
+  obs::QosAuditorConfig AuditorConfig() const {
+    obs::QosAuditorConfig qac;
+    qac.disk_cycle = config.cycle;
+    return qac;
+  }
+  void Register(obs::QosAuditor* auditor) const {
+    for (const StreamSpec& s : streams) {
+      auditor->AddStream(s.id, s.bit_rate, 2 * s.bit_rate * config.cycle);
+    }
+    auditor->Seal();
+  }
+};
+
+/// Mixed reads and writes on an undersized cycle, so the run has
+/// overruns, underflows, overflows and audited violations to compare;
+/// sampled rotational delays make it depend on the seed.
+AuditedRun UndersizedMixedRun(const device::DiskDrive& disk, std::int64_t n,
+                              double cycle_factor, std::uint64_t seed) {
+  const BytesPerSecond b = 1 * kMBps;
+  auto cycle = model::IoCycleLength(n, b, model::DiskProfile(disk, n));
+  EXPECT_TRUE(cycle.ok());
+  AuditedRun run;
+  run.config.cycle = cycle.value() * cycle_factor;
+  run.config.deterministic = false;
+  run.config.seed = seed;
+  run.streams = Spread(n, b, disk.Capacity(), 2 * b * cycle.value());
+  for (std::size_t i = 0; i < run.streams.size(); i += 3) {
+    run.streams[i].direction = StreamDirection::kWrite;
+  }
+  run.duration = 20.0;
+  return run;
+}
+
+// A server reset in place after a run behaves exactly like a fresh one
+// over the new stream set: report, every session and the audit.
+TEST(DirectServerTest, ResetAfterRunMatchesFreshServer) {
+  device::DiskDrive used_disk = Future();
+  const AuditedRun dirty = UndersizedMixedRun(used_disk, 60, 0.3, 7);
+  obs::QosAuditor reused_auditor(dirty.AuditorConfig());
+  dirty.Register(&reused_auditor);
+  DirectServerConfig dirty_config = dirty.config;
+  dirty_config.sinks.auditor = &reused_auditor;
+  auto server =
+      DirectStreamingServer::Create(&used_disk, dirty.streams, dirty_config);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_TRUE(server.value().Run(dirty.duration).ok());
+  ASSERT_GT(reused_auditor.total_violations(), 0);
+
+  const AuditedRun run = UndersizedMixedRun(used_disk, 40, 0.5, 11);
+  used_disk.Reset();
+  used_disk.ResetStats();
+  reused_auditor.Reset(run.AuditorConfig());
+  run.Register(&reused_auditor);
+  DirectServerConfig reused_config = run.config;
+  reused_config.sinks.auditor = &reused_auditor;
+  DirectStreamingServer& reused = server.value();
+  ASSERT_TRUE(reused.Reset(&used_disk, run.streams, reused_config).ok());
+  ASSERT_TRUE(reused.Run(run.duration).ok());
+
+  device::DiskDrive fresh_disk = Future();
+  obs::QosAuditor fresh_auditor(run.AuditorConfig());
+  run.Register(&fresh_auditor);
+  DirectServerConfig fresh_config = run.config;
+  fresh_config.sinks.auditor = &fresh_auditor;
+  auto fresh =
+      DirectStreamingServer::Create(&fresh_disk, run.streams, fresh_config);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_TRUE(fresh.value().Run(run.duration).ok());
+
+  const ServerReport& want = fresh.value().report();
+  EXPECT_GT(want.disk.overruns, 0);
+  EXPECT_GT(want.qos.underflow_events, 0);
+  EXPECT_GT(want.qos.violations, 0);
+  EXPECT_TRUE(reused.report() == want);
+  EXPECT_EQ(used_disk.ios_serviced(), fresh_disk.ios_serviced());
+  EXPECT_EQ(reused.num_streams(), run.streams.size());
+
+  const auto plays = reused.play_sessions();
+  const auto want_plays = fresh.value().play_sessions();
+  ASSERT_EQ(plays.size(), want_plays.size());
+  for (std::size_t i = 0; i < plays.size(); ++i) {
+    EXPECT_EQ(plays[i].id(), want_plays[i].id());
+    EXPECT_EQ(plays[i].playing(), want_plays[i].playing());
+    EXPECT_EQ(plays[i].total_deposited(), want_plays[i].total_deposited());
+    EXPECT_EQ(plays[i].peak_level(), want_plays[i].peak_level());
+    EXPECT_EQ(plays[i].underflow_events(), want_plays[i].underflow_events());
+    EXPECT_EQ(plays[i].underflow_time(), want_plays[i].underflow_time());
+  }
+  const auto records = reused.record_sessions();
+  const auto want_records = fresh.value().record_sessions();
+  ASSERT_EQ(records.size(), want_records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].id(), want_records[i].id());
+    EXPECT_EQ(records[i].total_drained(), want_records[i].total_drained());
+    EXPECT_EQ(records[i].peak_level(), want_records[i].peak_level());
+    EXPECT_EQ(records[i].overflow_events(), want_records[i].overflow_events());
+    EXPECT_EQ(records[i].overflow_time(), want_records[i].overflow_time());
+  }
+
+  EXPECT_EQ(reused_auditor.total_violations(),
+            fresh_auditor.total_violations());
+  EXPECT_EQ(reused_auditor.Summary(), fresh_auditor.Summary());
+  ASSERT_EQ(reused_auditor.violations().size(),
+            fresh_auditor.violations().size());
+  for (std::size_t i = 0; i < fresh_auditor.violations().size(); ++i) {
+    EXPECT_EQ(reused_auditor.violations()[i].ToString(),
+              fresh_auditor.violations()[i].ToString());
+  }
+}
+
+TEST(DirectServerTest, ResetValidatesAndLeavesServerUnchanged) {
+  DirectStreamingServer empty;
+  EXPECT_FALSE(empty.Run(1.0).ok());
+
+  device::DiskDrive disk = Future();
+  DirectServerConfig config;
+  config.cycle = 1.0;
+  auto server = DirectStreamingServer::Create(
+      &disk, Spread(4, 1 * kMBps, disk.Capacity(), 4 * kMB), config);
+  ASSERT_TRUE(server.ok());
+  EXPECT_FALSE(server.value().Reset(&disk, {}, config).ok());
+  std::vector<StreamSpec> tiny{{0, 1 * kMBps, 0, 0.5 * kMB}};
+  EXPECT_FALSE(server.value().Reset(&disk, tiny, config).ok());
+  EXPECT_EQ(server.value().num_streams(), 4u);
+  ASSERT_TRUE(server.value().Run(5.0).ok());
+  EXPECT_GT(server.value().report().ios_completed, 0);
+}
+
 }  // namespace
 }  // namespace memstream::server
