@@ -5,6 +5,7 @@
 // claim, so it is checked wholesale rather than at hand-picked points.
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,16 @@ struct SweepPoint {
   std::int64_t k;
   model::CachePolicy policy;
 };
+
+// gtest prints each parameter into the test name; without a printer it
+// dumps the raw bytes, padding included, which differ from build to build.
+void PrintTo(const SweepPoint& p, std::ostream* os) {
+  *os << ServerModeName(p.mode) << " n=" << p.n
+      << " b=" << static_cast<std::int64_t>(p.bit_rate) << " k=" << p.k;
+  if (p.mode == ServerMode::kMemsCache) {
+    *os << " " << model::CachePolicyName(p.policy);
+  }
+}
 
 std::string PointName(const ::testing::TestParamInfo<SweepPoint>& info) {
   const auto& p = info.param;
