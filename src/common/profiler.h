@@ -20,9 +20,9 @@
 //    never silent (see obs::WarnDroppedTelemetry).
 //  - Node counters are relaxed atomics and structural mutation happens
 //    under the registry mutex, so Snapshot() may run concurrently with
-//    live instrumented threads (the /profilez endpoint does exactly
-//    that) and stays clean under TSan. Counter triples read mid-update
-//    may be slightly inconsistent; totals are exact once writers pause.
+//    live instrumented threads and stays clean under TSan. Counter
+//    triples read mid-update may be slightly inconsistent; totals are
+//    exact once writers pause.
 //  - Building with -DMEMSTREAM_PROFILE=OFF (which defines
 //    MEMSTREAM_PROFILE_ENABLED=0) compiles PROF_SCOPE to nothing:
 //    exactly zero code at every instrumentation site.

@@ -13,11 +13,10 @@
 //    time.
 //
 // Every fault start/end is mirrored into the TraceLog (kFaultStart /
-// kFaultEnd, rendered as run-wide markers by the Chrome exporter) and the
-// fault.* metrics; the injector also keeps the run's obs::FaultsBlock —
-// the "faults" object of RunReport v3 — including the shed/re-admit
-// ledger that the DegradationManager's actions feed via RecordShed() /
-// RecordReadmit() / RecordReplan().
+// kFaultEnd records) and the fault.* metrics; the injector also keeps
+// the run's obs::FaultsBlock — the "faults" object of RunReport v3 —
+// including the shed/re-admit ledger that the DegradationManager's
+// actions feed via RecordShed() / RecordReadmit() / RecordReplan().
 //
 // Burst-drop accounting (observability satellite): while >= 1 windowed or
 // device fault is active the TraceLog's dropped_records() is snapshotted

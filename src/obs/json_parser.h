@@ -1,6 +1,6 @@
 // Minimal JSON parser: enough of RFC 8259 for the report-aggregation
-// tooling to read back the artifacts this library writes (run.report.json,
-// Chrome traces). Promoted from tests/json_test_util.h so production
+// tooling to read back the artifacts this library writes
+// (run.report.json). Promoted from tests/json_test_util.h so production
 // tools and tests share one implementation.
 //
 // Not a general-purpose parser: \uXXXX escapes are kept opaque (replaced

@@ -1,7 +1,6 @@
 // Minimal streaming JSON writer (no external dependencies): enough for
-// the Chrome trace exporter and the RunReport. Handles string escaping,
-// comma placement, and non-finite doubles (emitted as null, which every
-// JSON parser accepts where the trace viewers tolerate missing values).
+// the RunReport. Handles string escaping, comma placement, and
+// non-finite doubles (emitted as null, which every JSON parser accepts).
 
 #ifndef MEMSTREAM_OBS_JSON_WRITER_H_
 #define MEMSTREAM_OBS_JSON_WRITER_H_

@@ -122,17 +122,10 @@ std::size_t SloMonitor::size() const {
   return slos_.size();
 }
 
-bool SloMonitor::healthy(std::string* detail) const {
+bool SloMonitor::healthy() const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const Slo& s : slos_) {
-    if (s.exhausted()) {
-      if (detail != nullptr) {
-        *detail = "slo " + s.spec().name + " budget exhausted (attainment " +
-                  std::to_string(s.attainment()) + " < objective " +
-                  std::to_string(s.spec().objective) + ")";
-      }
-      return false;
-    }
+    if (s.exhausted()) return false;
   }
   return true;
 }

@@ -14,9 +14,10 @@
 // Servers feed SLOs from existing per-cycle callbacks (no new sim
 // events, so wiring a monitor never perturbs event order or bench
 // CSVs); the hot path is allocation-free and a null monitor costs one
-// pointer test via the free helpers below. The monitor is
-// mutex-guarded so the metrics_http thread can serve /slostatus and a
-// degraded /healthz while the simulation thread records.
+// pointer test via the free helpers below. The monitor and each Slo
+// are mutex-guarded, so a reader on another thread (StatusJson, the
+// gauges, the run report) sees consistent counts while the simulation
+// thread records.
 //
 // Standard objectives for this codebase (factories below): zero
 // underflows, non-negative cycle slack, admission-decision latency,
@@ -53,7 +54,7 @@ struct SloSpec {
 
 /// Live state of one SLO. Stable-address (owned by SloMonitor's deque);
 /// Record() is allocation-free. Thread-safe: one internal mutex guards
-/// recording against the HTTP reader.
+/// recording against concurrent readers.
 class Slo {
  public:
   explicit Slo(SloSpec spec);
@@ -77,7 +78,7 @@ class Slo {
   /// pace, >1 = on course to exhaust the budget.
   double burn_rate() const;
   /// True once the lifetime budget is overspent (budget_remaining <= 0
-  /// with at least one bad event) — drives the degraded /healthz.
+  /// with at least one bad event) — drives healthy().
   bool exhausted() const;
 
   std::int64_t good() const;
@@ -123,12 +124,10 @@ class SloMonitor {
 
   std::size_t size() const;
 
-  /// False when any SLO's error budget is exhausted. `detail`, when
-  /// non-null, receives a short "slo <name> budget exhausted ..." line
-  /// for the degraded /healthz body.
-  bool healthy(std::string* detail = nullptr) const;
+  /// False when any SLO's error budget is exhausted.
+  bool healthy() const;
 
-  /// JSON document for /slostatus:
+  /// The status document, as the run report's "slo" block carries it:
   /// {"healthy":bool,"slos":[{"name":...,"objective":...,"good":...,
   ///   "bad":...,"attainment":...,"budget_remaining":...,
   ///   "burn_rate":...,"exhausted":...},...]}

@@ -26,8 +26,7 @@
 //    but the first `events_per_stream` transitions — the interesting
 //    early lifecycle — are preserved verbatim.
 //
-// Exports: a "streams" block in RunReport (schema v4), per-stream
-// Chrome-trace lifecycle tracks (ChromeTraceExporter), and stream.*
+// Exports: a "streams" block in RunReport (schema v4) and stream.*
 // summary metrics (PublishSummary).
 
 #ifndef MEMSTREAM_OBS_STREAM_JOURNAL_H_

@@ -1,6 +1,6 @@
 // Timeline recorder: bounded per-series time-series capture for
 // per-stream buffer occupancy and per-device utilization, exportable
-// into the RunReport JSON and as Chrome-trace counter tracks.
+// into the RunReport JSON.
 //
 // Design rules (the PR 1 / PR 2 telemetry contracts):
 //  - Handles returned by AddSeries() are stable pointers; instrumented

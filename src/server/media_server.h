@@ -58,8 +58,8 @@ struct MediaServerConfig {
   bool deterministic = true;
   std::uint64_t seed = 42;
   /// Optional event trace of the simulated server (cycle spans, IO
-  /// completions, buffer levels) — feed to obs::ChromeTraceExporter.
-  /// Not owned; must outlive the call.
+  /// completions, buffer levels), read back after the run. Not owned;
+  /// must outlive the call.
   sim::TraceLog* trace = nullptr;
   /// Optional metrics sink; the chosen server publishes its full
   /// telemetry here. Not owned; must outlive the call.

@@ -5,8 +5,7 @@
 // A TraceLog may be bounded: with a capacity set it becomes a ring
 // buffer that overwrites the oldest record in place and counts the
 // evictions, so a long sim_duration cannot exhaust memory. Records carry an optional
-// `duration` so completion-style events double as spans; the
-// obs::ChromeTraceExporter turns a log into Chrome trace-event JSON.
+// `duration` so completion-style events double as spans.
 
 #ifndef MEMSTREAM_SIM_TRACE_H_
 #define MEMSTREAM_SIM_TRACE_H_

@@ -2,14 +2,9 @@
 // deterministic striped-cache fault run, wired through the stream
 // journal and SLO monitor, must (1) journal the exact shed ->
 // re-admitted transition for a named stream id, (2) burn the
-// availability error budget over the outage, (3) serve that state live
-// on /slostatus, and (4) surface the availability delta when the
-// faulted run is diffed against a clean twin.
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
+// availability error budget over the outage, (3) carry that state in
+// the monitor's status JSON, and (4) surface the availability delta when
+// the faulted run is diffed against a clean twin.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +14,6 @@
 #include "fault/fault_plan.h"
 #include "obs/json_parser.h"
 #include "obs/metrics.h"
-#include "obs/metrics_http.h"
 #include "obs/report_merge.h"
 #include "obs/run_report.h"
 #include "obs/slo.h"
@@ -62,38 +56,6 @@ MediaServerConfig StripedOutage(obs::StreamJournal* journal,
     config.fault_refill_delay = 1.0;
   }
   return config;
-}
-
-std::string HttpGet(int port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string request = "GET " + path +
-                              " HTTP/1.1\r\nHost: localhost\r\n"
-                              "Connection: close\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string response;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
 }
 
 TEST(JournalSloE2eTest, UnrepairedOutageLeavesStreamsStillShed) {
@@ -177,31 +139,22 @@ TEST(JournalSloE2eTest, FaultRunJournalsShedReadmitBurnsBudgetAndDiffs) {
   EXPECT_LT(availability->budget_remaining(), 1.0);
   EXPECT_GT(metrics.gauge("slo.availability.attainment")->value(), 0.0);
 
-  // (3) /slostatus serves the burn live.
-  obs::MetricsHttpServer http;
-  http.SetSloProvider([&slo] { return slo.StatusJson(); });
-  http.SetHealthProvider(
-      [&slo](std::string* detail) { return slo.healthy(detail); });
-  ASSERT_TRUE(http.Start().ok());
-  const std::string response = HttpGet(http.port(), "/slostatus");
-  http.Stop();
-  ASSERT_NE(response.find("HTTP/1.1 200"), std::string::npos) << response;
-  const std::size_t body_at = response.find("\r\n\r\n");
-  ASSERT_NE(body_at, std::string::npos);
+  // (3) The status JSON carries the burn.
+  const std::string status = slo.StatusJson();
   bool ok = false;
-  const obs::JsonValue doc = obs::ParseJson(response.substr(body_at + 4), &ok);
-  ASSERT_TRUE(ok) << response;
+  const obs::JsonValue doc = obs::ParseJson(status, &ok);
+  ASSERT_TRUE(ok) << status;
   const obs::JsonValue* slos = doc.Find("slos");
   ASSERT_NE(slos, nullptr);
-  bool served = false;
+  bool carried = false;
   for (const auto& s : slos->array) {
     if (s.Str("name") == "availability") {
-      served = true;
+      carried = true;
       EXPECT_GT(s.Num("bad"), 0);
       EXPECT_LT(s.Num("attainment"), 1.0);
     }
   }
-  EXPECT_TRUE(served) << response;
+  EXPECT_TRUE(carried) << status;
 
   // (4) Diffing faulted vs clean highlights the availability delta.
   obs::StreamJournal clean_journal;

@@ -1,7 +1,7 @@
 // The hierarchical scoped profiler: nesting and exclusive-time
 // arithmetic under a fake clock, deterministic cross-thread merge,
 // node-table overflow accounting, alloc-delta recording, the disabled
-// null-sink path, and the collapsed-stack / JSON exports.
+// null-sink path, and the collapsed-stack export.
 
 #include "common/profiler.h"
 
@@ -11,9 +11,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "obs/json_parser.h"
-#include "obs/profiler_export.h"
 
 namespace memstream {
 namespace {
@@ -243,32 +240,6 @@ TEST_F(ProfilerTest, CollapsedStackTextUsesSemicolonPathsAndWeights) {
       prof::CollapsedStackText(Profiler::Global().Snapshot());
   EXPECT_NE(folded.find("sim 10\n"), std::string::npos) << folded;
   EXPECT_NE(folded.find("sim;sim.io 30\n"), std::string::npos) << folded;
-}
-
-TEST_F(ProfilerTest, ProfileJsonIsValidAndCarriesTheTree) {
-  {
-    ProfScope outer("json_outer");
-    g_fake_now += 4;
-    {
-      ProfScope inner("json_inner");
-      g_fake_now += 6;
-    }
-  }
-  const std::string json =
-      obs::ProfileJson(Profiler::Global().Snapshot());
-  bool ok = false;
-  const obs::JsonValue doc = obs::ParseJson(json, &ok);
-  ASSERT_TRUE(ok) << json;
-  const obs::JsonValue* roots = doc.Find("roots");
-  ASSERT_NE(roots, nullptr);
-  ASSERT_TRUE(roots->is_array());
-  ASSERT_EQ(roots->array.size(), 1u);
-  EXPECT_EQ(roots->array[0].Str("name"), "json_outer");
-  EXPECT_EQ(roots->array[0].Num("inclusive_ns", -1), 10);
-  const obs::JsonValue* children = roots->array[0].Find("children");
-  ASSERT_NE(children, nullptr);
-  ASSERT_EQ(children->array.size(), 1u);
-  EXPECT_EQ(children->array[0].Str("name"), "json_inner");
 }
 
 }  // namespace
