@@ -96,12 +96,6 @@ Result<Seconds> MemsDevice::SeekTimeTo(Bytes offset) const {
                   target.value().y);
 }
 
-void MemsDevice::ApplyTipLoss(double fraction) {
-  if (fraction < 0) fraction = 0;
-  if (fraction >= 1) fraction = 1 - 1e-9;  // a device never quite hits 0
-  rate_scale_ *= 1.0 - fraction;
-}
-
 Result<Seconds> MemsDevice::Service(const IoSpan& io, Rng* /*rng*/) {
   if (failed_) return Status::Unavailable(name() + " is failed");
   if (io.bytes < 0) return Status::InvalidArgument("negative IO size");
@@ -116,7 +110,7 @@ Result<Seconds> MemsDevice::Service(const IoSpan& io, Rng* /*rng*/) {
 
   const Seconds seek =
       SeekTime(current_region_, current_y_, start.region, start.y);
-  const Seconds transfer = io.bytes / EffectiveTransferRate();
+  const Seconds transfer = io.bytes / params_.transfer_rate;
   current_region_ = end.region;
   current_y_ = end.y;
   const Seconds service = seek + transfer;

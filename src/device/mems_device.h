@@ -94,27 +94,12 @@ class MemsDevice final : public BlockDevice {
   std::int64_t current_region() const { return current_region_; }
   double current_y() const { return current_y_; }
 
-  // --- degradation hooks (src/fault/) ---
-
-  /// Tip-loss fault: a fraction of the active tips stops reading, so the
-  /// effective streaming rate drops by that fraction (the sled still
-  /// covers the same media area). Multiplicative and permanent — probe
-  /// tips do not heal; `fraction` must be in [0, 1).
-  void ApplyTipLoss(double fraction);
+  // --- degradation hook (src/fault/) ---
 
   /// Whole-device failure / repair. A failed device refuses Service()
   /// with Unavailable; position state is kept (repair resumes in place).
   void SetFailed(bool failed) { failed_ = failed; }
   bool failed() const { return failed_; }
-
-  /// Product of (1 - fraction) over every tip-loss applied so far.
-  double rate_scale() const { return rate_scale_; }
-
-  /// transfer_rate scaled by the surviving-tip fraction — the degraded Rm
-  /// the re-planner must size against.
-  BytesPerSecond EffectiveTransferRate() const {
-    return params_.transfer_rate * rate_scale_;
-  }
 
  private:
   explicit MemsDevice(MemsParameters params)
@@ -134,7 +119,6 @@ class MemsDevice final : public BlockDevice {
   Bytes region_capacity_;  ///< bytes per X region (capacity / num_regions)
   std::int64_t current_region_ = 0;
   double current_y_ = 0.0;  ///< fraction of the Y travel, in [0, 1]
-  double rate_scale_ = 1.0;  ///< surviving-tip fraction (tip-loss faults)
   bool failed_ = false;
 };
 

@@ -75,11 +75,7 @@ Status Validate(const ShardedFarmConfig& config) {
 std::vector<Seconds> EpochBoundaries(const ShardedFarmConfig& config) {
   std::vector<Seconds> cuts;
   for (const fault::FaultEvent& e : config.faults.events()) {
-    const bool node_event = e.kind == fault::FaultKind::kMemsDeviceFail ||
-                            e.kind == fault::FaultKind::kMemsDeviceRepair;
-    if (!node_event || e.device < 0 || e.device >= config.num_shards) {
-      continue;
-    }
+    if (e.device < 0 || e.device >= config.num_shards) continue;
     if (e.time > 0 && e.time < config.duration) cuts.push_back(e.time);
   }
   std::sort(cuts.begin(), cuts.end());
@@ -310,7 +306,7 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
               shed.Append(id);
             }
           }
-        } else if (e.kind == fault::FaultKind::kMemsDeviceRepair) {
+        } else {  // repair
           MEMSTREAM_RETURN_IF_ERROR(router.value().SetShardUp(s, true));
           for (const std::int32_t id : shed.Take()) {
             const RouteDecision d = router.value().Route(

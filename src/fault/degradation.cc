@@ -9,17 +9,6 @@
 
 namespace memstream::fault {
 
-namespace {
-
-/// The degraded single-device profile: Rm scaled by the surviving-tip
-/// fraction (latency is positioning-dominated and unchanged).
-model::DeviceProfile ScaleRate(model::DeviceProfile mems, double scale) {
-  mems.rate *= scale;
-  return mems;
-}
-
-}  // namespace
-
 Result<DegradationManager> DegradationManager::Create(
     const DegradationConfig& config) {
   if (config.k < 1) {
@@ -40,12 +29,11 @@ Result<DegradationManager> DegradationManager::Create(
   return DegradationManager(config);
 }
 
-std::int64_t DegradationManager::MaxSustainableFull(std::int64_t alive,
-                                                    double rate_scale) const {
-  if (alive <= 0 || rate_scale <= 0) return 0;
-  const model::DeviceProfile degraded = ScaleRate(config_.mems, rate_scale);
+std::int64_t DegradationManager::MaxSustainableFull(
+    std::int64_t alive) const {
+  if (alive <= 0) return 0;
   std::int64_t n = model::MaxCacheStreamsBandwidthBound(
-      config_.bit_rate, alive, degraded.rate, config_.policy);
+      config_.bit_rate, alive, config_.mems.rate, config_.policy);
   n = std::min(n, config_.n_cache);
   // The bandwidth bound is necessary, not sufficient: near it the
   // Theorem 3/4 buffer diverges. Walk down to the largest n whose sizing
@@ -53,18 +41,16 @@ std::int64_t DegradationManager::MaxSustainableFull(std::int64_t alive,
   // walk would otherwise each allocate an Infeasible message).
   while (n > 0) {
     const double buf = model::ProbeCachePerStream(
-        n, config_.bit_rate, alive, degraded, config_.policy);
+        n, config_.bit_rate, alive, config_.mems, config_.policy);
     if (!std::isnan(buf)) break;
     --n;
   }
   return n;
 }
 
-std::int64_t DegradationManager::MaxSustainable(std::int64_t alive,
-                                                double rate_scale) const {
-  const model::SolveKey key{alive, model::DoubleBits(rate_scale), 1};
+std::int64_t DegradationManager::MaxSustainable(std::int64_t alive) const {
   return sustain_memo_.Lookup(
-      key, [&] { return MaxSustainableFull(alive, rate_scale); },
+      {alive}, [&] { return MaxSustainableFull(alive); },
       [](std::int64_t a, std::int64_t b) { return a == b; });
 }
 
@@ -76,24 +62,18 @@ bool DegradationManager::DiskCanAbsorb(std::int64_t extra) const {
       .ok();
 }
 
-CacheReplan DegradationManager::ReplanFull(std::int64_t alive,
-                                           double rate_scale) const {
+CacheReplan DegradationManager::ReplanFull(std::int64_t alive) const {
   CacheReplan plan;
   std::ostringstream action;
 
   const bool striped_dead =
       config_.policy == model::CachePolicy::kStriped && alive < config_.k;
-  plan.cache_down = striped_dead || alive <= 0 || rate_scale <= 0;
+  plan.cache_down = striped_dead || alive <= 0;
 
   if (!plan.cache_down) {
-    const model::DeviceProfile degraded =
-        ScaleRate(config_.mems, rate_scale);
-    const std::int64_t sustainable =
-        config_.allow_shed ? MaxSustainableFull(alive, rate_scale)
-                           : config_.n_cache;
-    const std::int64_t keep = std::min(config_.n_cache, sustainable);
+    const std::int64_t keep = MaxSustainableFull(alive);
     auto buf = model::CachePerStreamBuffer(keep, config_.bit_rate, alive,
-                                           degraded, config_.policy);
+                                           config_.mems, config_.policy);
     if (keep > 0 && buf.ok()) {
       plan.feasible = true;
       plan.retained = keep;
@@ -117,7 +97,7 @@ CacheReplan DegradationManager::ReplanFull(std::int64_t alive,
 
   // Cache path unusable. Move what the disk can absorb, shed the rest.
   std::int64_t to_disk = 0;
-  if (config_.allow_disk_fallback && config_.disk.rate > 0) {
+  if (config_.disk.rate > 0) {
     // Largest extra with a feasible Theorem 1 sizing (probe kernel: the
     // bisection's infeasible probes are free of Status allocation).
     to_disk = std::max<std::int64_t>(
@@ -146,11 +126,9 @@ CacheReplan DegradationManager::ReplanFull(std::int64_t alive,
   return plan;
 }
 
-const CacheReplan& DegradationManager::Replan(std::int64_t alive,
-                                              double rate_scale) const {
-  const model::SolveKey key{alive, model::DoubleBits(rate_scale), 0};
+const CacheReplan& DegradationManager::Replan(std::int64_t alive) const {
   return replan_memo_.Lookup(
-      key, [&] { return ReplanFull(alive, rate_scale); },
+      {alive}, [&] { return ReplanFull(alive); },
       [](const CacheReplan& a, const CacheReplan& b) { return a == b; });
 }
 

@@ -5,9 +5,9 @@
 // The healthy plan comes from Theorems 3/4 (Eqs. 5-8 specialised to the
 // cache): k devices of rate Rm sustain n cache streams with per-stream
 // buffer CachePerStreamBuffer(n, B̄, k, mems, policy) and MEMS cycle
-// T_mems = S/B̄. A fault shrinks k (device failure) or Rm (tip loss), so
-// the manager re-runs the same formulas with the degraded (k', Rm') and
-// picks the cheapest repair, in order:
+// T_mems = S/B̄. A device failure shrinks k, so the manager re-runs the
+// same formulas with the k' devices still alive and picks the cheapest
+// repair, in order:
 //
 //  1. reshape — the degraded bank still sustains all n streams; only the
 //     cycle length and buffer sizing change (Theorem 4's k becomes k').
@@ -56,7 +56,7 @@ struct CacheReplan {
   bool operator==(const CacheReplan&) const = default;
 };
 
-/// Degraded-state inputs and policy knobs.
+/// Healthy-plan inputs. The cache-down disk fallback needs disk.rate > 0.
 struct DegradationConfig {
   model::CachePolicy policy = model::CachePolicy::kReplicated;
   std::int64_t k = 1;              ///< healthy bank size
@@ -65,9 +65,6 @@ struct DegradationConfig {
   model::DeviceProfile disk;       ///< disk profile (fallback feasibility)
   std::int64_t n_disk = 0;         ///< streams already on the disk path
   std::int64_t n_cache = 0;        ///< streams admitted to the cache path
-  bool allow_reshape = true;
-  bool allow_shed = true;
-  bool allow_disk_fallback = true;
   /// Striped refill: after a repair the stripes must be rebuilt from disk
   /// before cache service resumes; re-admission waits this long.
   Seconds refill_delay = 0;
@@ -75,12 +72,11 @@ struct DegradationConfig {
 
 /// Policy object: the durable state lives in the server + injector; the
 /// manager itself only carries incremental re-solve memos. Fault/repair
-/// sequences revisit the same degraded (alive, rate_scale) states over
-/// and over, so Replan() and MaxSustainable() cache their outcome on the
-/// bit-exact key and a revisit skips the full re-derivation (cross-
-/// checked against the full solver in debug builds). The memos are not
-/// synchronized: a manager must not be shared by concurrently running
-/// servers.
+/// sequences revisit the same alive-device counts over and over, so
+/// Replan() and MaxSustainable() cache their outcome per count and a
+/// revisit skips the full re-derivation (cross-checked against the full
+/// solver in debug builds). The memos are not synchronized: a manager
+/// must not be shared by concurrently running servers.
 class DegradationManager {
  public:
   /// Validates the configuration.
@@ -89,14 +85,13 @@ class DegradationManager {
   const DegradationConfig& config() const { return config_; }
 
   /// Decides the degraded plan for the observed bank state: `alive`
-  /// devices still serving and `rate_scale` = the worst surviving-tip
-  /// fraction among them (1 = no tip loss). Healthy inputs return a
+  /// devices still serving. A healthy bank (alive = k) returns a
   /// full-strength reshape (retained = n_cache, original sizing).
-  const CacheReplan& Replan(std::int64_t alive, double rate_scale) const;
+  const CacheReplan& Replan(std::int64_t alive) const;
 
-  /// Largest stream count the degraded bank sustains with a valid
+  /// Largest stream count `alive` devices sustain with a valid
   /// Theorem 3/4 sizing (bandwidth and buffer both finite).
-  std::int64_t MaxSustainable(std::int64_t alive, double rate_scale) const;
+  std::int64_t MaxSustainable(std::int64_t alive) const;
 
   /// True when the disk path can absorb `extra` more streams on top of
   /// config().n_disk (Theorem 1 bandwidth bound).
@@ -117,9 +112,8 @@ class DegradationManager {
   explicit DegradationManager(const DegradationConfig& config)
       : config_(config) {}
 
-  CacheReplan ReplanFull(std::int64_t alive, double rate_scale) const;
-  std::int64_t MaxSustainableFull(std::int64_t alive,
-                                  double rate_scale) const;
+  CacheReplan ReplanFull(std::int64_t alive) const;
+  std::int64_t MaxSustainableFull(std::int64_t alive) const;
 
   DegradationConfig config_;
   mutable model::SolveMemo<CacheReplan> replan_memo_;

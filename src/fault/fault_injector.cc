@@ -1,8 +1,6 @@
 #include "fault/fault_injector.h"
 
-#include <algorithm>
 #include <iostream>
-#include <sstream>
 
 #include "common/profiler.h"
 
@@ -11,13 +9,6 @@ namespace memstream::fault {
 FaultInjector::FaultInjector(const FaultPlan& plan,
                              const FaultInjectorConfig& config)
     : plan_(plan), config_(config) {
-  for (const auto& e : plan_.events()) {
-    if (e.kind == FaultKind::kDiskLatencySpike) {
-      disk_spikes_.push_back({e.time, e.time + e.duration, e.magnitude});
-    } else if (e.kind == FaultKind::kDramPressure) {
-      dram_windows_.push_back({e.time, e.time + e.duration, e.magnitude});
-    }
-  }
   if (obs::MetricsRegistry* m = config_.metrics; m != nullptr) {
     events_metric_ = m->counter("fault.events");
     repairs_metric_ = m->counter("fault.repairs");
@@ -37,17 +28,7 @@ FaultInjector::FaultInjector(const FaultPlan& plan,
 }
 
 std::string FaultInjector::ActorOf(const FaultEvent& e) const {
-  switch (e.kind) {
-    case FaultKind::kMemsTipLoss:
-    case FaultKind::kMemsDeviceFail:
-    case FaultKind::kMemsDeviceRepair:
-      return "mems" + std::to_string(e.device < 0 ? 0 : e.device);
-    case FaultKind::kDiskLatencySpike:
-      return "disk";
-    case FaultKind::kDramPressure:
-      return "dram";
-  }
-  return "?";
+  return "mems" + std::to_string(e.device < 0 ? 0 : e.device);
 }
 
 void FaultInjector::EnterBurst() {
@@ -75,15 +56,12 @@ void FaultInjector::OnFaultStart(const FaultEvent& e, Seconds now) {
   entry.time = now;
   entry.kind = FaultKindName(e.kind);
   entry.device = e.device;
-  entry.magnitude = e.magnitude;
   block_.timeline.push_back(entry);
   if (config_.trace != nullptr) {
     config_.trace->Append({now, sim::TraceKind::kFaultStart, ActorOf(e), -1,
                            0, FaultKindName(e.kind)});
   }
-  // Permanent tip loss is an instantaneous degradation, not an open
-  // window; everything else stays active until its end/repair.
-  if (e.kind != FaultKind::kMemsTipLoss) EnterBurst();
+  EnterBurst();
 }
 
 void FaultInjector::OnFaultEnd(const FaultEvent& e, Seconds now) {
@@ -93,7 +71,6 @@ void FaultInjector::OnFaultEnd(const FaultEvent& e, Seconds now) {
   entry.time = now;
   entry.kind = FaultKindName(e.kind);
   entry.device = e.device;
-  entry.magnitude = e.magnitude;
   entry.action = "cleared";
   block_.timeline.push_back(entry);
   if (config_.trace != nullptr) {
@@ -106,58 +83,17 @@ void FaultInjector::OnFaultEnd(const FaultEvent& e, Seconds now) {
 Status FaultInjector::ScheduleIn(sim::Simulator& sim,
                                  DeviceFaultHandler device_handler) {
   for (const auto& e : plan_.events()) {
-    switch (e.kind) {
-      case FaultKind::kMemsTipLoss:
-      case FaultKind::kMemsDeviceFail: {
-        MEMSTREAM_RETURN_IF_ERROR(sim.ScheduleAt(e.time, [this, e,
-                                                          device_handler,
-                                                          &sim] {
-          OnFaultStart(e, sim.Now());
+    MEMSTREAM_RETURN_IF_ERROR(
+        sim.ScheduleAt(e.time, [this, e, device_handler, &sim] {
+          if (e.kind == FaultKind::kMemsDeviceFail) {
+            OnFaultStart(e, sim.Now());
+          } else {
+            OnFaultEnd(e, sim.Now());
+          }
           if (device_handler) device_handler(e);
         }));
-        break;
-      }
-      case FaultKind::kMemsDeviceRepair: {
-        MEMSTREAM_RETURN_IF_ERROR(sim.ScheduleAt(e.time, [this, e,
-                                                          device_handler,
-                                                          &sim] {
-          OnFaultEnd(e, sim.Now());
-          if (device_handler) device_handler(e);
-        }));
-        break;
-      }
-      case FaultKind::kDiskLatencySpike:
-      case FaultKind::kDramPressure: {
-        MEMSTREAM_RETURN_IF_ERROR(sim.ScheduleAt(
-            e.time, [this, e, &sim] { OnFaultStart(e, sim.Now()); }));
-        MEMSTREAM_RETURN_IF_ERROR(
-            sim.ScheduleAt(e.time + e.duration, [this, e, &sim] {
-              FaultEvent end = e;
-              OnFaultEnd(end, sim.Now());
-            }));
-        break;
-      }
-    }
   }
   return Status::OK();
-}
-
-Seconds FaultInjector::DiskIoPenalty(Seconds now) const {
-  Seconds penalty = 0;
-  for (const auto& w : disk_spikes_) {
-    if (w.begin > now) break;  // sorted by begin
-    if (now < w.end) penalty += w.magnitude;
-  }
-  return penalty;
-}
-
-double FaultInjector::DramAvailableFraction(Seconds now) const {
-  double available = 1.0;
-  for (const auto& w : dram_windows_) {
-    if (w.begin > now) break;
-    if (now < w.end) available *= 1.0 - w.magnitude;
-  }
-  return available;
 }
 
 void FaultInjector::RecordShed(std::int64_t stream_id, Seconds now,
@@ -216,7 +152,7 @@ void FaultInjector::RecordReplan(const FaultEvent& cause, Seconds now,
 void FaultInjector::Finalize(Seconds horizon) {
   if (finalized_) return;
   finalized_ = true;
-  // Settle the burst accounting for windows still open at run end.
+  // Settle the burst accounting for outages still open at run end.
   if (active_faults_ > 0 && config_.trace != nullptr) {
     block_.dropped_during_burst +=
         config_.trace->dropped_records() - burst_drop_mark_;

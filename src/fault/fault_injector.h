@@ -1,16 +1,9 @@
 // Fault injector: materializes a FaultPlan against one simulated run.
 //
-// The injector has two faces:
-//
-//  - Pure time queries for the window-shaped faults. Disk latency spikes
-//    and DRAM pressure are precomputed into sorted windows at
-//    construction, so servers ask DiskIoPenalty(now) per IO and
-//    DramAvailableFraction(now) per re-plan without any event plumbing.
-//  - Event plumbing for the device-shaped faults. ScheduleIn() registers
-//    one simulator callback per fault event; device events (tip loss,
-//    fail, repair) are forwarded to the server's handler so it can mutate
-//    its devices and trigger a degradation re-plan at the right simulated
-//    time.
+// ScheduleIn() registers one simulator callback per fault event; each
+// device failure and repair is forwarded to the server's handler so it
+// can fail or restore its device and trigger a degradation re-plan at
+// the right simulated time.
 //
 // Every fault start/end is mirrored into the TraceLog (kFaultStart /
 // kFaultEnd records) and the fault.* metrics; the injector also keeps
@@ -18,12 +11,12 @@
 // including the shed/re-admit ledger that the DegradationManager's
 // actions feed via RecordShed() / RecordReadmit() / RecordReplan().
 //
-// Burst-drop accounting (observability satellite): while >= 1 windowed or
-// device fault is active the TraceLog's dropped_records() is snapshotted
-// at the burst edges; drops that happened inside bursts are reported
-// separately (faults.dropped_during_burst) and, when nonzero, Finalize()
-// emits one structured warning line on stderr so truncated evidence of a
-// degraded window is never silent.
+// Burst-drop accounting: while >= 1 device is down the TraceLog's
+// dropped_records() is snapshotted at the burst edges; drops that
+// happened inside bursts are reported separately
+// (faults.dropped_during_burst) and, when nonzero, Finalize() emits one
+// structured warning line on stderr so truncated evidence of a degraded
+// window is never silent.
 
 #ifndef MEMSTREAM_FAULT_FAULT_INJECTOR_H_
 #define MEMSTREAM_FAULT_FAULT_INJECTOR_H_
@@ -32,7 +25,6 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "common/units.h"
@@ -59,24 +51,14 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Called at each device-scoped fault's time (tip loss, fail, repair),
-  /// after the injector has done its own bookkeeping.
+  /// Called at each fault's time (fail or repair), after the injector
+  /// has done its own bookkeeping.
   using DeviceFaultHandler = std::function<void(const FaultEvent&)>;
 
-  /// Registers one callback per plan event with the simulator. Windowed
-  /// faults (disk spike, DRAM pressure) also get their end callback.
+  /// Registers one callback per plan event with the simulator.
   /// `device_handler` may be null (faults are then observed but nothing
   /// reacts — the ablation baseline).
   Status ScheduleIn(sim::Simulator& sim, DeviceFaultHandler device_handler);
-
-  // --- pure time queries (valid before/without ScheduleIn) ---
-
-  /// Extra seconds every disk IO pays at `now` (overlapping spikes sum).
-  Seconds DiskIoPenalty(Seconds now) const;
-
-  /// Fraction of the DRAM budget still available at `now` (1 = no
-  /// pressure; overlapping windows multiply their survivals).
-  double DramAvailableFraction(Seconds now) const;
 
   // --- degradation ledger (called by the server / DegradationManager) ---
 
@@ -93,7 +75,7 @@ class FaultInjector {
 
   // --- run end ---
 
-  /// Closes open windows at `horizon`: settles burst-drop accounting,
+  /// Closes open outages at `horizon`: settles burst-drop accounting,
   /// accrues shed time for still-shed streams, publishes the
   /// trace.dropped_records metric, and emits the structured stderr
   /// warning if records were dropped during a fault burst.
@@ -105,12 +87,6 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
 
  private:
-  struct Window {
-    Seconds begin = 0;
-    Seconds end = 0;
-    double magnitude = 0;
-  };
-
   void OnFaultStart(const FaultEvent& e, Seconds now);
   void OnFaultEnd(const FaultEvent& e, Seconds now);
   void EnterBurst();
@@ -119,10 +95,8 @@ class FaultInjector {
 
   FaultPlan plan_;
   FaultInjectorConfig config_;
-  std::vector<Window> disk_spikes_;    ///< sorted by begin
-  std::vector<Window> dram_windows_;   ///< sorted by begin
   obs::FaultsBlock block_;
-  std::int64_t active_faults_ = 0;     ///< open windows + failed devices
+  std::int64_t active_faults_ = 0;     ///< failed devices
   std::int64_t burst_drop_mark_ = 0;   ///< dropped_records() at burst entry
   bool finalized_ = false;
   // Telemetry handles (null when config_.metrics is null).

@@ -7,34 +7,12 @@
 
 namespace memstream::fault {
 
-namespace {
-
-/// Draws a Poisson arrival sequence over [0, horizon) and appends one
-/// event per arrival via `emit(t)`.
-template <typename Emit>
-void DrawArrivals(Rng& rng, double rate, Seconds horizon, Emit emit) {
-  if (rate <= 0) return;
-  Seconds t = rng.NextExponential(rate);
-  while (t < horizon) {
-    emit(t);
-    t += rng.NextExponential(rate);
-  }
-}
-
-}  // namespace
-
 const char* FaultKindName(FaultKind kind) {
   switch (kind) {
-    case FaultKind::kMemsTipLoss:
-      return "mems-tip-loss";
     case FaultKind::kMemsDeviceFail:
       return "mems-device-fail";
     case FaultKind::kMemsDeviceRepair:
       return "mems-device-repair";
-    case FaultKind::kDiskLatencySpike:
-      return "disk-latency-spike";
-    case FaultKind::kDramPressure:
-      return "dram-pressure";
   }
   return "?";
 }
@@ -59,38 +37,23 @@ Result<FaultPlan> FaultPlan::Generate(const FaultPlanConfig& config,
   if (config.num_devices < 1) {
     return Status::InvalidArgument("fault plan needs >= 1 device");
   }
-  if (config.tip_loss_fraction < 0 || config.tip_loss_fraction >= 1) {
-    return Status::InvalidArgument("tip_loss_fraction must be in [0, 1)");
-  }
-  if (config.dram_pressure_fraction < 0 ||
-      config.dram_pressure_fraction >= 1) {
-    return Status::InvalidArgument(
-        "dram_pressure_fraction must be in [0, 1)");
-  }
   if (config.repair_after <= 0) {
     return Status::InvalidArgument("repair_after must be > 0");
   }
 
   Rng rng(seed);
   std::vector<FaultEvent> events;
+  if (config.device_fail_rate <= 0) return FaultPlan(std::move(events));
 
-  DrawArrivals(rng, config.tip_loss_rate, config.horizon, [&](Seconds t) {
-    FaultEvent e;
-    e.time = t;
-    e.kind = FaultKind::kMemsTipLoss;
-    e.device = rng.NextInt(0, config.num_devices - 1);
-    e.magnitude = config.tip_loss_fraction;
-    events.push_back(e);
-  });
-
-  // Device failures: drop arrivals that hit a device still down (the
-  // repair schedule below keeps one outage per device at a time).
+  // Poisson arrivals over [0, horizon). An arrival that hits a device
+  // still down is dropped (one outage per device at a time).
   std::vector<Seconds> down_until(
       static_cast<std::size_t>(config.num_devices), -1);
-  DrawArrivals(rng, config.device_fail_rate, config.horizon, [&](Seconds t) {
+  for (Seconds t = rng.NextExponential(config.device_fail_rate);
+       t < config.horizon; t += rng.NextExponential(config.device_fail_rate)) {
     const auto dev =
         static_cast<std::size_t>(rng.NextInt(0, config.num_devices - 1));
-    if (t < down_until[dev]) return;  // still failed: no double-fault
+    if (t < down_until[dev]) continue;  // still failed: no double-fault
     down_until[dev] = t + config.repair_after;
     FaultEvent fail;
     fail.time = t;
@@ -103,26 +66,7 @@ Result<FaultPlan> FaultPlan::Generate(const FaultPlanConfig& config,
     repair.device = static_cast<std::int64_t>(dev);
     repair.duration = config.repair_after;
     events.push_back(repair);
-  });
-
-  DrawArrivals(rng, config.disk_spike_rate, config.horizon, [&](Seconds t) {
-    FaultEvent e;
-    e.time = t;
-    e.kind = FaultKind::kDiskLatencySpike;
-    e.magnitude = config.disk_spike_penalty;
-    e.duration = config.disk_spike_duration;
-    events.push_back(e);
-  });
-
-  DrawArrivals(rng, config.dram_pressure_rate, config.horizon,
-               [&](Seconds t) {
-                 FaultEvent e;
-                 e.time = t;
-                 e.kind = FaultKind::kDramPressure;
-                 e.magnitude = config.dram_pressure_fraction;
-                 e.duration = config.dram_pressure_duration;
-                 events.push_back(e);
-               });
+  }
 
   return FaultPlan(std::move(events));
 }
@@ -132,7 +76,6 @@ std::string FaultPlan::ToString() const {
   for (const auto& e : events_) {
     out << "t=" << e.time << "s " << FaultKindName(e.kind);
     if (e.device >= 0) out << " device=" << e.device;
-    if (e.magnitude > 0) out << " magnitude=" << e.magnitude;
     if (e.duration > 0) out << " duration=" << e.duration << "s";
     out << "\n";
   }

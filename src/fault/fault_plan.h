@@ -1,19 +1,16 @@
 // Fault plans: a deterministic, time-ordered schedule of injected faults.
 //
 // A plan is either scripted (explicit FaultEvent list, for tests and
-// targeted scenarios) or generated from per-kind Poisson rates with a
+// targeted scenarios) or generated from a Poisson failure rate with a
 // seeded Rng, so the same (config, seed) pair always yields the same
 // fault sequence — sweeps over fault rates stay reproducible at any
 // thread count because the plan is materialized up front, not sampled
 // during the run.
 //
-// Fault kinds model the failure modes the paper's hardware is exposed
-// to: MEMS probe-tip loss (a fraction of the tips stops reading, the
-// effective Rm drops), whole-MEMS-device failure with later repair
-// (a replicated bank keeps serving at k-1, a striped bank loses its
-// content), disk latency spikes (retries / thermal recalibration), and
-// transient DRAM buffer-pool pressure (a co-tenant steals part of the
-// buffer budget for a window).
+// The one fault kind is whole-MEMS-device failure with later repair: the
+// fault under which the paper's striped and replicated cache policies
+// (§3.2) differ. A replicated bank keeps serving at k-1, a striped bank
+// loses its content until the device returns and its stripes refill.
 
 #ifndef MEMSTREAM_FAULT_FAULT_PLAN_H_
 #define MEMSTREAM_FAULT_FAULT_PLAN_H_
@@ -29,11 +26,8 @@ namespace memstream::fault {
 
 /// What kind of fault an event injects.
 enum class FaultKind {
-  kMemsTipLoss,      ///< permanent loss of a tip fraction on one device
   kMemsDeviceFail,   ///< one MEMS device stops servicing IOs
   kMemsDeviceRepair, ///< a failed device returns to service
-  kDiskLatencySpike, ///< disk IOs pay extra latency for a window
-  kDramPressure,     ///< part of the DRAM budget vanishes for a window
 };
 
 const char* FaultKindName(FaultKind kind);
@@ -41,38 +35,21 @@ const char* FaultKindName(FaultKind kind);
 /// One scheduled fault.
 struct FaultEvent {
   Seconds time = 0;
-  FaultKind kind = FaultKind::kMemsTipLoss;
-  /// Affected MEMS device index for device-scoped kinds; -1 otherwise.
+  FaultKind kind = FaultKind::kMemsDeviceFail;
+  /// Affected MEMS device index.
   std::int64_t device = -1;
-  /// Kind-specific severity: tip-loss fraction in [0, 1) for kMemsTipLoss,
-  /// extra seconds per disk IO for kDiskLatencySpike, stolen DRAM fraction
-  /// in [0, 1) for kDramPressure; unused for fail/repair.
-  double magnitude = 0;
-  /// Window length for kDiskLatencySpike / kDramPressure; for
-  /// kMemsDeviceRepair, the outage length it ends (for trace spans).
+  /// For kMemsDeviceRepair, the outage length it ends (for trace spans).
   Seconds duration = 0;
 };
 
-/// Rates and severities for generated plans. A rate of 0 disables that
-/// fault kind; rates are Poisson intensities in events per simulated
-/// second over [0, horizon).
+/// Generated plans: device failures arrive as a Poisson process of
+/// `device_fail_rate` events per simulated second over [0, horizon); a
+/// rate of 0 yields an empty plan.
 struct FaultPlanConfig {
   Seconds horizon = 60;
   std::int64_t num_devices = 1;  ///< MEMS devices to draw targets from
-
-  double tip_loss_rate = 0;
-  double tip_loss_fraction = 0.1;  ///< tips lost per event
-
   double device_fail_rate = 0;
   Seconds repair_after = 10;  ///< outage length; repair event is paired
-
-  double disk_spike_rate = 0;
-  Seconds disk_spike_penalty = 5 * kMillisecond;  ///< extra latency per IO
-  Seconds disk_spike_duration = 2;
-
-  double dram_pressure_rate = 0;
-  double dram_pressure_fraction = 0.25;  ///< DRAM budget fraction stolen
-  Seconds dram_pressure_duration = 2;
 };
 
 /// An immutable, time-sorted fault schedule.
@@ -83,8 +60,8 @@ class FaultPlan {
   /// A plan from an explicit event list (sorted by time, stably).
   static FaultPlan FromScript(std::vector<FaultEvent> events);
 
-  /// Draws per-kind Poisson processes from a seeded Rng. Device failures
-  /// emit a paired kMemsDeviceRepair at fail time + repair_after (also
+  /// Draws the failure process from a seeded Rng. Each failure emits a
+  /// paired kMemsDeviceRepair at fail time + repair_after (also
   /// when that lands past the horizon: the run just ends degraded). A
   /// device already down stays down — overlapping failures of the same
   /// device are dropped rather than double-counted.

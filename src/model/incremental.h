@@ -15,8 +15,8 @@
 // 2. Re-solve memos. Theorem-2 admission and degradation re-plans
 //    evaluate the same solver at the same handful of keys over and
 //    over: every admit + depart pair returns to the previous (n, B̄)
-//    and every fault + repair pair returns to the previous
-//    (alive, rate_scale). SolveMemo caches solver outcomes on the
+//    and every fault + repair pair returns to the previous alive-device
+//    count. SolveMemo caches solver outcomes on the
 //    bit-exact key so a revisit costs a hash probe instead of a full
 //    re-derivation. Theorem-1 admission skips the memo: its solve
 //    costs less than the probe. In debug builds (or with set_cross_check(true))

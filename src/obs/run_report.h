@@ -36,7 +36,7 @@ struct FaultTimelineEntry {
   Seconds time = 0;
   std::string kind;            ///< FaultKindName of the injected fault
   std::int64_t device = -1;    ///< affected MEMS device; -1 = not device-scoped
-  double magnitude = 0;        ///< tip-loss fraction, latency factor, ...
+  double magnitude = 0;        ///< always 0: fail/repair carry no severity
   std::string action;          ///< re-plan outcome ("reshape", "shed 2", ...)
 };
 

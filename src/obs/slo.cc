@@ -122,14 +122,6 @@ std::size_t SloMonitor::size() const {
   return slos_.size();
 }
 
-bool SloMonitor::healthy() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Slo& s : slos_) {
-    if (s.exhausted()) return false;
-  }
-  return true;
-}
-
 std::string SloMonitor::StatusJson() const {
   JsonWriter w;
   WriteJson(&w);

@@ -78,7 +78,8 @@ class Slo {
   /// pace, >1 = on course to exhaust the budget.
   double burn_rate() const;
   /// True once the lifetime budget is overspent (budget_remaining <= 0
-  /// with at least one bad event) — drives healthy().
+  /// with at least one bad event) — clears the status document's
+  /// "healthy" flag.
   bool exhausted() const;
 
   std::int64_t good() const;
@@ -124,10 +125,8 @@ class SloMonitor {
 
   std::size_t size() const;
 
-  /// False when any SLO's error budget is exhausted.
-  bool healthy() const;
-
-  /// The status document, as the run report's "slo" block carries it:
+  /// The status document, as the run report's "slo" block carries it
+  /// ("healthy" is false when any SLO's error budget is exhausted):
   /// {"healthy":bool,"slos":[{"name":...,"objective":...,"good":...,
   ///   "bad":...,"attainment":...,"budget_remaining":...,
   ///   "burn_rate":...,"exhausted":...},...]}

@@ -40,6 +40,9 @@ const char* StreamEventKindName(StreamEventKind kind) {
 
 namespace {
 
+/// Buckets of the per-stream occupancy histogram.
+constexpr std::size_t kOccupancyBuckets = 32;
+
 // Occupancy histogram range. A stream admitted under a known envelope
 // uses [0, 1.25*envelope) so the top quarter of buckets resolves
 // near-bound behaviour and a breach still lands inside the range; with
@@ -58,8 +61,7 @@ StreamJournalEntry::StreamJournalEntry(std::int64_t id, double rate,
     : stream_id(id),
       bit_rate(rate),
       envelope_bytes(envelope),
-      occupancy(0.0, OccupancyHi(rate, envelope),
-                std::max<std::size_t>(options.occupancy_buckets, 1)) {
+      occupancy(0.0, OccupancyHi(rate, envelope), kOccupancyBuckets) {
   events.reserve(std::max<std::size_t>(options.events_per_stream, 2));
 }
 

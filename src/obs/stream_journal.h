@@ -82,8 +82,6 @@ struct StreamJournalOptions {
   /// Lifecycle events retained per stream (>= 2). Later events only
   /// count in events_dropped.
   std::size_t events_per_stream = 16;
-  /// Buckets of the per-stream occupancy histogram.
-  std::size_t occupancy_buckets = 32;
 };
 
 /// Everything the journal knows about one stream. Fields are cumulative

@@ -6,8 +6,18 @@
 #include <utility>
 
 #include "common/profiler.h"
+#include "device/disk_scheduler.h"
 
 namespace memstream::server {
+
+namespace {
+
+/// DRAM-bound factor the auditor is registered with (bound = factor * B̄
+/// * cycle, the double-buffer envelope); re-plans resize the audited
+/// bounds with the same factor.
+constexpr double kDramBoundFactor = 2.0;
+
+}  // namespace
 
 Result<CacheStreamingServer> CacheStreamingServer::Create(
     device::DiskDrive* disk, std::vector<device::MemsDevice> bank,
@@ -74,13 +84,11 @@ CacheStreamingServer::CacheStreamingServer(
   play_.Resize(streams_.size());
   // Cached streams live under the Theorem-3/4 MEMS-cycle envelope, disk
   // streams under Theorem 1's (matching the audited bounds).
-  const double factor =
-      config_.dram_bound_factor > 0 ? config_.dram_bound_factor : 2.0;
   for (std::size_t i = 0; i < streams_.size(); ++i) {
     const auto& s = streams_[i];
     play_.Set(i, s.id, s.bit_rate);
     telemetry_.Set(i, s.id, s.bit_rate,
-                   factor * s.bit_rate *
+                   kDramBoundFactor * s.bit_rate *
                        (s.cached ? config_.mems_cycle : config_.disk_cycle),
                    static_cast<std::ptrdiff_t>(i));
     if (s.cached) {
@@ -169,7 +177,7 @@ void CacheStreamingServer::RunDiskCycle(Seconds deadline) {
 
   const Seconds boundary = t0 + config_.disk_cycle;
   const Seconds busy = ServiceDiskBatch(
-      batch, t0, config_.disk_policy, config_.deterministic,
+      batch, t0, device::SchedulerPolicy::kCLook, config_.deterministic,
       [&](std::size_t i, Bytes bytes, Seconds done, Seconds service) {
         disk_lane_.Push(done, {Completion::kIo, kDiskSource, i, bytes, service,
                                boundary});
@@ -325,8 +333,8 @@ void CacheStreamingServer::TransitionStream(std::size_t i, Placement target) {
     // The stream keeps playing across the switch; bridge the gap until
     // its first disk-cycle deposit (up to one full boundary + batch).
     if (play_.playing(i)) {
-      CushionDeposit(i, config_.dram_bound_factor * streams_[i].bit_rate *
-                            config_.disk_cycle);
+      CushionDeposit(
+          i, kDramBoundFactor * streams_[i].bit_rate * config_.disk_cycle);
     }
   } else {  // back to the cache path
     if (from == Placement::kDisk) {
@@ -391,15 +399,9 @@ void CacheStreamingServer::ApplyReplan(const fault::FaultEvent& cause) {
   if (config_.degradation == nullptr) return;
   const Seconds now = sim_.Now();
 
-  std::int64_t alive = 0;
-  double rate_scale = 1.0;
-  for (std::size_t d = 0; d < bank_.size(); ++d) {
-    if (!device_alive_[d]) continue;
-    ++alive;
-    rate_scale = std::min(rate_scale, bank_[d].rate_scale());
-  }
-  const fault::CacheReplan plan =
-      config_.degradation->Replan(alive, rate_scale);
+  const auto alive = static_cast<std::int64_t>(
+      std::count(device_alive_.begin(), device_alive_.end(), true));
+  const fault::CacheReplan plan = config_.degradation->Replan(alive);
   obs::QosAuditor* auditor = sinks_.auditor;
   if (sinks_.faults != nullptr) {
     sinks_.faults->RecordReplan(cause, now, plan.action);
@@ -422,8 +424,8 @@ void CacheStreamingServer::ApplyReplan(const fault::FaultEvent& cause) {
       for (std::size_t i = 0; i < streams_.size(); ++i) {
         if (streams_[i].cached) continue;
         if (play_.playing(i)) {
-          CushionDeposit(i, config_.dram_bound_factor *
-                                streams_[i].bit_rate * config_.disk_cycle);
+          CushionDeposit(i, kDramBoundFactor * streams_[i].bit_rate *
+                                config_.disk_cycle);
         }
         SetTransitionBound(i, config_.disk_cycle, old_disk_cycle);
       }
@@ -480,14 +482,14 @@ void CacheStreamingServer::ApplyReplan(const fault::FaultEvent& cause) {
 void CacheStreamingServer::SetTransitionBound(std::size_t i, Seconds cycle,
                                               Seconds carry_cycle) {
   obs::QosAuditor* auditor = sinks_.auditor;
-  if (auditor == nullptr || config_.dram_bound_factor <= 0) return;
+  if (auditor == nullptr) return;
   // Double-buffer bound on top of whatever the transition left in the
   // buffer (cushions + old-cycle deposits). Deposits land at IO
   // completion, so the old schedule can still deliver one
   // carry_cycle-sized batch after this re-plan ran; the bound admits it
   // and converges back to factor * B̄ * T once the carried bytes drain.
   const Bytes bound = play_.LevelAt(i, sim_.Now()) +
-                      config_.dram_bound_factor * streams_[i].bit_rate * cycle +
+                      kDramBoundFactor * streams_[i].bit_rate * cycle +
                       streams_[i].bit_rate * carry_cycle;
   audited_bound_[i] = bound;
   auditor->SetStreamDramBound(i, bound);
@@ -495,41 +497,23 @@ void CacheStreamingServer::SetTransitionBound(std::size_t i, Seconds cycle,
 
 void CacheStreamingServer::ApplyFaultEvent(const fault::FaultEvent& e) {
   const auto dev = static_cast<std::size_t>(e.device < 0 ? 0 : e.device);
-  switch (e.kind) {
-    case fault::FaultKind::kMemsTipLoss:
-      if (dev < bank_.size()) bank_[dev].ApplyTipLoss(e.magnitude);
-      ApplyReplan(e);
-      break;
-    case fault::FaultKind::kMemsDeviceFail:
-      if (dev < bank_.size()) {
-        bank_[dev].SetFailed(true);
-        device_alive_[dev] = false;
-      }
-      ApplyReplan(e);
-      break;
-    case fault::FaultKind::kMemsDeviceRepair: {
-      if (dev < bank_.size()) {
-        bank_[dev].SetFailed(false);
-        device_alive_[dev] = true;
-      }
-      if (config_.policy == model::CachePolicy::kStriped &&
-          config_.degradation != nullptr) {
-        // Striped content was lost with the device: the stripes must be
-        // refilled from disk before cache service resumes.
-        const Seconds ready =
-            sim_.Now() + config_.degradation->config().refill_delay;
-        if (ready < horizon_) {
-          sim_.ScheduleAt(ready, [this, e]() { ApplyReplan(e); });
-        }
-      } else {
-        ApplyReplan(e);
-      }
-      break;
-    }
-    case fault::FaultKind::kDiskLatencySpike:
-    case fault::FaultKind::kDramPressure:
-      break;  // window faults act through the injector's time queries
+  const bool failed = e.kind == fault::FaultKind::kMemsDeviceFail;
+  if (dev < bank_.size()) {
+    bank_[dev].SetFailed(failed);
+    device_alive_[dev] = !failed;
   }
+  if (!failed && config_.policy == model::CachePolicy::kStriped &&
+      config_.degradation != nullptr) {
+    // Striped content was lost with the device: the stripes must be
+    // refilled from disk before cache service resumes.
+    const Seconds ready =
+        sim_.Now() + config_.degradation->config().refill_delay;
+    if (ready < horizon_) {
+      sim_.ScheduleAt(ready, [this, e]() { ApplyReplan(e); });
+    }
+    return;
+  }
+  ApplyReplan(e);
 }
 
 void CacheStreamingServer::StartPlayback(const PlaybackStart& s) {
@@ -554,7 +538,7 @@ Status CacheStreamingServer::StartRun(Seconds duration) {
   audited_bound_.resize(streams_.size());
   for (std::size_t i = 0; i < streams_.size(); ++i) {
     audited_bound_[i] =
-        config_.dram_bound_factor * streams_[i].bit_rate *
+        kDramBoundFactor * streams_[i].bit_rate *
         (streams_[i].cached ? config_.mems_cycle : config_.disk_cycle);
   }
 

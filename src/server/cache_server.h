@@ -12,7 +12,6 @@
 
 #include "common/status.h"
 #include "device/disk.h"
-#include "device/disk_scheduler.h"
 #include "device/mems_device.h"
 #include "fault/degradation.h"
 #include "model/mems_cache.h"
@@ -46,20 +45,18 @@ struct CacheServerConfig {
   Seconds disk_cycle = 1.0;
   Seconds mems_cycle = 0.5;
   model::CachePolicy policy = model::CachePolicy::kStriped;
-  device::SchedulerPolicy disk_policy = device::SchedulerPolicy::kCLook;
   bool deterministic = true;
   std::uint64_t seed = 42;
   /// Optional sinks. Register the auditor's streams in spec order:
   /// uncached streams with domain kDisk, cached streams with domain kMems
   /// (replicated policy: device = position-among-cached mod k; striped:
   /// device 0, the lock-step cycle closes with device -1). The plan's
-  /// device faults are applied to the bank (tip loss, fail, repair) and
-  /// disk IOs pay the spike penalty. The journal holds cached streams
-  /// under the Theorem-3/4 MEMS-cycle envelope and disk streams under
-  /// Theorem 1's; degradation verdicts land as kShed / kReadmitted /
-  /// kDegraded transitions. The SLO monitor gets "cycle_slack" and
-  /// "underflow" per cycle plus "availability" (shed streams burn the
-  /// budget).
+  /// device failures and repairs are applied to the bank. The journal
+  /// holds cached streams under the Theorem-3/4 MEMS-cycle envelope and
+  /// disk streams under Theorem 1's; degradation verdicts land as kShed /
+  /// kReadmitted / kDegraded transitions. The SLO monitor gets
+  /// "cycle_slack" and "underflow" per cycle plus "availability" (shed
+  /// streams burn the budget).
   Sinks sinks;
   /// Optional graceful degradation: on every device fault the manager
   /// re-solves the Theorem 3/4 sizing for the degraded bank and the
@@ -68,10 +65,6 @@ struct CacheServerConfig {
   /// streams back to the disk path. Null = faults hit an unmanaged
   /// server (the ablation baseline). Not owned.
   const fault::DegradationManager* degradation = nullptr;
-  /// DRAM-bound factor the auditor was registered with (bound =
-  /// factor * B̄ * cycle); re-plans resize the audited bounds with the
-  /// same factor. 0 disables bound updates.
-  double dram_bound_factor = 2.0;
 };
 
 /// The cache server. Owns the MEMS bank; the disk is borrowed (and may be

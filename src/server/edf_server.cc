@@ -112,7 +112,7 @@ void EdfStreamingServer::ServiceNext() {
       config_.deterministic ? nullptr : &rng_);
   if (!service.ok()) return;  // unreachable: validated in Create
   busy_ = true;
-  const Seconds service_time = service.value() + DiskIoPenalty(now);
+  const Seconds service_time = service.value();
   const Seconds done = now + service_time;
   report_.disk.busy += service_time;
   ++report_.ios_completed;

@@ -168,10 +168,9 @@ Result<MediaServerResult> RunBuffer(const MediaServerConfig& config,
   auto range = model::FeasibleTdiskRange(config.num_streams,
                                          config.bit_rate, params);
   MEMSTREAM_RETURN_IF_ERROR(range.status());
-  Seconds t_disk = config.t_disk_override > 0
-                       ? config.t_disk_override
-                       : std::min(range.value().lower * 1.5,
-                                  range.value().upper);
+  // 1.5x the minimum feasible T_disk keeps simulated cycles short.
+  const Seconds t_disk =
+      std::min(range.value().lower * 1.5, range.value().upper);
   auto sizing = model::SolveMemsBuffer(config.num_streams, config.bit_rate,
                                        params, t_disk);
   MEMSTREAM_RETURN_IF_ERROR(sizing.status());

@@ -52,9 +52,6 @@ struct MediaServerConfig {
   std::int64_t num_streams = 10;
   BytesPerSecond bit_rate = 1 * kMBps;
   Seconds sim_duration = 60;
-  /// Disk IO cycle override for kMemsBuffer (0 = auto: 1.5x the minimum
-  /// feasible T_disk, keeping simulated cycles short).
-  Seconds t_disk_override = 0;
   bool deterministic = true;
   std::uint64_t seed = 42;
   /// Optional event trace of the simulated server (cycle spans, IO

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/profiler.h"
+#include "device/disk_scheduler.h"
 
 namespace memstream::server {
 
@@ -141,7 +142,7 @@ void MemsPipelineServer::RunDiskCycle(Seconds deadline) {
   // precedes their cycle start, which the lane's (time, seq) order
   // guarantees.
   const Seconds busy = ServiceDiskBatch(
-      batch, t0, config_.disk_policy, config_.deterministic,
+      batch, t0, device::SchedulerPolicy::kCLook, config_.deterministic,
       [&](std::size_t i, Bytes bytes, Seconds done, Seconds service) {
         disk_lane_.Push(done, {DiskCompletion::kIo, i, bytes, service});
       });
@@ -297,20 +298,8 @@ void MemsPipelineServer::ApplyFaultEvent(const fault::FaultEvent& e) {
   if (e.device < 0 || static_cast<std::size_t>(e.device) >= bank_.size()) {
     return;
   }
-  auto& dev = bank_[static_cast<std::size_t>(e.device)];
-  switch (e.kind) {
-    case fault::FaultKind::kMemsTipLoss:
-      dev.ApplyTipLoss(e.magnitude);
-      break;
-    case fault::FaultKind::kMemsDeviceFail:
-      dev.SetFailed(true);
-      break;
-    case fault::FaultKind::kMemsDeviceRepair:
-      dev.SetFailed(false);
-      break;
-    default:
-      break;
-  }
+  bank_[static_cast<std::size_t>(e.device)].SetFailed(
+      e.kind == fault::FaultKind::kMemsDeviceFail);
 }
 
 void MemsPipelineServer::CloseRun() {

@@ -23,7 +23,6 @@
 
 #include "common/status.h"
 #include "device/disk.h"
-#include "device/disk_scheduler.h"
 #include "device/mems_device.h"
 #include "model/mems_buffer.h"
 #include "obs/metrics.h"
@@ -40,7 +39,6 @@ namespace memstream::server {
 struct MemsPipelineConfig {
   Seconds t_disk = 1.0;
   Seconds t_mems = 0.1;
-  device::SchedulerPolicy disk_policy = device::SchedulerPolicy::kCLook;
   /// §3.1.2 placement: round-robin (the paper's choice) routes each disk
   /// IO whole to one device; striped splits every IO across all k
   /// devices in lock-step (implemented so the rejected design can be
@@ -53,11 +51,10 @@ struct MemsPipelineConfig {
   /// domain kDisk: MEMS-side reads are legally partial through drain
   /// jitter, so only the disk cycle's one-IO-per-stream invariant is
   /// byte-checked. The journal holds each stream under the Theorem-2
-  /// envelope (2 * B * T_mems). Fault plans add disk latency spikes, slow
-  /// a device on tip loss, and stop a failed device until its repair (its
-  /// streams starve: the pipeline has no degradation manager). The
-  /// "cycle_slack" SLO takes disk and MEMS cycle outcomes; "underflow" is
-  /// scanned once per disk cycle.
+  /// envelope (2 * B * T_mems). A fault plan stops a failed device until
+  /// its repair (its streams starve: the pipeline has no degradation
+  /// manager). The "cycle_slack" SLO takes disk and MEMS cycle outcomes;
+  /// "underflow" is scanned once per disk cycle.
   Sinks sinks;
 };
 
@@ -82,8 +79,8 @@ class MemsPipelineServer final : public ServerCore {
 
   Status StartRun(Seconds duration) override;
   void CloseRun() override;
-  /// Device faults act directly on the bank: tip loss slows the device,
-  /// fail makes Service() return Unavailable until the paired repair.
+  /// Device faults act directly on the bank: fail makes Service() return
+  /// Unavailable until the paired repair.
   void ApplyFaultEvent(const fault::FaultEvent& e) override;
   void RunDiskCycle(Seconds deadline);
   void RunMemsCycle(std::size_t dev, Seconds deadline);

@@ -149,7 +149,7 @@ Status ServerCore::Run(Seconds duration) {
   MEMSTREAM_RETURN_IF_ERROR(StartRun(duration));
   if (sinks_.faults != nullptr) {
     // Device faults act on the bank; without one they are only observed
-    // (trace + metrics), and only the disk-spike windows change behaviour.
+    // (trace + metrics).
     fault::FaultInjector::DeviceFaultHandler handler;
     if (!bank_.empty()) {
       handler = [this](const fault::FaultEvent& e) { ApplyFaultEvent(e); };

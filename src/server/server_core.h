@@ -212,9 +212,9 @@ class ServerCore {
   DiskBatch NewDiskBatch(std::size_t capacity, bool sparse = false);
 
   /// Services `batch` in `policy` order from the last head position.
-  /// Each IO pays the fault plan's latency spike, counts toward the
-  /// completed IOs and the audit, and is handed back as
-  /// `done(stream, bytes, done_time, service)`. Returns the busy time.
+  /// Each IO counts toward the completed IOs and the audit, and is
+  /// handed back as `done(stream, bytes, done_time, service)`. Returns
+  /// the busy time.
   template <typename Done>
   Seconds ServiceDiskBatch(const DiskBatch& batch, Seconds t0,
                            device::SchedulerPolicy policy,
@@ -230,10 +230,7 @@ class ServerCore {
       const device::IoSpan& io = batch.ios[pos];
       auto st = disk_->Service(io, deterministic ? nullptr : &rng_);
       if (!st.ok()) continue;  // unreachable: extents validated in Create
-      Seconds service = st.value();
-      if (sinks_.faults != nullptr) {
-        service += sinks_.faults->DiskIoPenalty(t0 + busy);
-      }
+      const Seconds service = st.value();
       busy += service;
       last_head_offset_ = io.offset;
       ++report_.ios_completed;
@@ -248,11 +245,6 @@ class ServerCore {
   /// the slowest device's time. False when a device failed (it moves
   /// nothing).
   bool ServiceLockStep(const device::IoSpan& span, Seconds* elapsed);
-
-  /// The fault plan's extra seconds for a disk IO issued at `now`.
-  Seconds DiskIoPenalty(Seconds now) const {
-    return sinks_.faults != nullptr ? sinks_.faults->DiskIoPenalty(now) : 0;
-  }
 
   device::DiskDrive* disk_ = nullptr;
   std::vector<device::MemsDevice> bank_;

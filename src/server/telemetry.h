@@ -38,8 +38,8 @@ struct Sinks {
   obs::QosAuditor* auditor = nullptr;
   /// Per-stream DRAM occupancy series, plus the server's device series.
   obs::TimelineRecorder* timelines = nullptr;
-  /// Fault plan: disk IOs pay its latency spikes; MEMS servers apply its
-  /// device faults to their bank.
+  /// Fault plan: MEMS servers apply its device failures and repairs to
+  /// their bank; the direct and EDF servers only observe it.
   fault::FaultInjector* faults = nullptr;
   /// Lifecycle journal: streams self-register at Create under the
   /// server's DRAM envelope and depart when Run() ends.

@@ -8,6 +8,15 @@
 
 namespace memstream::server {
 
+namespace {
+
+/// Staging allocation per write stream, in IO-sized units; the
+/// double-buffered schedule needs at most ~2 (see the validation tests),
+/// so this leaves a little slack.
+constexpr double kStagingIos = 2.2;
+
+}  // namespace
+
 Result<DirectStreamingServer> DirectStreamingServer::Create(
     device::DiskDrive* disk, const std::vector<StreamSpec>& streams,
     const DirectServerConfig& config) {
@@ -22,9 +31,6 @@ Status DirectStreamingServer::Reset(device::DiskDrive* disk,
   if (disk == nullptr) return Status::InvalidArgument("disk is required");
   if (streams.empty()) return Status::InvalidArgument("no streams");
   if (config.cycle <= 0) return Status::InvalidArgument("cycle must be > 0");
-  if (config.staging_ios < 1.0) {
-    return Status::InvalidArgument("staging_ios must be >= 1");
-  }
   MEMSTREAM_RETURN_IF_ERROR(CheckDiskStreams(*disk, streams, config.cycle));
   MEMSTREAM_RETURN_IF_ERROR(config.sinks.CheckAuditor(streams.size()));
 
@@ -53,8 +59,7 @@ Status DirectStreamingServer::Reset(device::DiskDrive* disk,
       telemetry_.Set(i, s.id, s.bit_rate, 2.0 * s.bit_rate * config_.cycle,
                      static_cast<std::ptrdiff_t>(si));
     } else {
-      const Bytes staging =
-          config_.staging_ios * s.bit_rate * config_.cycle;
+      const Bytes staging = kStagingIos * s.bit_rate * config_.cycle;
       const std::size_t si = next_record++;
       record_.Set(si, s.id, s.bit_rate, staging);
       session_index_[i] = si;
@@ -106,7 +111,7 @@ void DirectStreamingServer::RunCycle(Seconds deadline) {
           ApplyCompletion(done, c);
         }
       });
-  if (config_.best_effort_io > 0) busy = FillBestEffort(t0, busy);
+  if (config_.best_effort_io > 0) busy = FillBestEffort(busy);
 
   const Seconds next = CloseCycle(disk_side_, t0, busy, config_.cycle,
                                   completions_, {Completion::kCycleEnd});
@@ -116,22 +121,20 @@ void DirectStreamingServer::RunCycle(Seconds deadline) {
   }
 }
 
-Seconds DirectStreamingServer::FillBestEffort(Seconds t0, Seconds busy) {
-  // Each candidate is admitted only if its worst-case service time, plus
-  // the latency spike it would pay, still fits before the boundary, so
-  // the next real-time cycle never slips (§3.1.2).
+Seconds DirectStreamingServer::FillBestEffort(Seconds busy) {
+  // Each candidate is admitted only if its worst-case service time still
+  // fits before the boundary, so the next real-time cycle never slips
+  // (§3.1.2).
   const Seconds worst_case =
       disk_->MaxAccessLatency() +
       config_.best_effort_io / disk_->parameters().inner_rate;
-  for (;;) {
-    const Seconds penalty = DiskIoPenalty(t0 + busy);
-    if (!(busy + worst_case + penalty < config_.cycle)) break;
+  while (busy + worst_case < config_.cycle) {
     const auto span = static_cast<std::int64_t>(disk_->Capacity() -
                                                 config_.best_effort_io);
     const device::IoSpan io{rng_.NextInt(0, span), config_.best_effort_io};
     auto st = disk_->Service(io, config_.deterministic ? nullptr : &rng_);
     if (!st.ok()) break;
-    busy += st.value() + penalty;
+    busy += st.value();
     last_head_offset_ = io.offset;
     ++report_.best_effort_ios;
     report_.best_effort_bytes += io.bytes;

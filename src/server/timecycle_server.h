@@ -28,17 +28,12 @@ namespace memstream::server {
 struct DirectServerConfig {
   Seconds cycle = 1.0;  ///< the IO cycle T (from model::IoCycleLength)
   device::SchedulerPolicy policy = device::SchedulerPolicy::kCLook;
-  /// Staging allocation per write stream, in IO-sized units; the
-  /// double-buffered schedule needs at most ~2 (see the validation
-  /// tests), so the default leaves a little slack.
-  double staging_ios = 2.2;
   /// §3.1.2: "Spare bandwidth, if available, can be used for
   /// non-real-time traffic." When > 0, cycle slack left after the
   /// real-time batch is filled with best-effort IOs of this size at
   /// random positions, admitted only while a worst-case-latency IO still
   /// fits before the cycle boundary (so real-time streams are never put
-  /// at risk). Like every disk IO, each pays the fault plan's latency
-  /// spike, and the admission test charges it too.
+  /// at risk).
   Bytes best_effort_io = 0;
   /// Deterministic mode charges the expected rotational delay; otherwise
   /// the delay is sampled per IO from `seed`.
@@ -47,8 +42,8 @@ struct DirectServerConfig {
   /// Optional sinks. Register the auditor's streams in spec order, read
   /// streams domain kDisk. The journal holds read streams under the
   /// Theorem-1 2*B*T envelope and write streams under their staging
-  /// allocation. Fault plans add disk latency spikes; device-scoped
-  /// faults are only observed, as there is no MEMS bank.
+  /// allocation. A fault plan is only observed, as there is no MEMS
+  /// bank.
   Sinks sinks;
 };
 
@@ -86,7 +81,7 @@ class DirectStreamingServer final : public ServerCore {
   void RunCycle(Seconds deadline);
   /// Fills the slack after the real-time batch with best-effort IOs and
   /// returns the cycle's busy time with them.
-  Seconds FillBestEffort(Seconds t0, Seconds busy);
+  Seconds FillBestEffort(Seconds busy);
 
   /// One disk IO completion (or, when traced, the cycle-end marker),
   /// queued on the completion lane for its done time.

@@ -73,8 +73,8 @@ MediaServerConfig Base(ServerMode mode, bool deterministic) {
 fault::FaultPlan FailRepair(std::int64_t device, Seconds fail_at,
                             Seconds repair_at) {
   std::vector<fault::FaultEvent> events;
-  events.push_back({fail_at, fault::FaultKind::kMemsDeviceFail, device, 0, 0});
-  events.push_back({repair_at, fault::FaultKind::kMemsDeviceRepair, device, 0,
+  events.push_back({fail_at, fault::FaultKind::kMemsDeviceFail, device, 0});
+  events.push_back({repair_at, fault::FaultKind::kMemsDeviceRepair, device,
                     repair_at - fail_at});
   return fault::FaultPlan::FromScript(std::move(events));
 }
@@ -96,15 +96,13 @@ MediaServerConfig FaultedCache(model::CachePolicy policy,
   return c;
 }
 
-/// A seeded plan with every device and disk fault kind.
+/// A seeded plan of device failures and their repairs.
 fault::FaultPlan SeededPlan(std::uint64_t seed) {
   fault::FaultPlanConfig pc;
   pc.horizon = 30;
   pc.num_devices = 2;
   pc.device_fail_rate = 0.05;
   pc.repair_after = 4;
-  pc.tip_loss_rate = 0.05;
-  pc.disk_spike_rate = 0.1;
   auto plan = fault::FaultPlan::Generate(pc, seed);
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   return plan.ok() ? std::move(plan).value() : fault::FaultPlan();
@@ -414,7 +412,7 @@ std::vector<Scenario> Scenarios() {
       "cache_striped_fail_only",
       FaultedCache(model::CachePolicy::kStriped,
                    fault::FaultPlan::FromScript(
-                       {{8, fault::FaultKind::kMemsDeviceFail, 1, 0, 0}}))));
+                       {{8, fault::FaultKind::kMemsDeviceFail, 1, 0}}))));
   MediaServerConfig pipeline_faults = Base(ServerMode::kMemsBuffer, true);
   pipeline_faults.fault_plan = FailRepair(0, 6, 9);
   out.push_back(Facade("buffer_facade_fail_repair", pipeline_faults));
@@ -519,9 +517,9 @@ constexpr PinnedTrace kPinned[] = {
     {"cache_replicated_sampled", 182094, 0xeaa96de17130a303ull},
     {"cache_striped_sampled", 60570, 0xf60aea72a6e776f9ull},
     {"cache_replicated_fail_repair", 104702, 0x398d7cf42c58bf4aull},
-    {"cache_replicated_seeded_plan", 105692, 0xd1d73e61ea2c8444ull},
+    {"cache_replicated_seeded_plan", 91430, 0xdf7b26e8cf1985d4ull},
     {"cache_striped_fail_repair", 46850, 0x74f8507829464fdfull},
-    {"cache_striped_seeded_plan", 50841, 0x8f22c68add520a0aull},
+    {"cache_striped_seeded_plan", 50969, 0x9b84b8dfdda3dcc6ull},
     {"cache_striped_fail_only", 17580, 0xce2be28b1109c93aull},
     {"buffer_facade_fail_repair", 55062, 0x87d621becf0cd30bull},
     {"edf_det", 640, 0x07726ec0669aa4d5ull},
@@ -666,12 +664,12 @@ constexpr PinnedSinks kPinnedSinks[] = {
      0x19b43bff8da6fe43ull, 0x548c3f127007b75eull,
      0x6d4b3081b596e701ull, 0x787e71850283f279ull},
     {"cache_replicated_seeded_plan",
-     0x1b1dab0e6875914eull, 0xaa4b8dbeabcd4cb7ull,
-     0x553433f9bd458468ull, 0xecf1f94732705946ull},
+     0x130044579115ca3full, 0xecbf45b6ecd2b33aull,
+     0xf94d18576b593ea3ull, 0x350581eb596bd808ull},
     {"cache_striped_fail_repair", 0xe16ea91356ff6a34ull, 0x7f981064dd19cc18ull,
      0xb97ad2423c40d401ull, 0x26fc99aea134e755ull},
-    {"cache_striped_seeded_plan", 0x7394f04a997e4dd3ull, 0x45c8b4b4193f2971ull,
-     0x32996b405b900418ull, 0xa406c94e7f71ead5ull},
+    {"cache_striped_seeded_plan", 0x5f1b7473b4f48c18ull, 0x4bd3167b0c030898ull,
+     0xf628f9f345c0d3abull, 0x5921d865ba5baa97ull},
     {"cache_striped_fail_only", 0x089877a0366ffa8eull, 0x1c925d2671031e96ull,
      0x2dd5410d5d0743a2ull, 0xfc0fead2381d05f9ull},
     {"buffer_facade_fail_repair", 0xbdfae1e1619fb3e8ull, 0xddef0909947ea4bbull,
@@ -736,9 +734,9 @@ constexpr PinnedReport kPinnedReports[] = {
     {"cache_replicated_sampled", 0xc6aa3832910911b4ull},
     {"cache_striped_sampled", 0xc0ab363ec5652fdfull},
     {"cache_replicated_fail_repair", 0x2a5abcf1210a8523ull},
-    {"cache_replicated_seeded_plan", 0xfd3e3ed1ebeaad6bull},
+    {"cache_replicated_seeded_plan", 0x4fe23a502fb1785dull},
     {"cache_striped_fail_repair", 0x986ee10d207db3ccull},
-    {"cache_striped_seeded_plan", 0xc22cd4b761937572ull},
+    {"cache_striped_seeded_plan", 0x49ed7da546c79906ull},
     {"cache_striped_fail_only", 0xf98199c070e85f7dull},
     {"buffer_facade_fail_repair", 0x05c1b4487b9bd70full},
     {"edf_det", 0xfa48cc855c6f4cc3ull},

@@ -588,8 +588,8 @@ TEST(CycleAllocTest, TracedFaultedCacheServerSteadyStateAllocFree) {
   // re-plans (and their allocations) happen inside both horizons, and
   // the cycles after the repair must allocate nothing more.
   std::vector<fault::FaultEvent> events;
-  events.push_back({4.0, fault::FaultKind::kMemsDeviceFail, 1, 0, 0});
-  events.push_back({8.0, fault::FaultKind::kMemsDeviceRepair, 1, 0, 4.0});
+  events.push_back({4.0, fault::FaultKind::kMemsDeviceFail, 1, 0});
+  events.push_back({8.0, fault::FaultKind::kMemsDeviceRepair, 1, 4.0});
   const fault::FaultPlan plan = fault::FaultPlan::FromScript(events);
   for (const char* region :
        {"server.cache.replicated_mems_cycle", "sim.event.dispatch"}) {

@@ -35,7 +35,7 @@ TEST(DegradationTest, HealthyBankReplansToFullStrength) {
   auto manager =
       DegradationManager::Create(BaseConfig(model::CachePolicy::kReplicated));
   ASSERT_TRUE(manager.ok());
-  CacheReplan plan = manager.value().Replan(2, 1.0);
+  CacheReplan plan = manager.value().Replan(2);
   EXPECT_TRUE(plan.feasible);
   EXPECT_FALSE(plan.cache_down);
   EXPECT_EQ(plan.retained, 15);
@@ -48,8 +48,8 @@ TEST(DegradationTest, ReplicatedDeviceLossReshapesWithLongerCycle) {
   auto manager =
       DegradationManager::Create(BaseConfig(model::CachePolicy::kReplicated));
   ASSERT_TRUE(manager.ok());
-  const CacheReplan healthy = manager.value().Replan(2, 1.0);
-  const CacheReplan degraded = manager.value().Replan(1, 1.0);
+  const CacheReplan healthy = manager.value().Replan(2);
+  const CacheReplan degraded = manager.value().Replan(1);
   EXPECT_TRUE(degraded.feasible);
   EXPECT_FALSE(degraded.cache_down);
   // One G3 device still sustains all 15 cached streams (Theorem 4 with
@@ -61,17 +61,20 @@ TEST(DegradationTest, ReplicatedDeviceLossReshapesWithLongerCycle) {
   EXPECT_NE(degraded.action.find("reshape"), std::string::npos);
 }
 
-TEST(DegradationTest, SevereTipLossShedsFewestStreams) {
+TEST(DegradationTest, ReplicatedDeviceLossShedsFewestStreams) {
   auto config = BaseConfig(model::CachePolicy::kReplicated);
-  config.k = 1;
+  // Two G3 devices carry 60 cached 8 MB/s streams; one alone sustains
+  // only ~40 of them.
+  config.n_cache = 60;
   auto manager = DegradationManager::Create(config);
   ASSERT_TRUE(manager.ok());
-  // 90% tip loss: one device at 0.1 * Rm sustains only a few streams.
-  const CacheReplan plan = manager.value().Replan(1, 0.1);
+  EXPECT_EQ(manager.value().Replan(2).shed, 0);
+  const CacheReplan plan = manager.value().Replan(1);
   ASSERT_TRUE(plan.feasible);
+  EXPECT_FALSE(plan.cache_down);
   EXPECT_GT(plan.shed, 0);
-  EXPECT_EQ(plan.retained + plan.shed, 15);
-  EXPECT_EQ(plan.retained, manager.value().MaxSustainable(1, 0.1));
+  EXPECT_EQ(plan.retained + plan.shed, config.n_cache);
+  EXPECT_EQ(plan.shed, config.n_cache - manager.value().MaxSustainable(1));
   EXPECT_NE(plan.action.find("shed"), std::string::npos);
 }
 
@@ -79,7 +82,7 @@ TEST(DegradationTest, StripedDeviceLossDropsTheCachePath) {
   auto manager =
       DegradationManager::Create(BaseConfig(model::CachePolicy::kStriped));
   ASSERT_TRUE(manager.ok());
-  const CacheReplan plan = manager.value().Replan(1, 1.0);
+  const CacheReplan plan = manager.value().Replan(1);
   EXPECT_TRUE(plan.cache_down);
   EXPECT_EQ(plan.retained, 0);
   // The zoned disk serving 15 streams at 8 MB/s has some headroom, but
@@ -95,7 +98,7 @@ TEST(DegradationTest, DiskFallbackRespectsTheoremOneBound) {
   auto manager =
       DegradationManager::Create(BaseConfig(model::CachePolicy::kStriped));
   ASSERT_TRUE(manager.ok());
-  const CacheReplan plan = manager.value().Replan(0, 1.0);
+  const CacheReplan plan = manager.value().Replan(0);
   // Whatever moved must itself be a feasible Theorem 1 extension...
   EXPECT_TRUE(manager.value().DiskCanAbsorb(plan.to_disk));
   // ...and one more stream must not be (the binary search is maximal).
@@ -104,10 +107,10 @@ TEST(DegradationTest, DiskFallbackRespectsTheoremOneBound) {
 
 TEST(DegradationTest, DisabledFallbackShedsEverythingOnCacheDown) {
   auto config = BaseConfig(model::CachePolicy::kStriped);
-  config.allow_disk_fallback = false;
+  config.disk.rate = 0;  // no disk bandwidth to fall back on
   auto manager = DegradationManager::Create(config);
   ASSERT_TRUE(manager.ok());
-  const CacheReplan plan = manager.value().Replan(1, 1.0);
+  const CacheReplan plan = manager.value().Replan(1);
   EXPECT_TRUE(plan.cache_down);
   EXPECT_EQ(plan.to_disk, 0);
   EXPECT_EQ(plan.shed, 15);

@@ -53,8 +53,8 @@ std::string ViolationDump(const MediaServerResult& result) {
 fault::FaultPlan FailRepairPlan(std::int64_t device, Seconds fail_at,
                                 Seconds repair_at) {
   std::vector<fault::FaultEvent> events;
-  events.push_back({fail_at, fault::FaultKind::kMemsDeviceFail, device, 0, 0});
-  events.push_back({repair_at, fault::FaultKind::kMemsDeviceRepair, device, 0,
+  events.push_back({fail_at, fault::FaultKind::kMemsDeviceFail, device, 0});
+  events.push_back({repair_at, fault::FaultKind::kMemsDeviceRepair, device,
                     repair_at - fail_at});
   return fault::FaultPlan::FromScript(std::move(events));
 }
@@ -141,8 +141,6 @@ std::string ReportJsonForTask(std::int64_t index) {
   pc.num_devices = 2;
   pc.device_fail_rate = 0.05;
   pc.repair_after = 5;
-  pc.disk_spike_rate = 0.1;
-  pc.tip_loss_rate = 0.02;
   auto plan =
       fault::FaultPlan::Generate(pc, 1000 + static_cast<std::uint64_t>(index));
   EXPECT_TRUE(plan.ok());

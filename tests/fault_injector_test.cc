@@ -13,37 +13,10 @@
 namespace memstream::fault {
 namespace {
 
-FaultPlan WindowPlan() {
-  std::vector<FaultEvent> events;
-  events.push_back({2, FaultKind::kDiskLatencySpike, -1, 0.004, 3});
-  events.push_back({4, FaultKind::kDiskLatencySpike, -1, 0.001, 2});
-  events.push_back({10, FaultKind::kDramPressure, -1, 0.5, 5});
-  events.push_back({12, FaultKind::kDramPressure, -1, 0.2, 5});
-  return FaultPlan::FromScript(std::move(events));
-}
-
-TEST(FaultInjectorTest, DiskPenaltySumsOverlappingSpikes) {
-  FaultInjector injector(WindowPlan(), {});
-  EXPECT_DOUBLE_EQ(injector.DiskIoPenalty(1.0), 0.0);
-  EXPECT_DOUBLE_EQ(injector.DiskIoPenalty(2.5), 0.004);
-  EXPECT_DOUBLE_EQ(injector.DiskIoPenalty(4.5), 0.005);  // both active
-  EXPECT_DOUBLE_EQ(injector.DiskIoPenalty(5.5), 0.001);  // first ended
-  EXPECT_DOUBLE_EQ(injector.DiskIoPenalty(7.0), 0.0);
-}
-
-TEST(FaultInjectorTest, DramWindowsMultiplySurvivingFractions) {
-  FaultInjector injector(WindowPlan(), {});
-  EXPECT_DOUBLE_EQ(injector.DramAvailableFraction(9.0), 1.0);
-  EXPECT_DOUBLE_EQ(injector.DramAvailableFraction(11.0), 0.5);
-  EXPECT_DOUBLE_EQ(injector.DramAvailableFraction(13.0), 0.5 * 0.8);
-  EXPECT_DOUBLE_EQ(injector.DramAvailableFraction(16.0), 0.8);
-  EXPECT_DOUBLE_EQ(injector.DramAvailableFraction(18.0), 1.0);
-}
-
 TEST(FaultInjectorTest, ScheduledEventsFeedTimelineAndMetrics) {
   std::vector<FaultEvent> events;
-  events.push_back({1, FaultKind::kMemsDeviceFail, 0, 0, 0});
-  events.push_back({5, FaultKind::kMemsDeviceRepair, 0, 0, 4});
+  events.push_back({1, FaultKind::kMemsDeviceFail, 0, 0});
+  events.push_back({5, FaultKind::kMemsDeviceRepair, 0, 4});
 
   obs::MetricsRegistry metrics;
   sim::TraceLog trace;
@@ -97,21 +70,26 @@ TEST(FaultInjectorTest, ShedLedgerTracksReadmissionAndShedTime) {
 
 TEST(FaultInjectorTest, ReplanAnnotatesCausingTimelineEntry) {
   std::vector<FaultEvent> events;
-  events.push_back({3, FaultKind::kMemsTipLoss, 1, 0.2, 0});
+  events.push_back({3, FaultKind::kMemsDeviceFail, 1, 0});
+  events.push_back({4, FaultKind::kMemsDeviceRepair, 1, 1});
   FaultInjector injector(FaultPlan::FromScript(std::move(events)), {});
   sim::Simulator sim;
   ASSERT_TRUE(injector.ScheduleIn(sim, nullptr).ok());
   ASSERT_TRUE(sim.Run(5).ok());
-  injector.RecordReplan({3, FaultKind::kMemsTipLoss, 1, 0.2, 0}, 3.0,
+  injector.RecordReplan({3, FaultKind::kMemsDeviceFail, 1, 0}, 3.0,
                         "reshape T_mems=0.5s");
-  ASSERT_EQ(injector.block().timeline.size(), 1u);
+  ASSERT_EQ(injector.block().timeline.size(), 2u);
   EXPECT_EQ(injector.block().timeline[0].action, "reshape T_mems=0.5s");
+  // The annotation lands on the fail entry, not on the later repair.
+  EXPECT_EQ(injector.block().timeline[1].action, "cleared");
   EXPECT_EQ(injector.block().replans, 1);
 }
 
 TEST(FaultInjectorTest, WarnsWhenTraceDropsRecordsDuringBurst) {
   std::vector<FaultEvent> events;
-  events.push_back({1, FaultKind::kDiskLatencySpike, -1, 0.001, 8});
+  // One device outage over [1, 9) is the burst.
+  events.push_back({1, FaultKind::kMemsDeviceFail, 0, 0});
+  events.push_back({9, FaultKind::kMemsDeviceRepair, 0, 8});
   sim::TraceLog trace(4);  // tiny ring: drops are guaranteed
   std::ostringstream warnings;
   FaultInjectorConfig config;

@@ -9,25 +9,23 @@ namespace {
 
 TEST(FaultPlanTest, FromScriptSortsByTimeStably) {
   std::vector<FaultEvent> events;
-  events.push_back({5, FaultKind::kDiskLatencySpike, -1, 0.001, 2});
-  events.push_back({1, FaultKind::kMemsDeviceFail, 0, 0, 0});
-  events.push_back({5, FaultKind::kDramPressure, -1, 0.25, 1});
+  events.push_back({5, FaultKind::kMemsDeviceRepair, 0, 4});
+  events.push_back({1, FaultKind::kMemsDeviceFail, 0, 0});
+  events.push_back({5, FaultKind::kMemsDeviceFail, 1, 0});
   auto plan = FaultPlan::FromScript(std::move(events));
   ASSERT_EQ(plan.size(), 3u);
   EXPECT_EQ(plan.events()[0].kind, FaultKind::kMemsDeviceFail);
   // Equal times keep script order.
-  EXPECT_EQ(plan.events()[1].kind, FaultKind::kDiskLatencySpike);
-  EXPECT_EQ(plan.events()[2].kind, FaultKind::kDramPressure);
+  EXPECT_EQ(plan.events()[1].kind, FaultKind::kMemsDeviceRepair);
+  EXPECT_EQ(plan.events()[2].kind, FaultKind::kMemsDeviceFail);
+  EXPECT_EQ(plan.events()[2].device, 1);
 }
 
 TEST(FaultPlanTest, GenerateIsDeterministicPerSeed) {
   FaultPlanConfig config;
   config.horizon = 100;
   config.num_devices = 4;
-  config.tip_loss_rate = 0.05;
   config.device_fail_rate = 0.05;
-  config.disk_spike_rate = 0.1;
-  config.dram_pressure_rate = 0.02;
 
   auto a = FaultPlan::Generate(config, 7);
   auto b = FaultPlan::Generate(config, 7);
@@ -89,9 +87,7 @@ TEST(FaultPlanTest, EventsAreTimeSortedAndInsideHorizonExceptRepairs) {
   FaultPlanConfig config;
   config.horizon = 50;
   config.num_devices = 3;
-  config.tip_loss_rate = 0.1;
   config.device_fail_rate = 0.1;
-  config.disk_spike_rate = 0.2;
   auto plan = FaultPlan::Generate(config, 19);
   ASSERT_TRUE(plan.ok());
   Seconds last = 0;
@@ -112,7 +108,7 @@ TEST(FaultPlanTest, GenerateRejectsBadConfig) {
   config.num_devices = 0;
   EXPECT_FALSE(FaultPlan::Generate(config, 1).ok());
   config.num_devices = 1;
-  config.tip_loss_fraction = 1.5;
+  config.repair_after = 0;
   EXPECT_FALSE(FaultPlan::Generate(config, 1).ok());
 }
 

@@ -264,9 +264,8 @@ TEST(SolveMemoTest, DegradationReplanNeverDivergesFromFullSolver) {
     Rng rng(505 + static_cast<int>(policy));
     for (int step = 0; step < 3000; ++step) {
       const std::int64_t alive = rng.NextInt(0, config.k);
-      const double rate_scale = 0.25 * rng.NextInt(0, 4);
-      const auto& plan = manager.value().Replan(alive, rate_scale);
-      (void)manager.value().MaxSustainable(alive, rate_scale);
+      const auto& plan = manager.value().Replan(alive);
+      (void)manager.value().MaxSustainable(alive);
       // A replan never invents streams.
       ASSERT_LE(plan.retained + plan.to_disk + plan.shed,
                 config.n_cache + config.k);

@@ -49,8 +49,8 @@ MediaServerConfig StripedOutage(obs::StreamJournal* journal,
   config.metrics = metrics;
   if (faulted) {
     std::vector<fault::FaultEvent> events;
-    events.push_back({kFailAt, fault::FaultKind::kMemsDeviceFail, 1, 0, 0});
-    events.push_back({kRepairAt, fault::FaultKind::kMemsDeviceRepair, 1, 0,
+    events.push_back({kFailAt, fault::FaultKind::kMemsDeviceFail, 1, 0});
+    events.push_back({kRepairAt, fault::FaultKind::kMemsDeviceRepair, 1,
                       kRepairAt - kFailAt});
     config.fault_plan = fault::FaultPlan::FromScript(std::move(events));
     config.fault_refill_delay = 1.0;
@@ -66,7 +66,7 @@ TEST(JournalSloE2eTest, UnrepairedOutageLeavesStreamsStillShed) {
   obs::MetricsRegistry metrics;
   auto config = StripedOutage(&journal, &slo, &metrics, /*faulted=*/false);
   config.fault_plan = fault::FaultPlan::FromScript(
-      {{kFailAt, fault::FaultKind::kMemsDeviceFail, 1, 0, 0}});
+      {{kFailAt, fault::FaultKind::kMemsDeviceFail, 1, 0}});
   auto result = RunMediaServer(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "device/device_catalog.h"
-#include "fault/fault_injector.h"
-#include "fault/fault_plan.h"
 #include "model/profiles.h"
 #include "model/timecycle.h"
 
@@ -173,44 +171,6 @@ TEST(DirectServerTest, BestEffortFillsSlackWithoutJitter) {
   EXPECT_EQ(report.qos.underflow_events, 0);
   // It should push utilization well above the real-time-only level.
   EXPECT_GT(report.disk.utilization, 0.8);
-}
-
-TEST(DirectServerTest, BestEffortIosPayTheDiskLatencySpike) {
-  // One disk latency spike spans the whole run: every disk IO pays it,
-  // best-effort IOs included, and the filler admits one only while the
-  // spike still fits, so the real-time schedule stays intact.
-  device::DiskDrive disk = Future();
-  const std::int64_t n = 20;
-  const BytesPerSecond b = 1 * kMBps;
-  auto cycle = model::IoCycleLength(n, b, model::DiskProfile(disk, n));
-  ASSERT_TRUE(cycle.ok());
-  const Seconds horizon = 30.0;
-  const Seconds spike = 2 * kMillisecond;
-  // The window outlasts the run, so the last cycle's IOs pay it too.
-  fault::FaultInjector faults(
-      fault::FaultPlan::FromScript({{0, fault::FaultKind::kDiskLatencySpike,
-                                     -1, spike, 2 * horizon}}),
-      {});
-
-  DirectServerConfig config;
-  config.cycle = cycle.value() * 2;
-  config.best_effort_io = 256 * kKB;
-  config.sinks.faults = &faults;
-  auto server = DirectStreamingServer::Create(
-      &disk, Spread(n, b, disk.Capacity(), 2 * b * config.cycle), config);
-  ASSERT_TRUE(server.ok());
-  ASSERT_TRUE(server.value().Run(horizon).ok());
-
-  const ServerReport& report = server.value().report();
-  ASSERT_GT(report.best_effort_ios, 0);
-  // The device's own busy time excludes the penalty; the cycles charge it.
-  const Seconds charged = report.disk.busy - disk.busy_seconds();
-  EXPECT_NEAR(charged,
-              spike * static_cast<double>(report.ios_completed +
-                                          report.best_effort_ios),
-              1e-6);
-  EXPECT_EQ(report.disk.overruns, 0);
-  EXPECT_EQ(report.qos.underflow_events, 0);
 }
 
 TEST(DirectServerTest, BestEffortStarvedAtSaturation) {
