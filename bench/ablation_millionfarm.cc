@@ -112,6 +112,7 @@ int main() {
   double total_wall = 0;
   std::int64_t total_admitted = 0;
   std::int64_t total_tasks = 0;
+  std::int64_t total_shard_epochs = 0;
   int sweep_threads = 1;
 
   for (const Run& run : runs) {
@@ -140,6 +141,7 @@ int main() {
     total_wall += r.sweep.wall_seconds;
     total_admitted += r.admitted;
     total_tasks += r.sweep.tasks;
+    total_shard_epochs += r.shard_epochs;
     sweep_threads = r.sweep.threads;
 
     table.AddRow({r.policy, TablePrinter::Cell(r.admitted),
@@ -207,9 +209,10 @@ int main() {
   // farm execution (not IOs — admission routing plus the per-shard merge
   // is the scaling cost this bench guards).
   std::printf(
-      "Sweep: %lld shard-epoch tasks on %d thread(s), %.3f s wall, "
-      "%lld streams admitted (%.0f streams/s)\n",
-      static_cast<long long>(total_tasks), sweep_threads, total_wall,
+      "Sweep: %lld shard-epoch simulations for %lld shard-epochs on %d "
+      "thread(s), %.3f s wall, %lld streams admitted (%.0f streams/s)\n",
+      static_cast<long long>(total_tasks),
+      static_cast<long long>(total_shard_epochs), sweep_threads, total_wall,
       static_cast<long long>(total_admitted),
       total_wall > 0 ? static_cast<double>(total_admitted) / total_wall : 0);
   return 0;

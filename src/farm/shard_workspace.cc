@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <span>
 #include <utility>
 
 #include "common/profiler.h"
@@ -22,7 +24,7 @@ Status ShardWorkspace::Build(const ShardEpochTask& task, Seconds* t_cycle) {
     disk_->Reset();
     disk_->ResetStats();
   }
-  const auto n = static_cast<std::int64_t>(task.ids.size());
+  const std::int64_t n = task.streams;
   auto cycle = model::IoCycleLength(n, cfg.bit_rate,
                                     model::DiskProfile(*disk_, n));
   MEMSTREAM_RETURN_IF_ERROR(cycle.status());
@@ -30,24 +32,33 @@ Status ShardWorkspace::Build(const ShardEpochTask& task, Seconds* t_cycle) {
   const Bytes io = cfg.bit_rate * *t_cycle;
   const Bytes stride = disk_->Capacity() * 0.9 / static_cast<double>(n);
 
-  specs_.resize(task.ids.size());
+  specs_.resize(static_cast<std::size_t>(n));
   for (std::size_t j = 0; j < specs_.size(); ++j) {
     server::StreamSpec& spec = specs_[j];
-    spec.id = task.ids[j];
+    spec.id = static_cast<std::int64_t>(j);
     spec.bit_rate = cfg.bit_rate;
     spec.disk_offset = stride * static_cast<double>(j);
     spec.extent = std::max(stride, 2 * io);
   }
 
+  // Deterministic and without best-effort IOs, the server never draws
+  // from its seed.
   server::DirectServerConfig dsc;
   dsc.cycle = *t_cycle;
   dsc.deterministic = true;
-  dsc.seed = task.seed;
   if (cfg.audit) {
+    if (labels_.size() < specs_.size()) {
+      const std::size_t have = labels_.size();
+      labels_.resize(specs_.size());
+      std::iota(labels_.begin() + static_cast<std::ptrdiff_t>(have),
+                labels_.end(), static_cast<std::int32_t>(have));
+    }
     obs::QosAuditorConfig qac;
     qac.disk_cycle = *t_cycle;
     auditor_.Reset(qac);
-    auditor_.AddStreams(task.ids, cfg.bit_rate, 2 * cfg.bit_rate * *t_cycle);
+    auditor_.AddStreams(std::span<const std::int32_t>(labels_).first(
+                            specs_.size()),
+                        cfg.bit_rate, 2 * cfg.bit_rate * *t_cycle);
     auditor_.Seal();
     dsc.sinks.auditor = &auditor_;
   }
@@ -56,8 +67,8 @@ Status ShardWorkspace::Build(const ShardEpochTask& task, Seconds* t_cycle) {
 
 ShardEpoch ShardWorkspace::Run(const ShardEpochTask& task) {
   ShardEpoch row;
-  if (task.ids.empty()) return row;
-  row.streams = static_cast<std::int64_t>(task.ids.size());
+  if (task.streams <= 0) return row;
+  row.streams = task.streams;
   Seconds t_cycle = 0;
   Status st = Build(task, &t_cycle);
   if (st.ok()) {
@@ -83,8 +94,8 @@ ShardEpoch ShardWorkspace::Run(const ShardEpochTask& task) {
   row.busy = std::min(rep.disk.busy, task.length);
   if (task.per_stream) {
     const Bytes io = config_->bit_rate * t_cycle;
-    row.per_stream.reserve(task.ids.size());
-    for (std::size_t j = 0; j < task.ids.size(); ++j) {
+    row.per_stream.reserve(specs_.size());
+    for (std::size_t j = 0; j < specs_.size(); ++j) {
       const server::StreamView v = server_.session(j);
       StreamEpoch se;
       se.id = v.id();
@@ -99,16 +110,15 @@ ShardEpoch ShardWorkspace::Run(const ShardEpochTask& task) {
   return row;
 }
 
-void ShardWorkspace::Prepare(std::span<const std::int32_t> ids) {
-  if (ids.empty()) return;
+void ShardWorkspace::Prepare(std::int64_t streams) {
+  if (streams <= 0) return;
   Seconds t_cycle = 0;
   // A failure here is Run()'s to report.
-  (void)Build({.ids = ids}, &t_cycle);
+  (void)Build({.streams = streams}, &t_cycle);
 }
 
 ShardWorkspacePool::ShardWorkspacePool(const ShardedFarmConfig& config,
-                                       int count,
-                                       std::span<const std::int32_t> largest)
+                                       int count, std::int64_t largest)
     : config_(&config) {
   for (int i = 0; i < count; ++i) {
     all_.push_back(std::make_unique<ShardWorkspace>(config));

@@ -1,12 +1,16 @@
 // One shard-epoch of the sharded farm (farm/sharded_farm.h): a shard's
 // constant resident set served by a direct time-cycle server for one
-// epoch. Every sweep thread builds its shard-epochs in one reused
-// ShardWorkspace: the node disk, the stream specs, the QoS auditor and
-// the server are reset in place, so a warm workspace allocates nothing
-// for a shard no larger than one it has already run. A row depends only
-// on the farm config and the ShardEpochTask, never on which workspace
-// ran it or what ran there before, which keeps the farm's merged report
-// byte-identical at any thread count.
+// epoch. Every node is the same disk, every stream has the one bit rate
+// and the server is deterministic, so a row is a pure function of the
+// resident count and the epoch length: the workspace labels its streams
+// 0..n-1, and the farm runs each distinct count once per epoch and maps
+// the labels to each shard's own stream ids. Every sweep thread builds
+// its shard-epochs in one reused ShardWorkspace: the node disk, the
+// stream specs, the QoS auditor and the server are reset in place, so a
+// warm workspace allocates nothing for a shard no larger than one it has
+// already run. A row never depends on which workspace ran it or what ran
+// there before, which keeps the farm's merged report byte-identical at
+// any thread count.
 
 #ifndef MEMSTREAM_FARM_SHARD_WORKSPACE_H_
 #define MEMSTREAM_FARM_SHARD_WORKSPACE_H_
@@ -15,7 +19,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -31,7 +34,7 @@ namespace memstream::farm {
 /// Per-stream activity of one epoch, collected only on request (the
 /// farm asks when a journal is attached).
 struct StreamEpoch {
-  std::int64_t id = 0;
+  std::int64_t id = 0;  ///< the stream's index in the shard, 0..n-1
   std::int64_t ios = 0;
   Bytes bytes = 0;
   Bytes peak = 0;
@@ -57,12 +60,11 @@ struct ShardEpoch {
   bool operator==(const ShardEpoch&) const = default;
 };
 
-/// One shard-epoch to run.
+/// One shard-epoch to run: everything its row depends on.
 struct ShardEpochTask {
-  std::span<const std::int32_t> ids;  ///< the shard's residents, ascending
-  Seconds length = 0;                 ///< the epoch's length
-  std::uint64_t seed = 0;             ///< the server's seed
-  bool per_stream = false;            ///< fill ShardEpoch::per_stream
+  std::int64_t streams = 0;  ///< the shard's resident count
+  Seconds length = 0;        ///< the epoch's length
+  bool per_stream = false;   ///< fill ShardEpoch::per_stream
 };
 
 /// The reusable state one sweep thread builds shard-epochs in, bound to
@@ -75,13 +77,13 @@ class ShardWorkspace {
   ShardWorkspace(const ShardWorkspace&) = delete;
   ShardWorkspace& operator=(const ShardWorkspace&) = delete;
 
-  /// Serves `task.ids` on one node for `task.length` seconds. An empty
-  /// shard does not run.
+  /// Serves `task.streams` streams on one node for `task.length`
+  /// seconds. An empty shard does not run.
   ShardEpoch Run(const ShardEpochTask& task);
 
-  /// Builds the shard state for `ids` without running it, so the
-  /// buffers are sized on the calling thread.
-  void Prepare(std::span<const std::int32_t> ids);
+  /// Builds the shard state for `streams` streams without running it,
+  /// so the buffers are sized on the calling thread.
+  void Prepare(std::int64_t streams);
 
  private:
   /// Resets the node, specs, auditor and server for `task`; sets the
@@ -91,24 +93,25 @@ class ShardWorkspace {
   const ShardedFarmConfig* config_;
   std::optional<device::DiskDrive> disk_;  ///< created on first use
   std::vector<server::StreamSpec> specs_;
+  std::vector<std::int32_t> labels_;  ///< 0, 1, 2, ...: the auditor's ids
   obs::QosAuditor auditor_;
   /// Reset in place for every shard-epoch; its lanes bind to its own
   /// address, so the workspace never moves.
   server::DirectStreamingServer server_;
 };
 
-/// The farm's workspaces: each shard task checks one out for its
+/// The farm's workspaces: each shard-epoch task checks one out for its
 /// duration, and one more is created only if all are out.
 class ShardWorkspacePool {
  public:
   /// Creates `count` workspaces on the calling thread and prepares each
-  /// for the resident set `largest`. Their buffers then come from this
+  /// for `largest` residents. Their buffers then come from this
   /// thread's heap, not from whichever sweep thread first grows them:
   /// glibc gives every thread its own arena, and workspace memory spread
   /// over the arenas raised `farm_zipf`'s peak RSS from ~23 MB to a
   /// run-dependent 25–27 MB.
   ShardWorkspacePool(const ShardedFarmConfig& config, int count,
-                     std::span<const std::int32_t> largest);
+                     std::int64_t largest);
 
   /// Returns its workspace to the pool when destroyed.
   class Lease {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 #include <utility>
 
 #include "common/profiler.h"
@@ -209,7 +210,7 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
       config,
       static_cast<int>(std::min<std::int64_t>(runner.threads(),
                                               config.num_shards)),
-      largest->ids());
+      static_cast<std::int64_t>(largest->size()));
 
   // Register the admitted streams with the farm journal under the
   // Theorem-1 envelope of their home shard's steady-state cycle.
@@ -252,6 +253,12 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
       static_cast<std::size_t>(config.num_shards), 0.0);
   double served_stream_seconds = 0;
   double unserved_stream_seconds = 0;
+  // Each epoch's sweep: the row of shard s is task_of[s] (-1 = none),
+  // task i serves task_streams[i] streams.
+  const ShardEpoch kIdle;
+  std::vector<std::int32_t> task_of;
+  std::vector<std::int64_t> task_streams;
+  std::unordered_map<std::int64_t, std::int32_t> task_of_count;
 
   for (std::size_t epoch = 0; epoch < starts.size(); ++epoch) {
     const Seconds t0 = starts[epoch];
@@ -332,18 +339,33 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
     served_stream_seconds += static_cast<double>(serving) * len;
     unserved_stream_seconds += static_cast<double>(shed_now) * len;
 
-    // One pure task per shard, built in whichever workspace is free;
-    // rows collected in shard order.
+    // A shard-epoch's row depends only on its resident count and the
+    // epoch length, so the up, non-empty shards group by count, in
+    // order of each group's lowest shard, and each group runs once, in
+    // whichever workspace is free; rows collected in group order.
+    task_of.assign(static_cast<std::size_t>(config.num_shards), -1);
+    task_streams.clear();
+    task_of_count.clear();
+    for (std::int64_t s = 0; s < config.num_shards; ++s) {
+      const auto n = static_cast<std::int64_t>(
+          members[static_cast<std::size_t>(s)].size());
+      if (n == 0 || !router.value().shard_up(static_cast<std::int32_t>(s))) {
+        continue;
+      }
+      const auto [it, fresh] = task_of_count.try_emplace(
+          n, static_cast<std::int32_t>(task_streams.size()));
+      if (fresh) task_streams.push_back(n);
+      task_of[static_cast<std::size_t>(s)] = it->second;
+      ++farm.shard_epochs;
+    }
     const bool want_per_stream = config.journal != nullptr;
-    std::vector<ShardEpoch> rows = runner.Map(
-        config.num_shards, [&](exp::TaskContext& ctx) -> ShardEpoch {
-          const auto s = static_cast<std::int32_t>(ctx.index());
-          if (!router.value().shard_up(s)) return ShardEpoch{};
+    const std::vector<ShardEpoch> rows = runner.Map(
+        static_cast<std::int64_t>(task_streams.size()),
+        [&](exp::TaskContext& ctx) -> ShardEpoch {
           const ShardWorkspacePool::Lease ws = workspaces.Checkout();
           ShardEpoch row = ws->Run(
-              {.ids = members[static_cast<std::size_t>(s)].ids(),
+              {.streams = task_streams[static_cast<std::size_t>(ctx.index())],
                .length = len,
-               .seed = ctx.seed(),
                .per_stream = want_per_stream});
           ctx.AddEvents(row.ios);
           return row;
@@ -352,7 +374,9 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
     // Post-barrier merge, shard order: farm totals, then the shared
     // journal/SLO feeds (single thread, deterministic order).
     for (std::int64_t s = 0; s < config.num_shards; ++s) {
-      const ShardEpoch& row = rows[static_cast<std::size_t>(s)];
+      const std::int32_t task = task_of[static_cast<std::size_t>(s)];
+      const ShardEpoch& row =
+          task < 0 ? kIdle : rows[static_cast<std::size_t>(task)];
       if (!row.error.empty()) {
         return Status::Internal("shard " + std::to_string(s) +
                                 " epoch failed: " + row.error);
@@ -382,8 +406,12 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
         slo_slack->Record(t1, row.cycles - row.overruns, row.overruns);
       }
       if (config.journal != nullptr) {
+        // Row stream j is the shard's j-th resident.
+        const std::vector<std::int32_t>& ids =
+            members[static_cast<std::size_t>(s)].ids();
         for (const StreamEpoch& se : row.per_stream) {
-          const std::ptrdiff_t slot = config.journal->SlotOf(se.id);
+          const std::ptrdiff_t slot =
+              config.journal->SlotOf(ids[static_cast<std::size_t>(se.id)]);
           if (slot < 0) continue;
           config.journal->RecordIoSummary(static_cast<std::size_t>(slot), t1,
                                           se.ios, se.bytes, se.peak);

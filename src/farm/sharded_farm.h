@@ -12,11 +12,15 @@
 //    same SweepRunner, each in offer order, so the admitted set and the
 //    stream ids are those of one serial pass.
 //  - The run's timeline is cut at every node fail/repair event. Within
-//    an epoch each shard's admitted set is constant, so every shard is
-//    one pure (stream set -> ServerReport) task; SweepRunner executes
-//    the shards in parallel and collects results in shard order, which
-//    makes the merged farm report byte-identical at any thread count.
-//    Each task builds its shard in a reused per-thread workspace
+//    an epoch each shard's admitted set is constant. Every node is the
+//    same disk and every stream has the one bit rate, so a shard-epoch
+//    is a pure (resident count, epoch length -> ServerReport) task: the
+//    shards of one epoch that hold the same count share one simulation,
+//    whose per-stream results are mapped to each shard's own stream ids.
+//    SweepRunner executes the distinct counts in parallel and collects
+//    the rows in order of each count's lowest shard, which makes the
+//    merged farm report byte-identical at any thread count. Each task
+//    builds its shard in a reused per-thread workspace
 //    (farm/shard_workspace.h) whose state never reaches a result.
 //  - At an epoch boundary the orchestrator (single thread) applies the
 //    fault events: a failed shard's streams are shed; streams of
@@ -131,7 +135,12 @@ struct FarmRunReport {
   Bytes peak_dram_per_shard = 0;   ///< max over shards
   double mean_utilization = 0;
   Seconds duration = 0;
-  exp::SweepStats sweep;           ///< cost of the shard-epoch sweep
+  /// Cost of the shard-epoch sweep; `sweep.tasks` counts simulations,
+  /// one per distinct resident count per epoch.
+  exp::SweepStats sweep;
+  /// Shard-epochs served (up, non-empty shards summed over epochs); the
+  /// sweep's simulations gave each one its row.
+  std::int64_t shard_epochs = 0;
   std::vector<FarmShardReport> per_shard;
 };
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/profiler.h"
-#include "device/disk_scheduler.h"
 
 namespace memstream::server {
 
@@ -177,7 +176,7 @@ void CacheStreamingServer::RunDiskCycle(Seconds deadline) {
 
   const Seconds boundary = t0 + config_.disk_cycle;
   const Seconds busy = ServiceDiskBatch(
-      batch, t0, device::SchedulerPolicy::kCLook, config_.deterministic,
+      batch, t0, config_.deterministic,
       [&](std::size_t i, Bytes bytes, Seconds done, Seconds service) {
         disk_lane_.Push(done, {Completion::kIo, kDiskSource, i, bytes, service,
                                boundary});

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/profiler.h"
-#include "device/disk_scheduler.h"
 
 namespace memstream::server {
 
@@ -142,7 +141,7 @@ void MemsPipelineServer::RunDiskCycle(Seconds deadline) {
   // precedes their cycle start, which the lane's (time, seq) order
   // guarantees.
   const Seconds busy = ServiceDiskBatch(
-      batch, t0, device::SchedulerPolicy::kCLook, config_.deterministic,
+      batch, t0, config_.deterministic,
       [&](std::size_t i, Bytes bytes, Seconds done, Seconds service) {
         disk_lane_.Push(done, {DiskCompletion::kIo, i, bytes, service});
       });

@@ -211,19 +211,18 @@ class ServerCore {
   /// batch may skip streams and records each IO's stream index.
   DiskBatch NewDiskBatch(std::size_t capacity, bool sparse = false);
 
-  /// Services `batch` in `policy` order from the last head position.
+  /// Services `batch` in C-LOOK order from the last head position.
   /// Each IO counts toward the completed IOs and the audit, and is
   /// handed back as `done(stream, bytes, done_time, service)`. Returns
   /// the busy time.
   template <typename Done>
   Seconds ServiceDiskBatch(const DiskBatch& batch, Seconds t0,
-                           device::SchedulerPolicy policy,
                            bool deterministic, Done&& done) {
     const std::size_t n = batch.size;
     auto* order = arena_.Alloc<std::size_t>(n);
     auto* scratch = arena_.Alloc<std::size_t>(n);
-    device::ScheduleOrderInto(policy, last_head_offset_, batch.ios, n, order,
-                              scratch);
+    device::ScheduleOrderInto(device::SchedulerPolicy::kCLook,
+                              last_head_offset_, batch.ios, n, order, scratch);
     Seconds busy = 0;
     for (std::size_t oi = 0; oi < n; ++oi) {
       const std::size_t pos = order[oi];

@@ -100,7 +100,7 @@ void DirectStreamingServer::RunCycle(Seconds deadline) {
   // within T.
   const Seconds boundary = t0 + config_.cycle;
   Seconds busy = ServiceDiskBatch(
-      batch, t0, config_.policy, config_.deterministic,
+      batch, t0, config_.deterministic,
       [&](std::size_t i, Bytes bytes, Seconds done, Seconds service) {
         const Completion c{Completion::kIo, i, bytes, service, boundary};
         if (!inline_) {

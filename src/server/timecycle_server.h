@@ -15,7 +15,6 @@
 
 #include "common/status.h"
 #include "device/disk.h"
-#include "device/disk_scheduler.h"
 #include "obs/timeline.h"
 #include "server/server_core.h"
 #include "server/stream_batch.h"
@@ -27,7 +26,6 @@ namespace memstream::server {
 /// Knobs of the direct server.
 struct DirectServerConfig {
   Seconds cycle = 1.0;  ///< the IO cycle T (from model::IoCycleLength)
-  device::SchedulerPolicy policy = device::SchedulerPolicy::kCLook;
   /// §3.1.2: "Spare bandwidth, if available, can be used for
   /// non-real-time traffic." When > 0, cycle slack left after the
   /// real-time batch is filled with best-effort IOs of this size at

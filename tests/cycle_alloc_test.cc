@@ -677,9 +677,7 @@ TEST(CycleAllocTest, WarmShardWorkspaceEpochAllocatesNothing) {
   config.bit_rate = 100 * kKBps;
   config.node_disk = device::FutureDisk2007();
   config.node_disk.inner_rate = config.node_disk.outer_rate;
-  std::vector<std::int32_t> ids;
-  for (std::int32_t i = 0; i < 400; ++i) ids.push_back(3 * i + 2);
-  const farm::ShardEpochTask task{.ids = ids, .length = 20.0, .seed = 9};
+  const farm::ShardEpochTask task{.streams = 400, .length = 20.0};
 
   farm::ShardWorkspace workspace(config);
   const farm::ShardEpoch first = workspace.Run(task);
@@ -694,8 +692,7 @@ TEST(CycleAllocTest, WarmShardWorkspaceEpochAllocatesNothing) {
   EXPECT_EQ(again.ios, first.ios);
 
   farm::ShardEpochTask smaller = task;
-  smaller.ids = std::span<const std::int32_t>(ids).first(250);
-  smaller.seed = 10;
+  smaller.streams = 250;
   before = CurrentAllocs();
   const farm::ShardEpoch shrunk = workspace.Run(smaller);
   EXPECT_EQ(CurrentAllocs() - before, 0)

@@ -1,11 +1,13 @@
 // Sharded farm executor: the determinism contract (byte-identical merged
 // report, journal event order and slo.* gauges at any thread count, shard
-// rows independent of their workspace), the routing decisions against a
+// rows independent of their workspace and equal to the shard's own
+// simulation), the routing decisions against a
 // serial full-scan reference, the failover/readmit semantics of the two
 // placements, and the farm block.
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -78,26 +80,21 @@ TEST(ShardedFarmTest, RejectsBadConfig) {
 // run yields exactly what a fresh one does.
 TEST(ShardedFarmTest, ShardEpochDoesNotDependOnItsWorkspace) {
   const ShardedFarmConfig config = SmallFarm();
-  std::vector<std::int32_t> shard;
-  for (std::int32_t i = 0; i < 30; ++i) shard.push_back(3 * i + 1);
-  std::vector<std::int32_t> larger;
-  for (std::int32_t i = 0; i < 90; ++i) larger.push_back(2 * i);
-  const ShardEpochTask task{
-      .ids = shard, .length = 2.5, .seed = 17, .per_stream = true};
+  const ShardEpochTask task{.streams = 30, .length = 2.5, .per_stream = true};
 
   ShardWorkspace fresh(config);
   const ShardEpoch want = fresh.Run(task);
   ASSERT_TRUE(want.ran) << want.error;
   EXPECT_EQ(want.streams, 30);
   EXPECT_GT(want.ios, 0);
-  ASSERT_EQ(want.per_stream.size(), shard.size());
-  EXPECT_EQ(want.per_stream.back().id, shard.back());
+  ASSERT_EQ(want.per_stream.size(), 30u);
+  EXPECT_EQ(want.per_stream.back().id, 29);  // per-stream ids are indices
 
   ShardWorkspace dirty(config);
-  const ShardEpoch big = dirty.Run(
-      {.ids = larger, .length = 4.0, .seed = 3, .per_stream = true});
+  const ShardEpoch big =
+      dirty.Run({.streams = 90, .length = 4.0, .per_stream = true});
   ASSERT_TRUE(big.ran) << big.error;
-  ASSERT_EQ(big.per_stream.size(), larger.size());
+  ASSERT_EQ(big.per_stream.size(), 90u);
   EXPECT_EQ(dirty.Run(task), want);
 
   // Without per-stream rows the totals are unchanged.
@@ -109,9 +106,65 @@ TEST(ShardedFarmTest, ShardEpochDoesNotDependOnItsWorkspace) {
   EXPECT_EQ(fresh.Run(totals), want_totals);
 
   // An empty shard does not run.
-  const ShardEpoch idle = dirty.Run({.ids = {}, .length = 1.0});
+  const ShardEpoch idle = dirty.Run({.streams = 0, .length = 1.0});
   EXPECT_FALSE(idle.ran);
   EXPECT_TRUE(idle.error.empty());
+}
+
+// The farm simulates each distinct resident count once per epoch and
+// gives every shard with that count the row of that one run. Each
+// shard's totals must be those of its own simulation, in a farm where
+// shards do share a count, and the journal must hold each stream's
+// results once.
+TEST(ShardedFarmTest, EveryShardRowMatchesItsOwnSimulation) {
+  ShardedFarmConfig config = SmallFarm();
+  config.policy = PlacementPolicy::kPopularityAware;
+  config.replicas = 2;
+  config.replication_budget = 0.10;
+  config.offered_streams = 800;
+  obs::StreamJournal journal;
+  config.journal = &journal;
+  auto result = RunShardedFarm(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const FarmRunReport& r = result.value();
+
+  std::vector<std::int64_t> counts;
+  for (const FarmShardReport& s : r.per_shard) counts.push_back(s.streams);
+  std::sort(counts.begin(), counts.end());
+  ASSERT_NE(std::adjacent_find(counts.begin(), counts.end()), counts.end())
+      << "no two shards share a resident count";
+  EXPECT_EQ(r.shard_epochs, r.shards);
+  EXPECT_LT(r.sweep.tasks, r.shard_epochs);
+
+  // Per-stream (ios, bytes, peak) of every shard's own simulation, and
+  // of every journaled stream.
+  using StreamTotals = std::tuple<std::int64_t, Bytes, Bytes>;
+  std::vector<StreamTotals> want_streams;
+  for (const FarmShardReport& s : r.per_shard) {
+    ASSERT_GT(s.streams, 0);
+    ShardWorkspace own(config);
+    const ShardEpoch row = own.Run(
+        {.streams = s.streams, .length = config.duration, .per_stream = true});
+    ASSERT_TRUE(row.ran) << row.error;
+    for (const StreamEpoch& se : row.per_stream) {
+      want_streams.emplace_back(se.ios, se.bytes, se.peak);
+    }
+    EXPECT_EQ(s.ios_completed, row.ios) << "shard " << s.shard;
+    EXPECT_EQ(s.cycle_overruns, row.overruns) << "shard " << s.shard;
+    EXPECT_EQ(s.underflow_events, row.underflows) << "shard " << s.shard;
+    EXPECT_EQ(s.qos_violations, row.violations) << "shard " << s.shard;
+    EXPECT_EQ(s.peak_dram_demand, row.peak_dram) << "shard " << s.shard;
+    EXPECT_EQ(s.utilization, row.busy / config.duration)
+        << "shard " << s.shard;
+  }
+  std::vector<StreamTotals> journaled;
+  for (std::size_t slot = 0; slot < journal.size(); ++slot) {
+    const obs::StreamJournalEntry& e = journal.entry(slot);
+    journaled.emplace_back(e.ios, e.bytes, e.peak_level_bytes);
+  }
+  std::sort(want_streams.begin(), want_streams.end());
+  std::sort(journaled.begin(), journaled.end());
+  EXPECT_EQ(journaled, want_streams);
 }
 
 TEST(ShardedFarmTest, AdmitsAndServesCleanlyWithoutFaults) {
