@@ -23,7 +23,6 @@ int main() {
   model::CostInputs prices;
   prices.dram_per_byte = 20.0 / kGB;
   prices.mems_per_byte = 1.0 / kGB;
-  prices.mems_capacity = 10 * kGB;
 
   std::cout << "Fig. 8: Reduction in total buffering cost [$] vs N\n"
             << "  (per-byte MEMS pricing, k = 2 G3 devices, optimal "

@@ -109,8 +109,7 @@ void BM_ElevatorScheduleOrder(benchmark::State& state, bool ascending) {
               });
   }
   for (auto _ : state) {
-    auto order =
-        device::ScheduleOrder(device::SchedulerPolicy::kCLook, 0, batch);
+    auto order = device::ScheduleOrder(0, batch);
     benchmark::DoNotOptimize(order);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

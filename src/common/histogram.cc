@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <sstream>
 
 namespace memstream {
 
 void RunningStats::Add(double x) {
   ++count_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
 }
@@ -28,19 +24,11 @@ void RunningStats::Merge(const RunningStats& other) {
   const double delta = other.mean_ - mean_;
   const double n = n_a + n_b;
   mean_ += delta * n_b / n;
-  m2_ += other.m2_ + delta * delta * n_a * n_b / n;
   count_ += other.count_;
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
 }
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), bucket_width_((hi - lo) / static_cast<double>(buckets)),
@@ -103,20 +91,6 @@ double Histogram::Quantile(double q) const {
     acc = next;
   }
   return clamp_hi;
-}
-
-std::string Histogram::ToAscii(int width) const {
-  std::ostringstream out;
-  std::int64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const int bar = static_cast<int>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) * width);
-    out << "[" << BucketLow(i) << ", " << BucketLow(i) + bucket_width_
-        << ") " << std::string(static_cast<std::size_t>(bar), '#') << " "
-        << counts_[i] << "\n";
-  }
-  return out.str();
 }
 
 void TimeWeightedStats::Update(double now, double value) {

@@ -7,12 +7,11 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace memstream {
 
-/// Running min/max/mean/variance over a stream of samples (Welford).
+/// Running count/min/max/mean/sum over a stream of samples.
 class RunningStats {
  public:
   void Add(double x);
@@ -27,15 +26,11 @@ class RunningStats {
   double mean() const { return count_ ? mean_ : 0.0; }
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
   double sum() const { return sum_; }
 
  private:
   std::int64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
@@ -69,9 +64,6 @@ class Histogram {
   double Quantile(double q) const;
 
   const RunningStats& stats() const { return stats_; }
-
-  /// Multi-line ASCII rendering (bucket ranges + bar chart), for logs.
-  std::string ToAscii(int width = 40) const;
 
  private:
   double lo_, hi_, bucket_width_;

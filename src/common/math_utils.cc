@@ -1,8 +1,5 @@
 #include "common/math_utils.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace memstream {
 
 Result<double> Bisect(const std::function<double(double)>& f, double lo,
@@ -76,42 +73,6 @@ Result<double> GoldenSectionMinimize(const std::function<double(double)>& f,
     }
   }
   return 0.5 * (a + b);
-}
-
-std::int64_t Gcd(std::int64_t a, std::int64_t b) {
-  while (b != 0) {
-    std::int64_t t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
-}
-
-namespace {
-
-Rational Reduce(std::int64_t num, std::int64_t den) {
-  if (num == 0) return Rational{0, 1};
-  std::int64_t g = Gcd(num, den);
-  return Rational{num / g, den / g};
-}
-
-}  // namespace
-
-Rational FloorToDenominator(double x, std::int64_t denominator) {
-  auto m = static_cast<std::int64_t>(std::floor(x * denominator + 1e-12));
-  m = std::max<std::int64_t>(m, 0);
-  return Reduce(m, denominator);
-}
-
-Rational CeilToDenominator(double x, std::int64_t denominator) {
-  auto m = static_cast<std::int64_t>(std::ceil(x * denominator - 1e-12));
-  m = std::max<std::int64_t>(m, 0);
-  return Reduce(m, denominator);
-}
-
-bool AlmostEqual(double a, double b, double tol) {
-  return std::fabs(a - b) <=
-         tol * std::max({1.0, std::fabs(a), std::fabs(b)});
 }
 
 }  // namespace memstream

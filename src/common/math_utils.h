@@ -1,13 +1,12 @@
-// Numeric utilities: root finding, 1-D minimization, and rational snapping.
+// Numeric utilities: root finding, integer search and 1-D minimization.
 //
-// The analytical model needs three small solvers:
+// The analytical model needs two small solvers:
 //  - bisection, to invert monotone feasibility conditions (e.g. the largest
 //    N such that the DRAM budget holds);
 //  - golden-section search, to minimize the total buffering cost over the
 //    disk IO-cycle length T_disk (Fig. 8 uses per-byte MEMS pricing, which
-//    makes the cost U-shaped in T_disk);
-//  - rational snapping, for Theorem 2's scheduling constraint (Eq. 8):
-//    T_mems / T_disk must equal M/N with integer M < N.
+//    makes the cost U-shaped in T_disk). The planner solves that minimum
+//    in closed form; planner_test checks it against this search.
 
 #ifndef MEMSTREAM_COMMON_MATH_UTILS_H_
 #define MEMSTREAM_COMMON_MATH_UTILS_H_
@@ -47,28 +46,6 @@ Result<std::int64_t> LargestTrue(
 Result<double> GoldenSectionMinimize(const std::function<double(double)>& f,
                                      double lo, double hi,
                                      const SolverOptions& opts = {});
-
-/// A reduced fraction M/N.
-struct Rational {
-  std::int64_t num = 0;
-  std::int64_t den = 1;
-
-  double Value() const { return static_cast<double>(num) / den; }
-  bool operator==(const Rational&) const = default;
-};
-
-/// Largest fraction M/denominator <= x with integer 0 <= M, given a fixed
-/// denominator. Used to snap T_mems/T_disk to M/N per Eq. 8.
-Rational FloorToDenominator(double x, std::int64_t denominator);
-
-/// Smallest fraction M/denominator >= x with integer M >= 0.
-Rational CeilToDenominator(double x, std::int64_t denominator);
-
-/// Greatest common divisor (non-negative inputs).
-std::int64_t Gcd(std::int64_t a, std::int64_t b);
-
-/// True if |a-b| <= tol * max(1, |a|, |b|).
-bool AlmostEqual(double a, double b, double tol = 1e-9);
 
 }  // namespace memstream
 

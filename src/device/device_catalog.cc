@@ -31,41 +31,6 @@ MemsParameters MemsG3() {
   return p;
 }
 
-DramParameters Dram2007() {
-  DramParameters p;
-  p.name = "DRAM 2007";
-  p.transfer_rate = 10 * kGBps;
-  p.access_latency = 0.03 * kMillisecond;
-  p.capacity = 5 * kGB;
-  p.cost_per_byte = 20.0 / kGB;
-  return p;
-}
-
-DiskParameters Disk2002() {
-  DiskParameters p;
-  p.name = "Disk 2002";
-  p.rpm = 10000;
-  p.outer_rate = 55 * kMBps;
-  p.inner_rate = 30 * kMBps;
-  p.capacity = 100 * kGB;
-  p.track_to_track_seek = 0.4 * kMillisecond;
-  p.average_seek = 4.5 * kMillisecond;
-  p.full_stroke_seek = 10.5 * kMillisecond;
-  p.num_cylinders = 50000;
-  p.num_zones = 16;
-  return p;
-}
-
-DramParameters Dram2002() {
-  DramParameters p;
-  p.name = "DRAM 2002";
-  p.transfer_rate = 2 * kGBps;
-  p.access_latency = 0.05 * kMillisecond;
-  p.capacity = 0.5 * kGB;
-  p.cost_per_byte = 200.0 / kGB;
-  return p;
-}
-
 MemsParameters MemsG1() {
   // Conservative first-generation postulates of Schlosser et al.: slower
   // sled, fewer concurrently active tips.

@@ -1,8 +1,10 @@
-// Device presets reproducing Table 1 (2002 and predicted-2007 media
-// characteristics) and Table 3 (the 2007 "off-the-shelf" case-study
-// devices: Maxtor-projected FutureDisk, CMU G3 MEMS, Rambus DRAM), plus
-// the earlier CMU MEMS generations (G1/G2 from Schlosser et al., ASPLOS
-// 2000) for completeness.
+// Device presets and paper tables. The presets are the devices the
+// simulations run: Table 3's 2007 case-study disk (Maxtor-projected
+// FutureDisk) and CMU G3 MEMS, plus the earlier CMU MEMS generations
+// (G1/G2 from Schlosser et al., ASPLOS 2000). DRAM is never simulated as
+// a device: the servers count it only as buffer bytes and its price, so
+// it appears here only as rows of Table 1 (2002 and predicted-2007 media
+// characteristics) and a column of Table 3.
 //
 // Note on Table 3's capacity row: the published table garbles the
 // disk/DRAM capacities; we use disk = 1000 GB and DRAM = 5 GB, which is
@@ -16,7 +18,6 @@
 #include <vector>
 
 #include "device/disk.h"
-#include "device/dram.h"
 #include "device/mems_device.h"
 
 namespace memstream::device {
@@ -30,17 +31,6 @@ DiskParameters FutureDisk2007();
 /// CMU third-generation MEMS device: 320 MB/s, 10 GB, 0.45 ms full-stroke
 /// X move, 0.14 ms settle, $10/device.
 MemsParameters MemsG3();
-
-/// 2007 DRAM: 10 GB/s, $20/GB, 5 GB system maximum.
-DramParameters Dram2007();
-
-// --- Table 1 contemporaries (year 2002) -----------------------------------
-
-/// 2002 server disk (Maxtor Atlas 10K III class): 100 GB, 30-55 MB/s.
-DiskParameters Disk2002();
-
-/// 2002 DRAM: 0.5 GB, 2 GB/s, $200/GB.
-DramParameters Dram2002();
 
 // --- Earlier CMU MEMS generations ------------------------------------------
 

@@ -55,7 +55,7 @@ class DiskDrive final : public BlockDevice {
 
   void Reset() override { current_cylinder_ = 0; }
 
-  /// Expected per-IO latency when an elevator (SCAN) scheduler services a
+  /// Expected per-IO latency when an elevator (C-LOOK) scheduler services a
   /// batch of `n` concurrent requests at uniformly random positions: the
   /// sweep visits them in position order, so the expected seek distance
   /// between consecutive requests is num_cylinders/(n+1); rotational

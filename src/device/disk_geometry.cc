@@ -68,16 +68,4 @@ Result<const Zone*> DiskGeometry::ZoneAt(Bytes offset) const {
   return &zones_[ZoneIndexOf(offset)];
 }
 
-Result<std::int64_t> DiskGeometry::CylinderAt(Bytes offset) const {
-  auto zone = ZoneAt(offset);
-  MEMSTREAM_RETURN_IF_ERROR(zone.status());
-  return zone.value()->CylinderOf(offset);
-}
-
-Result<BytesPerSecond> DiskGeometry::RateAt(Bytes offset) const {
-  auto zone = ZoneAt(offset);
-  MEMSTREAM_RETURN_IF_ERROR(zone.status());
-  return zone.value()->transfer_rate;
-}
-
 }  // namespace memstream::device

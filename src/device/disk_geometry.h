@@ -56,12 +56,6 @@ class DiskGeometry {
   /// Zone containing the byte offset; OutOfRange beyond capacity.
   Result<const Zone*> ZoneAt(Bytes offset) const;
 
-  /// Cylinder containing the byte offset (linear within a zone).
-  Result<std::int64_t> CylinderAt(Bytes offset) const;
-
-  /// Media transfer rate at the byte offset.
-  Result<BytesPerSecond> RateAt(Bytes offset) const;
-
  private:
   friend class DiskDrive;  // services IOs through ZoneIndexOf
 

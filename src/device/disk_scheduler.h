@@ -1,8 +1,10 @@
-// IO-queue scheduling policies for positional devices. The time-cycle
-// server collects one request per stream each cycle and hands the batch to
-// one of these policies; the paper's evaluation uses the elevator (SCAN)
-// policy on the disk (§5: "The disk IO scheduler uses elevator scheduling
-// to optimize for disk utilization").
+// The disk's IO-queue order. Every server collects one request per
+// stream each cycle and sweeps the batch with one elevator, C-LOOK: up
+// from the head, then back to the lowest pending offset and up again.
+// The paper's evaluation uses elevator scheduling on the disk (§5: "The
+// disk IO scheduler uses elevator scheduling to optimize for disk
+// utilization"), and the scheduler-determined latency L̄ the sizing
+// charges assumes such a sweep.
 
 #ifndef MEMSTREAM_DEVICE_DISK_SCHEDULER_H_
 #define MEMSTREAM_DEVICE_DISK_SCHEDULER_H_
@@ -10,41 +12,22 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/status.h"
 #include "device/device.h"
 
 namespace memstream::device {
 
-/// Batch-reordering policy.
-enum class SchedulerPolicy {
-  kFcfs,   ///< service in arrival order
-  kSstf,   ///< greedy shortest-seek-first from the current position
-  kScan,   ///< elevator: sweep up from the current position, then down
-  kCLook,  ///< circular: sweep up, jump back to the lowest pending request
-};
-
-const char* SchedulerPolicyName(SchedulerPolicy policy);
-
-/// Returns the service order (indices into `batch`) under `policy`,
-/// starting from byte offset `head_offset`. The batch is not modified.
-std::vector<std::size_t> ScheduleOrder(SchedulerPolicy policy,
-                                       std::int64_t head_offset,
+/// Returns the C-LOOK service order (indices into `batch`) starting from
+/// byte offset `head_offset`. The batch is not modified.
+std::vector<std::size_t> ScheduleOrder(std::int64_t head_offset,
                                        const std::vector<IoSpan>& batch);
 
 /// Allocation-free variant for the batched cycle engine: writes the
 /// service order of `batch[0..n)` into `order[0..n)` using
 /// `scratch[0..n)` as working space (both caller-provided, typically
 /// arena-backed). Produces exactly the order ScheduleOrder returns.
-void ScheduleOrderInto(SchedulerPolicy policy, std::int64_t head_offset,
-                       const IoSpan* batch, std::size_t n,
-                       std::size_t* order, std::size_t* scratch);
-
-/// Services a whole batch on `device` in the order chosen by `policy`
-/// (starting from `head_offset`, normally the offset of the last serviced
-/// IO) and returns the total busy time (sum of per-IO service times).
-Result<Seconds> ServiceBatch(BlockDevice& device, SchedulerPolicy policy,
-                             std::int64_t head_offset,
-                             const std::vector<IoSpan>& batch, Rng* rng);
+void ScheduleOrderInto(std::int64_t head_offset, const IoSpan* batch,
+                       std::size_t n, std::size_t* order,
+                       std::size_t* scratch);
 
 }  // namespace memstream::device
 

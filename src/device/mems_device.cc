@@ -72,30 +72,6 @@ MemsDevice::SledPosition MemsDevice::Advance(SledPosition start,
   return end;
 }
 
-Result<MemsDevice::SledPosition> MemsDevice::Locate(Bytes offset) const {
-  if (offset < 0 || offset >= params_.capacity) {
-    return Status::OutOfRange("offset beyond MEMS capacity");
-  }
-  return PositionOf(offset);
-}
-
-Result<MemsDevice::SledPosition> MemsDevice::EndOf(const IoSpan& io) const {
-  auto start = Locate(static_cast<Bytes>(io.offset));
-  MEMSTREAM_RETURN_IF_ERROR(start.status());
-  if (io.bytes < 0) return Status::InvalidArgument("negative IO size");
-  if (static_cast<Bytes>(io.offset) + io.bytes > params_.capacity) {
-    return Status::OutOfRange("IO beyond MEMS capacity");
-  }
-  return Advance(start.value(), io.bytes);
-}
-
-Result<Seconds> MemsDevice::SeekTimeTo(Bytes offset) const {
-  auto target = Locate(offset);
-  MEMSTREAM_RETURN_IF_ERROR(target.status());
-  return SeekTime(current_region_, current_y_, target.value().region,
-                  target.value().y);
-}
-
 Result<Seconds> MemsDevice::Service(const IoSpan& io, Rng* /*rng*/) {
   if (failed_) return Status::Unavailable(name() + " is failed");
   if (io.bytes < 0) return Status::InvalidArgument("negative IO size");

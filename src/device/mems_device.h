@@ -74,22 +74,6 @@ class MemsDevice final : public BlockDevice {
   Seconds SeekTime(std::int64_t from_region, double from_y,
                    std::int64_t to_region, double to_y) const;
 
-  /// A sled coordinate: X region index and Y travel fraction.
-  struct SledPosition {
-    std::int64_t region = 0;
-    double y = 0.0;
-  };
-
-  /// Sled coordinate of a byte offset (OutOfRange beyond capacity).
-  Result<SledPosition> Locate(Bytes offset) const;
-
-  /// Sled coordinate after transferring `io` (where Service would leave
-  /// the sled).
-  Result<SledPosition> EndOf(const IoSpan& io) const;
-
-  /// Positioning time from the current sled position to `offset`.
-  Result<Seconds> SeekTimeTo(Bytes offset) const;
-
   const MemsParameters& parameters() const { return params_; }
   std::int64_t current_region() const { return current_region_; }
   double current_y() const { return current_y_; }
@@ -102,17 +86,21 @@ class MemsDevice final : public BlockDevice {
   bool failed() const { return failed_; }
 
  private:
+  /// A sled coordinate: X region index and Y travel fraction.
+  struct SledPosition {
+    std::int64_t region = 0;
+    double y = 0.0;
+  };
+
   explicit MemsDevice(MemsParameters params)
       : params_(std::move(params)),
         region_capacity_(params_.capacity /
                          static_cast<double>(params_.num_regions)) {}
 
-  /// Sled coordinate of an offset in [0, capacity): the arithmetic
-  /// behind Locate, without its range check.
+  /// Sled coordinate of an offset in [0, capacity).
   SledPosition PositionOf(Bytes offset) const;
 
-  /// Where the sled stops after streaming `bytes` from `start`: the
-  /// arithmetic behind EndOf.
+  /// Where the sled stops after streaming `bytes` from `start`.
   SledPosition Advance(SledPosition start, Bytes bytes) const;
 
   MemsParameters params_;

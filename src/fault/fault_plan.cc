@@ -1,7 +1,6 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/random.h"
 
@@ -69,17 +68,6 @@ Result<FaultPlan> FaultPlan::Generate(const FaultPlanConfig& config,
   }
 
   return FaultPlan(std::move(events));
-}
-
-std::string FaultPlan::ToString() const {
-  std::ostringstream out;
-  for (const auto& e : events_) {
-    out << "t=" << e.time << "s " << FaultKindName(e.kind);
-    if (e.device >= 0) out << " device=" << e.device;
-    if (e.duration > 0) out << " duration=" << e.duration << "s";
-    out << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace memstream::fault

@@ -72,9 +72,6 @@ class FaultPlan {
   bool empty() const { return events_.empty(); }
   std::size_t size() const { return events_.size(); }
 
-  /// "t=12.5s mems-device-fail device=1" lines, for debugging.
-  std::string ToString() const;
-
  private:
   explicit FaultPlan(std::vector<FaultEvent> events);
 

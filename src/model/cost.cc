@@ -2,34 +2,11 @@
 
 namespace memstream::model {
 
-Dollars CostWithoutMems(std::int64_t n, Bytes s_disk_dram,
-                        const CostInputs& prices) {
-  return static_cast<double>(n) * prices.dram_per_byte * s_disk_dram;
-}
-
-Dollars CostWithMemsBufferPerDevice(std::int64_t n, std::int64_t k,
-                                    Bytes s_mems_dram,
-                                    const CostInputs& prices) {
-  return static_cast<double>(k) * prices.mems_per_byte *
-             prices.mems_capacity +
-         static_cast<double>(n) * prices.dram_per_byte * s_mems_dram;
-}
-
 Dollars CostWithMemsBufferPerByte(std::int64_t n, Bytes mems_bytes_used,
                                   Bytes s_mems_dram,
                                   const CostInputs& prices) {
   return prices.mems_per_byte * mems_bytes_used +
          static_cast<double>(n) * prices.dram_per_byte * s_mems_dram;
-}
-
-Dollars CostWithMemsCache(std::int64_t n, std::int64_t k, double hit_rate,
-                          Bytes s_mems_dram, Bytes s_disk_dram,
-                          const CostInputs& prices) {
-  const double nn = static_cast<double>(n);
-  return static_cast<double>(k) * prices.mems_per_byte *
-             prices.mems_capacity +
-         hit_rate * nn * prices.dram_per_byte * s_mems_dram +
-         (1.0 - hit_rate) * nn * prices.dram_per_byte * s_disk_dram;
 }
 
 double PercentReduction(Dollars before, Dollars after) {

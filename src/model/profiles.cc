@@ -14,14 +14,6 @@ DeviceProfile DiskProfile(const device::DiskDrive& disk, std::int64_t n) {
   return p;
 }
 
-DeviceProfile DiskProfileAverage(const device::DiskDrive& disk) {
-  DeviceProfile p;
-  p.rate = disk.MaxTransferRate();
-  p.latency = disk.AverageAccessLatency();
-  p.capacity = disk.Capacity();
-  return p;
-}
-
 DeviceProfile DiskProfileConservative(const device::DiskDrive& disk,
                                       std::int64_t n) {
   DeviceProfile p = DiskProfile(disk, n);

@@ -33,10 +33,6 @@ using LatencyFn = std::function<Seconds(std::int64_t n)>;
 /// Disk profile charging the elevator latency for batches of `n` streams.
 DeviceProfile DiskProfile(const device::DiskDrive& disk, std::int64_t n);
 
-/// Disk profile charging the unscheduled average latency (Fig. 2's
-/// "Disk (avg. latency)" curve).
-DeviceProfile DiskProfileAverage(const device::DiskDrive& disk);
-
 /// Like DiskProfile but with the inner-zone (minimum) transfer rate, so
 /// sizing stays safe wherever data lands on a zoned disk. The analytical
 /// benches follow the paper and use the maximum rate; the simulating

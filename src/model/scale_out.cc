@@ -76,16 +76,4 @@ Result<ScaleOutPlan> PlanScaleOut(const ScaleOutConfig& config) {
   return plan;
 }
 
-Result<double> ScaleOutBufferGain(const ScaleOutConfig& config) {
-  ScaleOutConfig direct = config;
-  direct.buffer_k_per_disk = 0;
-  auto base = PlanScaleOut(direct);
-  MEMSTREAM_RETURN_IF_ERROR(base.status());
-  auto buffered = PlanScaleOut(config);
-  if (!buffered.ok()) return 1.0;
-  if (base.value().total_streams == 0) return 1.0;
-  return static_cast<double>(buffered.value().total_streams) /
-         static_cast<double>(base.value().total_streams);
-}
-
 }  // namespace memstream::model

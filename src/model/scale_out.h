@@ -45,11 +45,6 @@ struct ScaleOutPlan {
 /// when a per-disk buffer bank is configured).
 Result<ScaleOutPlan> PlanScaleOut(const ScaleOutConfig& config);
 
-/// Throughput-per-DRAM-dollar style comparison helper: the factor by
-/// which adding per-disk MEMS banks increases the farm's stream count
-/// at the same DRAM budget. Returns 1.0 when buffering is infeasible.
-Result<double> ScaleOutBufferGain(const ScaleOutConfig& config);
-
 }  // namespace memstream::model
 
 #endif  // MEMSTREAM_MODEL_SCALE_OUT_H_

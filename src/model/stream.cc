@@ -11,9 +11,4 @@ std::vector<StreamClass> PaperStreamClasses() {
   return {Mp3(), DivX(), Dvd(), Hdtv()};
 }
 
-Bytes VbrCushion(const VbrProfile& profile, Seconds io_cycle) {
-  if (profile.peak_rate <= profile.mean_rate) return 0;
-  return (profile.peak_rate - profile.mean_rate) * io_cycle;
-}
-
 }  // namespace memstream::model

@@ -1,7 +1,5 @@
 // Stream classes used throughout the paper's evaluation (§5): mp3 at
 // 10 KB/s, DivX at 100 KB/s, DVD at 1 MB/s, HDTV at 10 MB/s — all CBR.
-// VBR is modeled, per the paper's footnote 1, as CBR plus a memory
-// cushion absorbing the bit-rate variability.
 
 #ifndef MEMSTREAM_MODEL_STREAM_H_
 #define MEMSTREAM_MODEL_STREAM_H_
@@ -31,18 +29,6 @@ StreamClass Hdtv();
 /// The four classes above, in increasing bit-rate order (the series of
 /// Figs. 6-8).
 std::vector<StreamClass> PaperStreamClasses();
-
-/// A variable-bit-rate stream summarized by its mean and peak rates.
-struct VbrProfile {
-  std::string name;
-  BytesPerSecond mean_rate = 0;
-  BytesPerSecond peak_rate = 0;
-};
-
-/// Memory cushion for a VBR stream scheduled as CBR at its mean rate
-/// (footnote 1): the extra per-stream buffer that absorbs one IO cycle of
-/// worst-case variability, (peak - mean) * cycle.
-Bytes VbrCushion(const VbrProfile& profile, Seconds io_cycle);
 
 }  // namespace memstream::model
 

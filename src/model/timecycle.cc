@@ -50,18 +50,6 @@ Result<Seconds> IoCycleLength(std::int64_t n, BytesPerSecond bit_rate,
   return s.value() / bit_rate;
 }
 
-Result<Bytes> PerStreamBufferSizeVbr(std::int64_t n,
-                                     const VbrProfile& profile,
-                                     const DeviceProfile& dev) {
-  if (profile.peak_rate < profile.mean_rate) {
-    return Status::InvalidArgument("peak_rate must be >= mean_rate");
-  }
-  auto base = PerStreamBufferSize(n, profile.mean_rate, dev);
-  MEMSTREAM_RETURN_IF_ERROR(base.status());
-  const Seconds cycle = base.value() / profile.mean_rate;
-  return base.value() + VbrCushion(profile, cycle);
-}
-
 std::int64_t MaxStreamsWithBuffer(Bytes buffer_budget,
                                   BytesPerSecond bit_rate,
                                   BytesPerSecond device_rate,

@@ -18,7 +18,6 @@
 
 #include "common/status.h"
 #include "model/profiles.h"
-#include "model/stream.h"
 
 namespace memstream::model {
 
@@ -45,15 +44,6 @@ Result<Bytes> TotalBufferSize(std::int64_t n, BytesPerSecond bit_rate,
 /// (equivalently N * (L̄_d + S/R_d)).
 Result<Seconds> IoCycleLength(std::int64_t n, BytesPerSecond bit_rate,
                               const DeviceProfile& dev);
-
-/// VBR extension (the paper's footnote 1): a VBR stream scheduled as CBR
-/// at its mean rate needs the Theorem 1 buffer plus a cushion absorbing
-/// one IO cycle of worst-case variability, (peak - mean) * T. The cycle
-/// T is sized at the mean rate (the device schedule is unchanged).
-/// Returns Infeasible when even the mean rates saturate the device.
-Result<Bytes> PerStreamBufferSizeVbr(std::int64_t n,
-                                     const VbrProfile& profile,
-                                     const DeviceProfile& dev);
 
 /// Inverse use of Theorem 1: the largest n sustainable from `dev` when
 /// the total buffer must fit in `buffer_budget` bytes. `latency_of_n`

@@ -112,9 +112,4 @@ void JsonWriter::Bool(bool value) {
   out_ << (value ? "true" : "false");
 }
 
-void JsonWriter::Null() {
-  BeforeValue();
-  out_ << "null";
-}
-
 }  // namespace memstream::obs

@@ -33,7 +33,6 @@ class JsonWriter {
   void Number(double value);
   void Int(std::int64_t value);
   void Bool(bool value);
-  void Null();
 
   std::string str() const { return out_.str(); }
 

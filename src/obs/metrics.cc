@@ -121,11 +121,6 @@ void MetricsRegistry::SetHelp(const std::string& name,
   help_[name] = help;
 }
 
-std::string MetricsRegistry::GetHelp(const std::string& name) const {
-  auto it = help_.find(name);
-  return it == help_.end() ? std::string() : it->second;
-}
-
 void MetricsRegistry::SetLabel(const std::string& name, const std::string& key,
                                const std::string& value) {
   labels_[name][key] = value;

@@ -127,8 +127,6 @@ class MetricsRegistry {
   /// Prometheus export (with `\` and newlines escaped per the exposition
   /// format). May be called before or after the metric is registered.
   void SetHelp(const std::string& name, const std::string& help);
-  /// Help string for `name`, or "" when none was set.
-  std::string GetHelp(const std::string& name) const;
 
   /// Attaches a constant label to `name`, emitted on every sample line of
   /// that metric (value escaped per the exposition format). Labels set

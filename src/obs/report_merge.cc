@@ -300,7 +300,14 @@ std::vector<Element> BuildDashboard(const ReportBundle& bundle,
   return page.elements();
 }
 
-/// ClassifyReportInput() that also hands back the parsed JSON document.
+/// What a given input file parsed as.
+enum class ReportInputKind {
+  kRunReport,   ///< a RunReport JSON document (any schema version)
+  kMetricsCsv,  ///< a MetricsRegistry::ToCsvText() snapshot
+  kUnknown,
+};
+
+/// Sniffs content (not filename); a JSON document is parsed into `doc`.
 ReportInputKind Classify(const std::string& content, JsonValue* doc) {
   // Metrics CSV: starts with the snapshot header.
   constexpr char kCsvHeader[] = "name,kind,value";
@@ -317,11 +324,6 @@ ReportInputKind Classify(const std::string& content, JsonValue* doc) {
 }
 
 }  // namespace
-
-ReportInputKind ClassifyReportInput(const std::string& content) {
-  JsonValue doc;
-  return Classify(content, &doc);
-}
 
 Status AddReportInput(const std::string& path, const std::string& content,
                       ReportBundle* bundle) {

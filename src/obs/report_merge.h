@@ -22,13 +22,6 @@
 
 namespace memstream::obs {
 
-/// What a given input file parsed as.
-enum class ReportInputKind {
-  kRunReport,   ///< a RunReport JSON document (any schema version)
-  kMetricsCsv,  ///< a MetricsRegistry::ToCsvText() snapshot
-  kUnknown,
-};
-
 /// One run.report.json as loaded: its source path, display title (the
 /// document's "title", or the path when that is empty) and JSON tree.
 struct ReportRun {
@@ -46,13 +39,11 @@ struct ReportBundle {
   std::vector<std::string> errors;
 };
 
-/// Sniffs content (not filename): JSON object with "schema_version" ->
-/// run report; text starting with the metrics CSV header -> metrics CSV.
-ReportInputKind ClassifyReportInput(const std::string& content);
-
 /// Parses `content` (from `path`, used for labels/errors) into `bundle`.
-/// Unknown or malformed inputs append to bundle->errors and return a
-/// non-OK status.
+/// The content, not the file name, decides the kind: a JSON object with
+/// "schema_version" is a run report, text starting with the metrics CSV
+/// header a metrics CSV. Unknown or malformed inputs append to
+/// bundle->errors and return a non-OK status.
 Status AddReportInput(const std::string& path, const std::string& content,
                       ReportBundle* bundle);
 

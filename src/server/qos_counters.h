@@ -10,7 +10,6 @@
 
 #include "common/units.h"
 #include "server/stream_batch.h"
-#include "server/stream_session.h"
 
 namespace memstream::server {
 
@@ -26,24 +25,14 @@ struct QosCounters {
 
   bool operator==(const QosCounters&) const = default;
 
-  /// Folds a playout session's jitter tallies in. Call after the final
+  /// Folds a playout stream's jitter tallies in. Call after the final
   /// LevelAt(horizon) so trailing underflow time is accrued.
-  void AbsorbPlayback(const StreamSession& session) {
-    underflow_events += session.underflow_events();
-    underflow_time += session.underflow_time();
-  }
-
-  /// Folds a recording session's drop tallies in.
-  void AbsorbRecording(const RecordingSession& session) {
-    overflow_events += session.overflow_events();
-    overflow_time += session.overflow_time();
-  }
-
-  /// SoA-batch overloads (servers on the batched cycle engine).
   void AbsorbPlayback(const StreamView& view) {
     underflow_events += view.underflow_events();
     underflow_time += view.underflow_time();
   }
+
+  /// Folds a recording stream's drop tallies in.
   void AbsorbRecording(const RecordingView& view) {
     overflow_events += view.overflow_events();
     overflow_time += view.overflow_time();

@@ -221,8 +221,8 @@ class ServerCore {
     const std::size_t n = batch.size;
     auto* order = arena_.Alloc<std::size_t>(n);
     auto* scratch = arena_.Alloc<std::size_t>(n);
-    device::ScheduleOrderInto(device::SchedulerPolicy::kCLook,
-                              last_head_offset_, batch.ios, n, order, scratch);
+    device::ScheduleOrderInto(last_head_offset_, batch.ios, n, order,
+                              scratch);
     Seconds busy = 0;
     for (std::size_t oi = 0; oi < n; ++oi) {
       const std::size_t pos = order[oi];

@@ -1,15 +1,14 @@
 // Structure-of-arrays playback/recording state: the per-stream hot fields
-// StreamSession kept behind one object each (buffer level, bit-rate,
-// last-advance time, dry flag, jitter tallies) laid out as parallel
-// arrays, so an IO cycle is one contiguous loop with no per-object
-// indirection. The update arithmetic is copied verbatim from
-// stream_session.cc — batch and session trajectories are bit-identical
-// (asserted by stream_batch_test), which is what keeps the refactored
-// servers' CSV output byte-identical to the seed engine.
+// (buffer level, bit-rate, last-advance time, dry flag, jitter tallies)
+// laid out as parallel arrays, so an IO cycle is one contiguous loop with
+// no per-object indirection. The buffer level is piecewise linear, so it
+// is advanced lazily at event times, with no per-byte work.
+// stream_batch_test pins the arithmetic: dry and overflow excursions,
+// pauses, and reuse after Resize().
 //
-// StreamView / RecordingView are cheap value handles with the same
-// accessor names as StreamSession / RecordingSession, so report code and
-// tests read per-stream results without caring about the layout.
+// StreamView / RecordingView are cheap value handles onto one stream, so
+// report code and tests read per-stream results without caring about the
+// layout.
 
 #ifndef MEMSTREAM_SERVER_STREAM_BATCH_H_
 #define MEMSTREAM_SERVER_STREAM_BATCH_H_
@@ -25,8 +24,7 @@ namespace memstream::server {
 class PlaybackBatch;
 class RecordingBatch;
 
-/// Read-only handle onto one stream of a PlaybackBatch. Accessor-name
-/// compatible with StreamSession.
+/// Read-only handle onto one stream of a PlaybackBatch.
 class StreamView {
  public:
   StreamView(const PlaybackBatch* batch, std::size_t index)
@@ -99,7 +97,7 @@ class PlaybackBatch {
   std::size_t size() const { return id_.size(); }
   bool empty() const { return id_.empty(); }
 
-  // --- hot-path updates (arithmetic identical to StreamSession) ---
+  // --- hot-path updates ---
 
   void Advance(std::size_t i, Seconds now) {
     if (now <= last_update_[i]) return;
@@ -182,8 +180,11 @@ class PlaybackBatch {
   std::vector<Seconds> underflow_time_;
 };
 
-/// SoA recording (write-stream) state: the mirror image of PlaybackBatch,
-/// arithmetic identical to RecordingSession.
+/// SoA recording (write-stream) state: the mirror image of PlaybackBatch.
+/// An encoder fills each staging buffer continuously at the stream's
+/// bit-rate and each IO drains one chunk; time spent over the staging
+/// capacity (data that would have been dropped) is the write-side
+/// analogue of underflow.
 class RecordingBatch {
  public:
   /// Empties the batch and sizes every per-stream array for `n` idle,

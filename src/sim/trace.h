@@ -35,8 +35,6 @@ enum class TraceKind {
   kFaultEnd,      ///< a fault cleared / was repaired (duration = window)
 };
 
-const char* TraceKindName(TraceKind kind);
-
 /// One trace record.
 struct TraceRecord {
   Seconds time = 0;
@@ -49,8 +47,9 @@ struct TraceRecord {
 };
 
 /// Record sink with simple filters for post-run assertions. Unbounded by
-/// default; SetCapacity() turns it into a ring that overwrites the oldest
-/// record in place, so a warm bounded log appends without heap traffic.
+/// default; constructed with a capacity, it is a ring that overwrites the
+/// oldest record in place, so a warm bounded log appends without heap
+/// traffic.
 class TraceLog {
  public:
   /// Read-only view of the retained records, oldest first.
@@ -125,8 +124,6 @@ class TraceLog {
   /// The retained records, oldest first. The view reads the live log.
   Records records() const { return Records(this); }
 
-  /// Retention limit; evicts immediately if the log is already larger.
-  void SetCapacity(std::size_t capacity);
   std::size_t capacity() const { return capacity_; }
 
   /// Records evicted by the ring buffer since the last Clear().
@@ -144,9 +141,6 @@ class TraceLog {
     head_ = 0;
     dropped_ = 0;
   }
-
-  /// Multi-line "time kind actor detail" rendering for debugging.
-  std::string ToString(std::size_t max_records = 200) const;
 
  private:
   /// String capacity reserved in each new slot of a bounded ring, so

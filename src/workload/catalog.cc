@@ -33,27 +33,6 @@ Result<Catalog> Catalog::Uniform(std::int64_t num_titles,
   return Catalog(std::move(titles));
 }
 
-Result<Catalog> Catalog::FromSpecs(
-    const std::vector<std::pair<BytesPerSecond, Seconds>>& specs) {
-  if (specs.empty()) return Status::InvalidArgument("empty catalog");
-  std::vector<Title> titles;
-  titles.reserve(specs.size());
-  std::int64_t id = 0;
-  for (const auto& [bit_rate, duration] : specs) {
-    if (bit_rate <= 0 || duration <= 0) {
-      return Status::InvalidArgument("bit_rate and duration must be > 0");
-    }
-    Title t;
-    t.id = id++;
-    t.name = "title-" + std::to_string(t.id);
-    t.bit_rate = bit_rate;
-    t.duration = duration;
-    t.size = bit_rate * duration;
-    titles.push_back(std::move(t));
-  }
-  return Catalog(std::move(titles));
-}
-
 std::vector<std::int64_t> Catalog::SelectCacheResidents(
     Bytes capacity) const {
   std::vector<std::int64_t> residents;

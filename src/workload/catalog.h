@@ -33,10 +33,6 @@ class Catalog {
   static Result<Catalog> Uniform(std::int64_t num_titles,
                                  BytesPerSecond bit_rate, Seconds duration);
 
-  /// Builds a catalog from explicit (bit_rate, duration) pairs.
-  static Result<Catalog> FromSpecs(
-      const std::vector<std::pair<BytesPerSecond, Seconds>>& specs);
-
   std::int64_t size() const {
     return static_cast<std::int64_t>(titles_.size());
   }

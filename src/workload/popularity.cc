@@ -31,17 +31,6 @@ std::int64_t TwoClassSampler::Sample(Rng& rng) const {
   return rng.NextInt(num_popular_, num_titles_ - 1);
 }
 
-double TwoClassSampler::Pmf(std::int64_t title) const {
-  if (title < 0 || title >= num_titles_) return 0;
-  if (num_popular_ == num_titles_) {
-    return 1.0 / static_cast<double>(num_titles_);
-  }
-  if (title < num_popular_) {
-    return pop_.y / static_cast<double>(num_popular_);
-  }
-  return (1.0 - pop_.y) / static_cast<double>(num_titles_ - num_popular_);
-}
-
 Result<ZipfSampler> ZipfSampler::Create(std::int64_t num_titles,
                                         double exponent) {
   if (num_titles < 1) {

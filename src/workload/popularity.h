@@ -29,9 +29,6 @@ class TwoClassSampler {
   /// Draws a title index; popular titles occupy the low indices.
   std::int64_t Sample(Rng& rng) const;
 
-  /// Exact access probability of a title index.
-  double Pmf(std::int64_t title) const;
-
   std::int64_t num_titles() const { return num_titles_; }
   std::int64_t num_popular() const { return num_popular_; }
 

@@ -18,15 +18,6 @@ TEST(CatalogTest, UniformTitlesContiguousLayout) {
   }
 }
 
-TEST(CatalogTest, FromSpecsMixedRates) {
-  auto catalog = Catalog::FromSpecs({{1 * kMBps, 100}, {10 * kKBps, 200}});
-  ASSERT_TRUE(catalog.ok());
-  EXPECT_EQ(catalog.value().size(), 2);
-  EXPECT_DOUBLE_EQ(catalog.value().title(0).size, 100 * kMB);
-  EXPECT_DOUBLE_EQ(catalog.value().title(1).size, 2 * kMB);
-  EXPECT_DOUBLE_EQ(catalog.value().title(1).disk_offset, 100 * kMB);
-}
-
 TEST(CatalogTest, SelectCacheResidentsGreedyPrefix) {
   auto catalog = Catalog::Uniform(10, 1 * kMBps, 1000);  // 1 GB each
   ASSERT_TRUE(catalog.ok());
@@ -51,8 +42,6 @@ TEST(CatalogTest, InvalidSpecsRejected) {
   EXPECT_FALSE(Catalog::Uniform(0, 1 * kMBps, 100).ok());
   EXPECT_FALSE(Catalog::Uniform(5, 0, 100).ok());
   EXPECT_FALSE(Catalog::Uniform(5, 1 * kMBps, 0).ok());
-  EXPECT_FALSE(Catalog::FromSpecs({}).ok());
-  EXPECT_FALSE(Catalog::FromSpecs({{0, 100}}).ok());
 }
 
 }  // namespace

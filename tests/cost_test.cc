@@ -9,20 +9,7 @@ CostInputs Prices2007() {
   CostInputs prices;
   prices.dram_per_byte = 20.0 / kGB;
   prices.mems_per_byte = 1.0 / kGB;
-  prices.mems_capacity = 10 * kGB;
   return prices;
-}
-
-TEST(CostTest, Eq1WithoutMems) {
-  // 1000 streams x 1 MB buffers at $20/GB = $20.
-  EXPECT_NEAR(CostWithoutMems(1000, 1 * kMB, Prices2007()), 20.0, 1e-9);
-}
-
-TEST(CostTest, Eq2PerDeviceChargesWholeDevices) {
-  // 2 devices at $1/GB x 10 GB = $20 even if barely used, plus DRAM.
-  const Dollars cost =
-      CostWithMemsBufferPerDevice(1000, 2, 0.1 * kMB, Prices2007());
-  EXPECT_NEAR(cost, 20.0 + 1000 * 0.1 * kMB * 20.0 / kGB, 1e-9);
 }
 
 TEST(CostTest, PerByteChargesOnlyUsage) {
@@ -31,42 +18,11 @@ TEST(CostTest, PerByteChargesOnlyUsage) {
   EXPECT_NEAR(cost, 5.0 + 2.0, 1e-9);
 }
 
-TEST(CostTest, Eq9CacheSplitsDramByHitRate) {
-  // h = 0.8: 80% of streams buffered at the (small) cache sizing, 20% at
-  // the (large) disk sizing.
-  const Dollars cost = CostWithMemsCache(100, 1, 0.8, 1 * kMB, 10 * kMB,
-                                         Prices2007());
-  const Dollars expected = 10.0 +                                  // device
-                           0.8 * 100 * 20.0 / kGB * 1 * kMB +      // cache
-                           0.2 * 100 * 20.0 / kGB * 10 * kMB;      // disk
-  EXPECT_NEAR(cost, expected, 1e-9);
-}
-
-TEST(CostTest, ZeroHitRateDegeneratesToDiskPlusDevice) {
-  const Dollars cache =
-      CostWithMemsCache(100, 1, 0.0, 1 * kMB, 10 * kMB, Prices2007());
-  const Dollars direct = CostWithoutMems(100, 10 * kMB, Prices2007());
-  EXPECT_NEAR(cache, direct + 10.0, 1e-9);
-}
-
 TEST(PercentReductionTest, Basics) {
   EXPECT_DOUBLE_EQ(PercentReduction(100, 20), 80.0);
   EXPECT_DOUBLE_EQ(PercentReduction(100, 100), 0.0);
   EXPECT_DOUBLE_EQ(PercentReduction(100, 130), -30.0);
   EXPECT_DOUBLE_EQ(PercentReduction(0, 10), 0.0);
-}
-
-TEST(CostTest, MemsBufferPaysOffForLowBitRates) {
-  // The cost inversion at the heart of the paper: replacing most of a
-  // large DRAM buffer with 20x-cheaper MEMS saves money as long as the
-  // MEMS sizing is not much larger than the DRAM it displaces.
-  const CostInputs prices = Prices2007();
-  // Without: 9000 streams x 0.23 MB (mp3-scale buffers) ~ $41.
-  const Dollars without = CostWithoutMems(9000, 0.23 * kMB, prices);
-  // With: 2 devices + 9000 x 54 KB of DRAM ~ $20 + $9.7.
-  const Dollars with_mems =
-      CostWithMemsBufferPerDevice(9000, 2, 54 * kKB, prices);
-  EXPECT_LT(with_mems, without);
 }
 
 }  // namespace

@@ -41,23 +41,24 @@ TEST(DiskGeometryTest, OuterZoneIsFastestAndLargest) {
 
 TEST(DiskGeometryTest, RateAtOffsetMatchesZone) {
   DiskGeometry geo = Simple();
-  auto rate0 = geo.RateAt(0);
-  ASSERT_TRUE(rate0.ok());
-  EXPECT_DOUBLE_EQ(rate0.value(), 300 * kMBps);
-  auto rate_end = geo.RateAt(1000 * kGB - 1);
-  ASSERT_TRUE(rate_end.ok());
-  EXPECT_DOUBLE_EQ(rate_end.value(), 170 * kMBps);
+  auto outer = geo.ZoneAt(0);
+  ASSERT_TRUE(outer.ok());
+  EXPECT_DOUBLE_EQ(outer.value()->transfer_rate, 300 * kMBps);
+  auto inner = geo.ZoneAt(1000 * kGB - 1);
+  ASSERT_TRUE(inner.ok());
+  EXPECT_DOUBLE_EQ(inner.value()->transfer_rate, 170 * kMBps);
 }
 
 TEST(DiskGeometryTest, CylinderMonotoneInOffset) {
   DiskGeometry geo = Simple();
   std::int64_t prev = -1;
   for (Bytes off = 0; off < 1000 * kGB; off += 37 * kGB) {
-    auto cyl = geo.CylinderAt(off);
-    ASSERT_TRUE(cyl.ok());
-    EXPECT_GE(cyl.value(), prev);
-    EXPECT_LT(cyl.value(), 100000);
-    prev = cyl.value();
+    auto zone = geo.ZoneAt(off);
+    ASSERT_TRUE(zone.ok());
+    const std::int64_t cyl = zone.value()->CylinderOf(off);
+    EXPECT_GE(cyl, prev);
+    EXPECT_LT(cyl, 100000);
+    prev = cyl;
   }
 }
 

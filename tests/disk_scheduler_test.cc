@@ -25,51 +25,36 @@ bool IsPermutation(const std::vector<std::size_t>& order, std::size_t n) {
   return sorted == expected;
 }
 
-TEST(SchedulerTest, FcfsPreservesOrder) {
-  const auto batch = Batch({50, 10, 90, 30});
-  const auto order = ScheduleOrder(SchedulerPolicy::kFcfs, 0, batch);
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
-}
-
-TEST(SchedulerTest, SstfGreedyFromHead) {
-  const auto batch = Batch({50, 10, 90, 30});
-  const auto order = ScheduleOrder(SchedulerPolicy::kSstf, 35, batch);
-  // From 35: nearest 30, then 10... wait 30->50 dist 20 vs 30->10 dist 20:
-  // tie broken by first found (index order): 50 is index 0.
-  ASSERT_TRUE(IsPermutation(order, 4));
-  EXPECT_EQ(order[0], 3u);  // offset 30 (distance 5)
-}
-
-TEST(SchedulerTest, ScanSweepsUpThenDown) {
-  const auto batch = Batch({50, 10, 90, 30});
-  const auto order = ScheduleOrder(SchedulerPolicy::kScan, 40, batch);
-  ASSERT_TRUE(IsPermutation(order, 4));
-  // Up: 50, 90; down: 30, 10.
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 2, 3, 1}));
-}
-
 TEST(SchedulerTest, CLookSweepsUpThenWraps) {
   const auto batch = Batch({50, 10, 90, 30});
-  const auto order = ScheduleOrder(SchedulerPolicy::kCLook, 40, batch);
+  const auto order = ScheduleOrder(40, batch);
   ASSERT_TRUE(IsPermutation(order, 4));
   // Up: 50, 90; wrap to lowest: 10, 30.
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 2, 1, 3}));
 }
 
 TEST(SchedulerTest, EmptyBatch) {
-  for (auto policy : {SchedulerPolicy::kFcfs, SchedulerPolicy::kSstf,
-                      SchedulerPolicy::kScan, SchedulerPolicy::kCLook}) {
-    EXPECT_TRUE(ScheduleOrder(policy, 0, {}).empty());
+  EXPECT_TRUE(ScheduleOrder(0, {}).empty());
+}
+
+TEST(SchedulerTest, CLookProducesPermutations) {
+  const auto batch = Batch({5, 3, 9, 1, 7, 7, 2});
+  for (std::int64_t head : {0, 4, 7, 10}) {
+    EXPECT_TRUE(IsPermutation(ScheduleOrder(head, batch), 7))
+        << "head " << head;
   }
 }
 
-TEST(SchedulerTest, AllPoliciesProducePermutations) {
-  const auto batch = Batch({5, 3, 9, 1, 7, 7, 2});
-  for (auto policy : {SchedulerPolicy::kFcfs, SchedulerPolicy::kSstf,
-                      SchedulerPolicy::kScan, SchedulerPolicy::kCLook}) {
-    EXPECT_TRUE(IsPermutation(ScheduleOrder(policy, 4, batch), 7))
-        << SchedulerPolicyName(policy);
+/// Total busy time of `disk` serving `batch` in `order`.
+Seconds ServiceInOrder(DiskDrive& disk, const std::vector<IoSpan>& batch,
+                       const std::vector<std::size_t>& order) {
+  Seconds total = 0;
+  for (std::size_t idx : order) {
+    auto t = disk.Service(batch[idx], nullptr);
+    EXPECT_TRUE(t.ok()) << t.status().ToString();
+    if (t.ok()) total += t.value();
   }
+  return total;
 }
 
 TEST(SchedulerTest, ElevatorBeatsFcfsOnRandomBatch) {
@@ -84,21 +69,20 @@ TEST(SchedulerTest, ElevatorBeatsFcfsOnRandomBatch) {
     batch.push_back(
         {rng.NextInt(0, static_cast<std::int64_t>(900 * kGB)), 4 * kKB});
   }
+  std::vector<std::size_t> arrival(batch.size());
+  std::iota(arrival.begin(), arrival.end(), std::size_t{0});
   disk.Reset();
-  auto fcfs = ServiceBatch(disk, SchedulerPolicy::kFcfs, 0, batch, nullptr);
+  const Seconds fcfs = ServiceInOrder(disk, batch, arrival);
   disk.Reset();
-  auto scan = ServiceBatch(disk, SchedulerPolicy::kScan, 0, batch, nullptr);
-  ASSERT_TRUE(fcfs.ok());
-  ASSERT_TRUE(scan.ok());
-  EXPECT_LT(scan.value(), fcfs.value() * 0.6)
+  const Seconds elevator = ServiceInOrder(disk, batch, ScheduleOrder(0, batch));
+  EXPECT_LT(elevator, fcfs * 0.6)
       << "elevator should cut positioning time drastically";
 }
 
-// Reference elevator order: a stable sort by offset, split at the head
-// into an upward sweep and the rest (ascending for C-LOOK, descending
-// for SCAN).
+// Reference C-LOOK order: a stable sort by offset, split at the head into
+// an upward sweep and the rest, ascending.
 std::vector<std::size_t> ReferenceElevatorOrder(
-    bool circular, std::int64_t head, const std::vector<IoSpan>& batch) {
+    std::int64_t head, const std::vector<IoSpan>& batch) {
   std::vector<std::size_t> sorted(batch.size());
   std::iota(sorted.begin(), sorted.end(), std::size_t{0});
   std::stable_sort(sorted.begin(), sorted.end(),
@@ -110,7 +94,6 @@ std::vector<std::size_t> ReferenceElevatorOrder(
   for (std::size_t i : sorted) {
     (batch[i].offset >= head ? up : down).push_back(i);
   }
-  if (!circular) std::reverse(down.begin(), down.end());
   up.insert(up.end(), down.begin(), down.end());
   return up;
 }
@@ -128,26 +111,19 @@ TEST(SchedulerTest, ElevatorOrderMatchesStableSortReference) {
       Batch({50, 10, 90, 30, 30, 70, 10}),         // shuffled
   };
   const std::int64_t heads[] = {0, 9, 10, 20, 25, 30, 42, 60, 61, 1000};
-  for (bool circular : {true, false}) {
-    const SchedulerPolicy policy =
-        circular ? SchedulerPolicy::kCLook : SchedulerPolicy::kScan;
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-      const std::vector<IoSpan>& batch = batches[b];
-      for (std::int64_t head : heads) {
-        const auto expected = ReferenceElevatorOrder(circular, head, batch);
-        EXPECT_EQ(ScheduleOrder(policy, head, batch), expected)
-            << SchedulerPolicyName(policy) << " batch " << b << " head "
-            << head;
-        // The allocation-free entry point writes the same order, and
-        // overwrites whatever the caller's buffers held.
-        std::vector<std::size_t> order(batch.size(), 99);
-        std::vector<std::size_t> scratch(batch.size(), 77);
-        ScheduleOrderInto(policy, head, batch.data(), batch.size(),
-                          order.data(), scratch.data());
-        EXPECT_EQ(order, expected)
-            << SchedulerPolicyName(policy) << " batch " << b << " head "
-            << head;
-      }
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const std::vector<IoSpan>& batch = batches[b];
+    for (std::int64_t head : heads) {
+      const auto expected = ReferenceElevatorOrder(head, batch);
+      EXPECT_EQ(ScheduleOrder(head, batch), expected)
+          << "batch " << b << " head " << head;
+      // The allocation-free entry point writes the same order, and
+      // overwrites whatever the caller's buffers held.
+      std::vector<std::size_t> order(batch.size(), 99);
+      std::vector<std::size_t> scratch(batch.size(), 77);
+      ScheduleOrderInto(head, batch.data(), batch.size(), order.data(),
+                        scratch.data());
+      EXPECT_EQ(order, expected) << "batch " << b << " head " << head;
     }
   }
 }
@@ -164,17 +140,10 @@ TEST(SchedulerTest, ElevatorOrderMatchesReferenceOnLargeBatches) {
     }
     for (std::int64_t head : {std::int64_t{0}, batch[4096].offset,
                               std::int64_t{1} << 40}) {
-      EXPECT_EQ(ScheduleOrder(SchedulerPolicy::kCLook, head, batch),
-                ReferenceElevatorOrder(true, head, batch));
-      EXPECT_EQ(ScheduleOrder(SchedulerPolicy::kScan, head, batch),
-                ReferenceElevatorOrder(false, head, batch));
+      EXPECT_EQ(ScheduleOrder(head, batch),
+                ReferenceElevatorOrder(head, batch));
     }
   }
-}
-
-TEST(SchedulerTest, PolicyNames) {
-  EXPECT_STREQ(SchedulerPolicyName(SchedulerPolicy::kScan), "SCAN");
-  EXPECT_STREQ(SchedulerPolicyName(SchedulerPolicy::kCLook), "C-LOOK");
 }
 
 }  // namespace

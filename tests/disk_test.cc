@@ -236,6 +236,22 @@ std::uint64_t PinnedDigest(DiskDrive disk, std::int64_t* ios_run) {
   return h;
 }
 
+/// 2002 server disk (Maxtor Atlas 10K III class): 100 GB, 30-55 MB/s.
+DiskParameters Disk2002() {
+  DiskParameters p;
+  p.name = "Disk 2002";
+  p.rpm = 10000;
+  p.outer_rate = 55 * kMBps;
+  p.inner_rate = 30 * kMBps;
+  p.capacity = 100 * kGB;
+  p.track_to_track_seek = 0.4 * kMillisecond;
+  p.average_seek = 4.5 * kMillisecond;
+  p.full_stroke_seek = 10.5 * kMillisecond;
+  p.num_cylinders = 50000;
+  p.num_zones = 16;
+  return p;
+}
+
 DiskParameters OddGeometryDisk() {
   DiskParameters p = Disk2002();
   p.name = "odd";

@@ -9,7 +9,7 @@ TEST(RunningStatsTest, EmptyIsZero) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0);
   EXPECT_EQ(s.mean(), 0);
-  EXPECT_EQ(s.variance(), 0);
+  EXPECT_EQ(s.sum(), 0);
 }
 
 TEST(RunningStatsTest, KnownMoments) {
@@ -19,8 +19,6 @@ TEST(RunningStatsTest, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-  // Population variance is 4; sample variance = 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
 }
 
 TEST(HistogramTest, CountsFallInRightBuckets) {
@@ -99,16 +97,6 @@ TEST(HistogramTest, QuantilesNeverExceedObservedRange) {
     EXPECT_GE(h.Quantile(q), 10.0) << "q=" << q;
     EXPECT_LE(h.Quantile(q), 97.0) << "q=" << q;
   }
-}
-
-TEST(HistogramTest, AsciiRenderingContainsBuckets) {
-  Histogram h(0, 2, 2);
-  h.Add(0.5);
-  h.Add(1.5);
-  h.Add(1.6);
-  const std::string art = h.ToAscii(10);
-  EXPECT_NE(art.find("#"), std::string::npos);
-  EXPECT_NE(art.find("[0, 1)"), std::string::npos);
 }
 
 TEST(TimeWeightedTest, ConstantSignal) {

@@ -73,39 +73,5 @@ TEST(GoldenSectionTest, MatchesClosedFormOfBufferCostShape) {
   EXPECT_NEAR(x.value(), c + std::sqrt(beta * c / alpha), 1e-4);
 }
 
-TEST(GcdTest, Basics) {
-  EXPECT_EQ(Gcd(12, 18), 6);
-  EXPECT_EQ(Gcd(7, 13), 1);
-  EXPECT_EQ(Gcd(0, 5), 5);
-  EXPECT_EQ(Gcd(5, 0), 5);
-}
-
-TEST(RationalSnapTest, FloorAndCeil) {
-  Rational f = FloorToDenominator(0.34, 10);
-  EXPECT_DOUBLE_EQ(f.Value(), 0.3);
-  Rational c = CeilToDenominator(0.34, 10);
-  EXPECT_DOUBLE_EQ(c.Value(), 0.4);
-}
-
-TEST(RationalSnapTest, ExactValueIsFixed) {
-  Rational f = FloorToDenominator(0.5, 10);
-  Rational c = CeilToDenominator(0.5, 10);
-  EXPECT_DOUBLE_EQ(f.Value(), 0.5);
-  EXPECT_DOUBLE_EQ(c.Value(), 0.5);
-  // 5/10 reduces to 1/2.
-  EXPECT_EQ(f.num, 1);
-  EXPECT_EQ(f.den, 2);
-}
-
-TEST(RationalSnapTest, NegativeClampsToZero) {
-  EXPECT_EQ(FloorToDenominator(-0.2, 10).num, 0);
-}
-
-TEST(AlmostEqualTest, RelativeTolerance) {
-  EXPECT_TRUE(AlmostEqual(1e12, 1e12 + 1));
-  EXPECT_FALSE(AlmostEqual(1.0, 1.1));
-  EXPECT_TRUE(AlmostEqual(0.0, 0.0));
-}
-
 }  // namespace
 }  // namespace memstream

@@ -253,47 +253,6 @@ TEST(MemsDeviceTest, PinnedServiceDigest) {
   }
 }
 
-TEST(MemsDeviceTest, LocateAndEndOfErrorCodes) {
-  MemsDevice dev = G3();
-  const auto last = static_cast<std::int64_t>(dev.Capacity());
-  EXPECT_EQ(dev.Locate(-1).status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(dev.Locate(dev.Capacity()).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_TRUE(dev.Locate(dev.Capacity() - 1).ok());
-  // EndOf checks the start offset before the size.
-  EXPECT_EQ(dev.EndOf({last, -1}).status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(dev.EndOf({0, -1}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(dev.EndOf({last - 10, 11}).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(dev.SeekTimeTo(dev.Capacity()).status().code(),
-            StatusCode::kOutOfRange);
-  auto end = dev.EndOf({last - 10, 10});
-  ASSERT_TRUE(end.ok());
-  EXPECT_EQ(end.value().region, dev.parameters().num_regions - 1);
-}
-
-TEST(MemsDevicePositionTest, LocateAndEndOfAreConsistentWithService) {
-  MemsDevice dev = G3();
-  const IoSpan io{static_cast<std::int64_t>(3 * kGB), 2 * kMB};
-  auto end = dev.EndOf(io);
-  ASSERT_TRUE(end.ok());
-  ASSERT_TRUE(dev.Service(io, nullptr).ok());
-  EXPECT_EQ(dev.current_region(), end.value().region);
-  EXPECT_DOUBLE_EQ(dev.current_y(), end.value().y);
-}
-
-TEST(MemsDevicePositionTest, SeekTimeToMatchesSeekTime) {
-  MemsDevice dev = G3();
-  dev.Reset();
-  auto loc = dev.Locate(7 * kGB);
-  ASSERT_TRUE(loc.ok());
-  auto via_offset = dev.SeekTimeTo(7 * kGB);
-  ASSERT_TRUE(via_offset.ok());
-  EXPECT_DOUBLE_EQ(via_offset.value(),
-                   dev.SeekTime(0, 0, loc.value().region, loc.value().y));
-}
-
 TEST(MemsDeviceTest, InvalidParametersRejected) {
   MemsParameters p = MemsG3();
   p.transfer_rate = 0;

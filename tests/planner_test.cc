@@ -37,7 +37,6 @@ CostInputs Prices() {
   CostInputs prices;
   prices.dram_per_byte = 20.0 / kGB;
   prices.mems_per_byte = 1.0 / kGB;
-  prices.mems_capacity = 10 * kGB;
   return prices;
 }
 

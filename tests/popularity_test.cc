@@ -5,31 +5,32 @@
 namespace memstream::workload {
 namespace {
 
-TEST(TwoClassTest, PmfSumsToOne) {
-  auto sampler = TwoClassSampler::Create({0.1, 0.9}, 100);
-  ASSERT_TRUE(sampler.ok());
-  double sum = 0;
-  for (std::int64_t t = 0; t < 100; ++t) sum += sampler.value().Pmf(t);
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
 TEST(TwoClassTest, PopularTitlesGetYFractionOfMass) {
   auto sampler = TwoClassSampler::Create({0.1, 0.9}, 1000);
   ASSERT_TRUE(sampler.ok());
   EXPECT_EQ(sampler.value().num_popular(), 100);
-  double popular_mass = 0;
-  for (std::int64_t t = 0; t < 100; ++t) {
-    popular_mass += sampler.value().Pmf(t);
+  Rng rng(5);
+  std::int64_t popular_hits = 0;
+  const int n = 100000;
+  for (int i = 0; i < n; ++i) {
+    if (sampler.value().Sample(rng) < 100) ++popular_hits;
   }
-  EXPECT_NEAR(popular_mass, 0.9, 1e-12);
+  EXPECT_NEAR(static_cast<double>(popular_hits) / n, 0.9, 0.005);
 }
 
 TEST(TwoClassTest, UniformWithinClasses) {
+  // 2 popular titles share 80 % of the draws, 8 others share 20 %.
   auto sampler = TwoClassSampler::Create({0.2, 0.8}, 10);
   ASSERT_TRUE(sampler.ok());
-  EXPECT_DOUBLE_EQ(sampler.value().Pmf(0), sampler.value().Pmf(1));
-  EXPECT_DOUBLE_EQ(sampler.value().Pmf(2), sampler.value().Pmf(9));
-  EXPECT_GT(sampler.value().Pmf(0), sampler.value().Pmf(2));
+  Rng rng(11);
+  std::vector<double> share(10, 0.0);
+  const int n = 200000;
+  for (int i = 0; i < n; ++i) {
+    share[static_cast<std::size_t>(sampler.value().Sample(rng))] += 1.0 / n;
+  }
+  EXPECT_NEAR(share[0], 0.4, 0.01);
+  EXPECT_NEAR(share[1], 0.4, 0.01);
+  for (std::size_t t = 2; t < 10; ++t) EXPECT_NEAR(share[t], 0.025, 0.003);
 }
 
 TEST(TwoClassTest, SampleFrequenciesMatchPmf) {

@@ -1,42 +1,14 @@
 // The shared QosCounters struct replaced four copy-pasted report fields;
-// these tests pin the single accounting path every server now goes
-// through: session absorption, farm/facade merging, the auditor slot,
-// and the pause semantics degradation relies on (shed time is not
-// jitter).
+// these tests pin its farm/facade merging and the auditor slot. Folding a
+// stream's tallies in, and the pause semantics degradation relies on,
+// are tested with the batches in stream_batch_test.
 
 #include "server/qos_counters.h"
 
 #include <gtest/gtest.h>
 
-#include "server/stream_session.h"
-
 namespace memstream::server {
 namespace {
-
-TEST(QosCountersTest, AbsorbPlaybackFoldsUnderflowTallies) {
-  StreamSession session(1, 100);  // 100 B/s
-  session.Deposit(0, 50);
-  session.StartPlayback(0);
-  session.LevelAt(2.0);  // dry from t=0.5; 1.5s of underflow so far
-
-  QosCounters qos;
-  qos.AbsorbPlayback(session);
-  EXPECT_EQ(qos.underflow_events, 1);
-  EXPECT_DOUBLE_EQ(qos.underflow_time, 1.5);
-  EXPECT_FALSE(qos.clean());
-}
-
-TEST(QosCountersTest, AbsorbRecordingFoldsOverflowTallies) {
-  RecordingSession session(2, 100, 100);  // 1s of staging capacity
-  session.StartRecording(0);
-  session.LevelAt(3.0);  // over capacity from t=1: 2s over
-
-  QosCounters qos;
-  qos.AbsorbRecording(session);
-  EXPECT_EQ(qos.overflow_events, 1);
-  EXPECT_DOUBLE_EQ(qos.overflow_time, 2.0);
-  EXPECT_FALSE(qos.clean());
-}
 
 TEST(QosCountersTest, MergeAggregatesEveryField) {
   QosCounters a;
@@ -65,47 +37,6 @@ TEST(QosCountersTest, CleanRequiresZeroEverywhere) {
   qos.violations = 0;
   qos.overflow_events = 1;
   EXPECT_FALSE(qos.clean());
-}
-
-TEST(QosCountersTest, PausedStreamsAccrueNoUnderflow) {
-  // Degradation sheds a stream by pausing its session: the viewer
-  // rebuffers, so the shed window must not count as jitter.
-  StreamSession session(3, 100);
-  session.Deposit(0, 100);
-  session.StartPlayback(0);
-  session.PausePlayback(0.5);  // 50 B left, still clean
-  session.LevelAt(20.0);       // a long shed window
-
-  QosCounters qos;
-  qos.AbsorbPlayback(session);
-  EXPECT_EQ(qos.underflow_events, 0);
-  EXPECT_DOUBLE_EQ(qos.underflow_time, 0.0);
-  EXPECT_TRUE(qos.clean());
-
-  // Re-admission resumes the clock; tallies start from the live state.
-  session.Deposit(20.0, 100);
-  session.StartPlayback(20.0);
-  session.LevelAt(21.0);
-  qos = QosCounters();
-  qos.AbsorbPlayback(session);
-  EXPECT_EQ(qos.underflow_events, 0);
-}
-
-TEST(QosCountersTest, PauseEndsAnOpenDryExcursion) {
-  // A stream that is dry when it gets shed: the event was already
-  // counted once; pausing must close the excursion instead of letting
-  // the shed window inflate underflow_time.
-  StreamSession session(4, 100);
-  session.Deposit(0, 50);
-  session.StartPlayback(0);
-  session.LevelAt(1.0);  // dry since t=0.5
-  session.PausePlayback(1.0);
-  session.LevelAt(30.0);
-
-  QosCounters qos;
-  qos.AbsorbPlayback(session);
-  EXPECT_EQ(qos.underflow_events, 1);
-  EXPECT_DOUBLE_EQ(qos.underflow_time, 0.5);
 }
 
 }  // namespace

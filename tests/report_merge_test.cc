@@ -83,14 +83,19 @@ std::string MakeFaultyRunReportJson() {
 }
 
 TEST(ReportMergeTest, ClassifiesInputsByContent) {
-  EXPECT_EQ(ClassifyReportInput(MakeRunReportJson("r", false)),
-            ReportInputKind::kRunReport);
-  EXPECT_EQ(ClassifyReportInput(BenchSweepsJson()),
-            ReportInputKind::kUnknown);
-  EXPECT_EQ(ClassifyReportInput("[]"), ReportInputKind::kUnknown);
-  EXPECT_EQ(ClassifyReportInput("not json at all"),
-            ReportInputKind::kUnknown);
-  EXPECT_EQ(ClassifyReportInput("{\"foo\":1}"), ReportInputKind::kUnknown);
+  // The file name never decides the kind.
+  ReportBundle bundle;
+  EXPECT_TRUE(
+      AddReportInput("r.csv", MakeRunReportJson("r", false), &bundle).ok());
+  EXPECT_EQ(bundle.runs.size(), 1u);
+  for (const std::string& unknown :
+       {BenchSweepsJson(), std::string("[]"), std::string("not json at all"),
+        std::string("{\"foo\":1}")}) {
+    EXPECT_FALSE(AddReportInput("u.json", unknown, &bundle).ok()) << unknown;
+  }
+  EXPECT_EQ(bundle.runs.size(), 1u);
+  EXPECT_TRUE(bundle.csvs.empty());
+  EXPECT_EQ(bundle.errors.size(), 4u);
 }
 
 TEST(ReportMergeTest, MergesRunsAndBenchRecordsIntoOneBundle) {

@@ -71,11 +71,15 @@ TEST(ScaleOutTest, PerDiskBuffersLiftTheFarm) {
   ScaleOutConfig config = FarmConfig(4, 100 * kKBps, 2 * kGB);
   config.buffer_k_per_disk = 2;
   config.mems = G3Profile();
-  auto gain = ScaleOutBufferGain(config);
-  ASSERT_TRUE(gain.ok()) << gain.status().ToString();
-  EXPECT_GT(gain.value(), 1.3);
+  ScaleOutConfig direct = config;
+  direct.buffer_k_per_disk = 0;
+  auto base = PlanScaleOut(direct);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
   auto plan = PlanScaleOut(config);
-  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  // Same DRAM budget, more streams.
+  EXPECT_GT(static_cast<double>(plan.value().total_streams),
+            1.3 * static_cast<double>(base.value().total_streams));
   EXPECT_EQ(plan.value().mems_devices_total, 8);
 }
 

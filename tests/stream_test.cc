@@ -22,17 +22,5 @@ TEST(StreamClassTest, PaperClassesOrderedByRate) {
   }
 }
 
-TEST(VbrTest, CushionAbsorbsOneCycleOfVariability) {
-  VbrProfile vbr{"vbr-dvd", 1 * kMBps, 1.5 * kMBps};
-  EXPECT_DOUBLE_EQ(VbrCushion(vbr, 2.0), 1 * kMB);
-}
-
-TEST(VbrTest, CbrNeedsNoCushion) {
-  VbrProfile cbr{"cbr", 1 * kMBps, 1 * kMBps};
-  EXPECT_DOUBLE_EQ(VbrCushion(cbr, 10.0), 0.0);
-  VbrProfile weird{"peak-below-mean", 1 * kMBps, 0.5 * kMBps};
-  EXPECT_DOUBLE_EQ(VbrCushion(weird, 10.0), 0.0);
-}
-
 }  // namespace
 }  // namespace memstream::model

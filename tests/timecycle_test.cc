@@ -145,37 +145,6 @@ TEST(MaxStreamsWithBufferTest, ZeroBudgetZeroStreams) {
             0);
 }
 
-TEST(VbrTest, CushionAddsOnTopOfCbrSizing) {
-  const auto dev = FlatProfile(300 * kMBps, 4.3 * kMillisecond);
-  const VbrProfile vbr{"vbr", 1 * kMBps, 1.5 * kMBps};
-  auto cbr = PerStreamBufferSize(100, 1 * kMBps, dev);
-  auto with_cushion = PerStreamBufferSizeVbr(100, vbr, dev);
-  ASSERT_TRUE(cbr.ok());
-  ASSERT_TRUE(with_cushion.ok());
-  const Seconds cycle = cbr.value() / (1 * kMBps);
-  EXPECT_NEAR(with_cushion.value(),
-              cbr.value() + 0.5 * kMBps * cycle, 1e-6);
-}
-
-TEST(VbrTest, CbrProfileDegeneratesToTheorem1) {
-  const auto dev = FlatProfile(300 * kMBps, 4.3 * kMillisecond);
-  const VbrProfile cbr_like{"cbr", 1 * kMBps, 1 * kMBps};
-  auto plain = PerStreamBufferSize(50, 1 * kMBps, dev);
-  auto vbr = PerStreamBufferSizeVbr(50, cbr_like, dev);
-  ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(vbr.ok());
-  EXPECT_DOUBLE_EQ(plain.value(), vbr.value());
-}
-
-TEST(VbrTest, InvalidProfileRejected) {
-  const auto dev = FlatProfile(300 * kMBps, 4.3 * kMillisecond);
-  const VbrProfile bad{"bad", 1 * kMBps, 0.5 * kMBps};
-  EXPECT_FALSE(PerStreamBufferSizeVbr(50, bad, dev).ok());
-  // Saturation at the mean rate is still infeasible.
-  const VbrProfile heavy{"heavy", 10 * kMBps, 12 * kMBps};
-  EXPECT_FALSE(PerStreamBufferSizeVbr(30, heavy, dev).ok());
-}
-
 TEST(CanSustainTest, Boundary) {
   const auto dev = FlatProfile(100 * kMBps, 1 * kMillisecond);
   EXPECT_TRUE(CanSustain(99, 1 * kMBps, dev));
