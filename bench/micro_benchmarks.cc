@@ -19,6 +19,7 @@
 #include "device/device_catalog.h"
 #include "device/disk_scheduler.h"
 #include "farm/placement.h"
+#include "farm/router.h"
 #include "model/mems_buffer.h"
 #include "model/planner.h"
 #include "model/timecycle.h"
@@ -29,6 +30,7 @@
 #include "server/timecycle_server.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "workload/popularity.h"
 
 namespace memstream {
 namespace {
@@ -496,6 +498,63 @@ void BM_PlacementLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlacementLookup)->Arg(0)->Arg(1);
+
+// The farm_zipf admission wave routed serially: 1.08 M seeded Zipf
+// offers of 100 KB/s over a popularity-aware placement of 128 shards
+// (20k titles, 4 head copies), each shard one 5-way striped
+// FutureDisk node with a 48 GB budget. Each iteration builds a fresh
+// router and the title groups, and routes every offer from the groups'
+// candidate lists, as RunShardedFarm's wave does; items = offers.
+// Arg(0) solves Theorem 1 for every candidate; Arg(1) shares one
+// SizingTable across the shards, as the farm does (its build is timed
+// too).
+void BM_FarmWaveRoute(benchmark::State& state) {
+  farm::PlacementConfig pc;
+  pc.num_shards = 128;
+  pc.num_titles = 20000;
+  pc.replicas = 4;
+  pc.zipf_exponent = 0.8;
+  pc.replication_budget = 0.10;
+  auto placement =
+      farm::MakePlacement(farm::PlacementPolicy::kPopularityAware, pc);
+  device::DiskParameters node = device::FutureDisk2007();
+  node.outer_rate *= 5;
+  node.inner_rate = node.outer_rate;
+  node.capacity *= 5;
+  auto disk = device::DiskDrive::Create(node).value();
+  farm::RouterConfig rc;
+  rc.dram_budget_per_shard = 48 * kGB;
+  rc.node_rate = disk.parameters().outer_rate;
+  rc.node_latency = model::DiskLatencyFn(disk);
+  constexpr std::int64_t kOffers = 1080000;
+  constexpr BytesPerSecond kRate = 100 * kKBps;
+  const auto sampler = workload::ZipfSampler::Create(pc.num_titles, 0.8);
+  std::vector<std::int32_t> titles(kOffers);
+  Rng rng(1);
+  for (std::int32_t& t : titles) {
+    t = static_cast<std::int32_t>(sampler.value().Sample(rng));
+  }
+  std::int64_t admitted = 0;
+  for (auto _ : state) {
+    auto router = farm::AdmissionRouter::Create(placement.value().get(), rc);
+    if (state.range(0) != 0 &&
+        !router.value().ShareSizingTable(kRate, kOffers).ok()) {
+      state.SkipWithError("ShareSizingTable failed");
+      break;
+    }
+    const farm::TitleGroups groups = farm::GroupTitles(*placement.value());
+    farm::RouteTally tally;
+    for (const std::int32_t t : titles) {
+      admitted += router.value().RouteAmong(groups.candidates(t), kRate,
+                                            &tally) >= 0
+                      ? 1
+                      : 0;
+    }
+  }
+  benchmark::DoNotOptimize(admitted);
+  state.SetItemsProcessed(state.iterations() * kOffers);
+}
+BENCHMARK(BM_FarmWaveRoute)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfDistribution dist(10000, 1.0);

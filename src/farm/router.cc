@@ -1,6 +1,8 @@
 #include "farm/router.h"
 
 #include <algorithm>
+#include <array>
+#include <memory>
 #include <numeric>
 #include <utility>
 
@@ -26,54 +28,76 @@ Result<AdmissionRouter> AdmissionRouter::Create(const Placement* placement,
     MEMSTREAM_RETURN_IF_ERROR(controller.status());
     router.controllers_.push_back(std::move(controller).value());
   }
-  router.up_.assign(static_cast<std::size_t>(shards), true);
+  router.up_.assign(static_cast<std::size_t>(shards), 1);
   return router;
+}
+
+Status AdmissionRouter::ShareSizingTable(BytesPerSecond rate,
+                                         std::int64_t max_count) {
+  auto table = controllers_.front().BuildSizingTable(rate, max_count);
+  MEMSTREAM_RETURN_IF_ERROR(table.status());
+  table_ = std::make_unique<const server::SizingTable>(
+      std::move(table).value());
+  for (server::AdmissionController& c : controllers_) {
+    c.UseSizingTable(table_.get());
+  }
+  return Status::OK();
 }
 
 RouteDecision AdmissionRouter::Route(std::int64_t title,
                                      BytesPerSecond bit_rate,
                                      RouteTally* tally) {
-  ++tally->attempts;
   RouteDecision decision;
-  decision.reason = "no live replica";
-
-  ShardSet candidates = placement_->Lookup(title);
-  // Least-loaded first, ties to the lowest shard id (insertion sort on
-  // the fixed-size set keeps this allocation-free).
-  for (std::int32_t i = 1; i < candidates.count; ++i) {
-    const std::int32_t s = candidates.shard[static_cast<std::size_t>(i)];
-    std::int32_t j = i - 1;
-    auto heavier = [this](std::int32_t a, std::int32_t b) {
-      const std::int64_t la = admitted_on(a), lb = admitted_on(b);
-      return la > lb || (la == lb && a > b);
-    };
-    while (j >= 0 &&
-           heavier(candidates.shard[static_cast<std::size_t>(j)], s)) {
-      candidates.shard[static_cast<std::size_t>(j + 1)] =
-          candidates.shard[static_cast<std::size_t>(j)];
-      --j;
-    }
-    candidates.shard[static_cast<std::size_t>(j + 1)] = s;
+  server::AdmissionVerdict verdict;
+  decision.shard = RouteSet(placement_->Lookup(title), bit_rate, tally,
+                            &verdict, &decision.reason);
+  if (decision.shard >= 0) {
+    decision.admitted = true;
+    decision.streams_on_shard = verdict.streams_after;
+    decision.dram_required = verdict.dram_required;
   }
+  return decision;
+}
 
+std::int32_t AdmissionRouter::RouteSet(ShardSet candidates,
+                                       BytesPerSecond bit_rate,
+                                       RouteTally* tally,
+                                       server::AdmissionVerdict* verdict,
+                                       std::string* reason) {
+  ++tally->attempts;
+  // Live candidates keyed least-loaded first, ties to the lowest shard
+  // id: load in the high half (a shard never holds 2^32 streams), id in
+  // the low half.
+  std::array<std::uint64_t, kMaxReplicas> key;
+  std::int32_t live = 0;
   for (std::int32_t i = 0; i < candidates.count; ++i) {
     const std::int32_t s = candidates.shard[static_cast<std::size_t>(i)];
-    if (!up_[static_cast<std::size_t>(s)]) continue;
-    server::AdmissionDecision d =
-        controllers_[static_cast<std::size_t>(s)].TryAdmit(bit_rate);
-    if (d.admitted) {
-      ++tally->admitted;
-      decision.admitted = true;
-      decision.shard = s;
-      decision.streams_on_shard = d.streams_after;
-      decision.dram_required = d.dram_required;
-      decision.reason.clear();
-      return decision;
+    if (!shard_up(s)) continue;
+    key[static_cast<std::size_t>(live++)] =
+        static_cast<std::uint64_t>(admitted_on(s)) << 32 |
+        static_cast<std::uint32_t>(s);
+  }
+  if (live == 0 && reason != nullptr) *reason = "no live replica";
+  // Offer in key order, picking each next candidate by a scan rather
+  // than sorting up front: the first pick nearly always admits. Only
+  // the last candidate's rejection text can reach the caller, so only
+  // it builds one.
+  for (std::int32_t tried = 0; tried < live; ++tried) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < static_cast<std::size_t>(live); ++i) {
+      if (key[i] < key[best]) best = i;
     }
-    decision.reason = std::move(d.reason);
+    const auto s = static_cast<std::int32_t>(key[best] & 0xFFFFFFFFu);
+    key[best] = ~std::uint64_t{0};
+    *verdict = controllers_[static_cast<std::size_t>(s)].Admit(
+        bit_rate, tried + 1 == live ? reason : nullptr);
+    if (verdict->admitted) {
+      ++tally->admitted;
+      return s;
+    }
   }
   ++tally->rejected;
-  return decision;
+  return -1;
 }
 
 Status AdmissionRouter::Release(std::int32_t shard, BytesPerSecond bit_rate) {
@@ -87,7 +111,7 @@ Status AdmissionRouter::SetShardUp(std::int32_t shard, bool up) {
   if (shard < 0 || shard >= num_shards()) {
     return Status::OutOfRange("shard index out of range");
   }
-  up_[static_cast<std::size_t>(shard)] = up;
+  up_[static_cast<std::size_t>(shard)] = up ? 1 : 0;
   return Status::OK();
 }
 
@@ -105,8 +129,15 @@ TitleGroups GroupTitles(const Placement& placement) {
   };
   TitleGroups groups;
   groups.of_title.resize(static_cast<std::size_t>(placement.num_titles()));
+  groups.first_copy.reserve(groups.of_title.size() + 1);
+  groups.copies.reserve(static_cast<std::size_t>(placement.total_copies()));
+  groups.first_copy.push_back(0);
   for (std::int64_t t = 0; t < placement.num_titles(); ++t) {
     const ShardSet set = placement.Lookup(t);
+    groups.copies.insert(groups.copies.end(), set.shard.begin(),
+                         set.shard.begin() + set.count);
+    groups.first_copy.push_back(
+        static_cast<std::int32_t>(groups.copies.size()));
     std::int32_t low = root(set.shard[0]);
     for (std::int32_t i = 1; i < set.count; ++i) {
       std::int32_t high = root(set.shard[static_cast<std::size_t>(i)]);

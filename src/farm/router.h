@@ -1,9 +1,19 @@
 // Farm-level admission router: one model-driven AdmissionController per
 // shard, fronted by the catalog placement. A request for a title is
 // offered to that title's replicas in least-loaded order; each candidate
-// re-checks Theorem-1/2 headroom through the controller's incremental
-// solver probes, so a stream is only ever admitted where the analytical
-// sizing still fits the shard's DRAM budget and bandwidth.
+// re-checks Theorem-1 headroom through its controller, so a stream is
+// only ever admitted where the analytical sizing still fits the shard's
+// DRAM budget and bandwidth.
+//
+// Every shard has the same node, so a one-rate farm shares one
+// read-only server::SizingTable across all controllers
+// (ShareSizingTable): a candidate holding only the table's rate is
+// answered with one load per count, bit-identical to solving. Offers at
+// other rates, and mixed shards, still solve. An admitting Route builds
+// no reason text and touches no heap; only a rejection writes its
+// reason, that of the last live candidate. Callers that route many
+// offers can skip the placement lookup too: GroupTitles keeps every
+// title's candidates for RouteAmong.
 //
 // The router also carries the farm's availability state: a shard marked
 // down (fault::FaultPlan node failure) is skipped by Route until its
@@ -19,7 +29,10 @@
 #ifndef MEMSTREAM_FARM_ROUTER_H_
 #define MEMSTREAM_FARM_ROUTER_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,7 +92,24 @@ class AdmissionRouter {
   /// (the concurrent form; fold `tally` in with AddTally afterwards).
   RouteDecision Route(std::int64_t title, BytesPerSecond bit_rate,
                       RouteTally* tally);
+  /// Route for a title whose Lookup the caller already holds
+  /// (TitleGroups::candidates: at most kMaxReplicas shards, in Lookup
+  /// order), reduced to its verdict: the admitting shard, or -1.
+  std::int32_t RouteAmong(std::span<const std::int32_t> candidates,
+                          BytesPerSecond bit_rate, RouteTally* tally) {
+    ShardSet set;
+    set.count = static_cast<std::int32_t>(candidates.size());
+    std::copy(candidates.begin(), candidates.end(), set.shard.begin());
+    server::AdmissionVerdict verdict;
+    return RouteSet(set, bit_rate, tally, &verdict, nullptr);
+  }
   void AddTally(const RouteTally& tally) { tally_ += tally; }
+
+  /// Builds one SizingTable for streams of `rate`, capped at
+  /// `max_count` streams per shard, and has every shard's controller
+  /// answer from it (see AdmissionController::UseSizingTable). Routing
+  /// decisions stay bit-identical; offers at other rates still solve.
+  Status ShareSizingTable(BytesPerSecond rate, std::int64_t max_count);
 
   /// Releases one admitted stream of `bit_rate` from `shard`.
   Status Release(std::int32_t shard, BytesPerSecond bit_rate);
@@ -87,7 +117,7 @@ class AdmissionRouter {
   /// Marks a shard down (skipped by Route) or back up.
   Status SetShardUp(std::int32_t shard, bool up);
   bool shard_up(std::int32_t shard) const {
-    return up_[static_cast<std::size_t>(shard)];
+    return up_[static_cast<std::size_t>(shard)] != 0;
   }
 
   std::int64_t num_shards() const {
@@ -112,18 +142,38 @@ class AdmissionRouter {
   explicit AdmissionRouter(const Placement* placement)
       : placement_(placement) {}
 
+  /// Offers the stream to `candidates`, least-loaded first. Returns the
+  /// admitting shard, with its verdict in `verdict`, or -1; a rejection
+  /// writes its reason to a non-null `reason`.
+  std::int32_t RouteSet(ShardSet candidates, BytesPerSecond bit_rate,
+                        RouteTally* tally, server::AdmissionVerdict* verdict,
+                        std::string* reason);
+
   const Placement* placement_;
   std::vector<server::AdmissionController> controllers_;  ///< per shard
-  std::vector<bool> up_;
+  std::vector<std::uint8_t> up_;  ///< 1 = up
+  std::unique_ptr<const server::SizingTable> table_;  ///< shared by all
   RouteTally tally_;
 };
 
 /// The shard groups of a placement: two shards share a group when some
 /// title has a copy on both, directly or through a chain of titles. No
 /// title's candidates cross a group, so groups route independently.
+/// The pass also keeps every title's candidates, so a caller routing
+/// many offers can skip the placement lookup (RouteAmong).
 struct TitleGroups {
   std::int32_t count = 0;              ///< number of groups
   std::vector<std::int32_t> of_title;  ///< group of each title
+  /// Title t's candidate shards, in Lookup order, are
+  /// copies[first_copy[t]] up to copies[first_copy[t + 1]].
+  std::vector<std::int32_t> first_copy;
+  std::vector<std::int32_t> copies;
+
+  std::span<const std::int32_t> candidates(std::int64_t title) const {
+    const auto t = static_cast<std::size_t>(title);
+    return {copies.data() + first_copy[t],
+            copies.data() + first_copy[t + 1]};
+  }
 };
 
 /// Unions every title's candidate ShardSet into shard groups, numbered

@@ -24,6 +24,9 @@ struct StreamRec {
 };
 static_assert(sizeof(StreamRec) == 8);
 
+/// Longest shared sizing table a farm builds, in streams per shard.
+constexpr std::int64_t kMaxTabledStreams = std::int64_t{1} << 18;
+
 /// Ascending stream ids: one shard's residents, or the shed streams.
 /// The ids appended since the last Settle() must be ascending among
 /// themselves; Settle() merges them into the sorted prefix.
@@ -118,9 +121,8 @@ std::vector<StreamRec> AdmissionWave(const ShardedFarmConfig& config,
           if (lane_of_title[static_cast<std::size_t>(rec.title)] != lane) {
             continue;
           }
-          const RouteDecision d =
-              router->Route(rec.title, config.bit_rate, &tally);
-          rec.shard = d.admitted ? d.shard : -1;
+          rec.shard = router->RouteAmong(groups.candidates(rec.title),
+                                         config.bit_rate, &tally);
         }
         return tally;
       });
@@ -158,6 +160,13 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
   rc.node_latency = model::DiskLatencyFn(probe.value());
   auto router = AdmissionRouter::Create(placement.value().get(), rc);
   MEMSTREAM_RETURN_IF_ERROR(router.status());
+  // Every stream has the one rate and every node the one config, so all
+  // shards share one Theorem-1 table. No shard can hold more streams
+  // than were offered; past kMaxTabledStreams (2 MB of table) a shard
+  // solves as before.
+  MEMSTREAM_RETURN_IF_ERROR(router.value().ShareSizingTable(
+      config.bit_rate,
+      std::clamp<std::int64_t>(config.offered_streams, 1, kMaxTabledStreams)));
 
   FarmRunReport farm;
   farm.policy = placement.value()->name();

@@ -6,11 +6,13 @@
 //
 // Execution model — one admission wave, then epochs between fault
 // events:
-//  - The t = 0 wave routes every offer through the router. Shards that
-//    no title's candidate set links form independent shard groups
-//    (farm/router.h, GroupTitles); the groups route in parallel on the
-//    same SweepRunner, each in offer order, so the admitted set and the
-//    stream ids are those of one serial pass.
+//  - The t = 0 wave routes every offer through the router, whose
+//    shards all answer from one shared Theorem-1 sizing table built for
+//    the farm's bit rate. Shards that no title's candidate set links
+//    form independent shard groups (farm/router.h, GroupTitles); the
+//    groups route in parallel on the same SweepRunner, each in offer
+//    order, so the admitted set and the stream ids are those of one
+//    serial pass.
 //  - The run's timeline is cut at every node fail/repair event. Within
 //    an epoch each shard's admitted set is constant. Every node is the
 //    same disk and every stream has the one bit rate, so a shard-epoch

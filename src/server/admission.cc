@@ -4,12 +4,19 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <string>
 
 namespace memstream::server {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// TryAdmit's text for a load of `dram` over the budget; `solver` holds
+/// the solver's reason when the load is infeasible.
+std::string OverBudgetReason(Bytes dram, std::string& solver) {
+  return dram == kInf ? std::move(solver) : "DRAM budget exceeded";
+}
 
 }  // namespace
 
@@ -88,6 +95,63 @@ void AdmissionController::SumRates() {
   }
 }
 
+[[gnu::always_inline]] inline Bytes AdmissionController::SizeWith(
+    BytesPerSecond bit_rate, std::string* reason) const {
+  const std::int64_t n = admitted_count_ + 1;
+  // A table entry is the solve below for a set of n streams of its
+  // rate: SumRates leaves total_rate_ at exactly rate * (n - 1) then.
+  if (table_ != nullptr && bit_rate == table_->rate_ &&
+      n <= table_->max_count() &&
+      (classes_.empty() ||
+       (classes_.size() == 1 && classes_.front().rate == bit_rate))) {
+    const Bytes dram = table_->dram(n);
+    if (reason != nullptr && dram > config_.dram_budget) {
+      *reason = table_->reason_;
+    }
+    return dram;
+  }
+  DramSolve solve =
+      Solve(n, (total_rate_ + bit_rate) / static_cast<double>(n));
+  if (reason != nullptr && solve.dram > config_.dram_budget) {
+    *reason = OverBudgetReason(solve.dram, solve.reason);
+  }
+  return solve.dram;
+}
+
+// SizeWith and Decide are inlined into both Admit and TryAdmit: calls
+// between them cost the memo-hit admission path a measurable share of
+// its ~20 ns.
+[[gnu::always_inline]] inline AdmissionVerdict AdmissionController::Decide(
+    BytesPerSecond bit_rate, std::string* reason) {
+  AdmissionVerdict verdict;
+  verdict.streams_after = admitted_count_;
+  if (bit_rate <= 0) {
+    if (reason != nullptr) *reason = "bit_rate must be > 0";
+  } else {
+    verdict.dram_required = SizeWith(bit_rate, reason);
+    if (verdict.dram_required <= config_.dram_budget) {
+      auto it = FindClass(bit_rate);
+      if (it == classes_.end()) {
+        classes_.push_back({bit_rate, 1});
+      } else {
+        ++it->count;
+      }
+      ++admitted_count_;
+      SumRates();
+      verdict.admitted = true;
+      verdict.streams_after = admitted_count_;
+    }
+  }
+  obs::Increment(attempts_metric_);
+  obs::Increment(verdict.admitted ? admitted_metric_ : rejected_metric_);
+  return verdict;
+}
+
+AdmissionVerdict AdmissionController::Admit(BytesPerSecond bit_rate,
+                                            std::string* reason) {
+  return Decide(bit_rate, reason);
+}
+
 AdmissionDecision AdmissionController::TryAdmit(BytesPerSecond bit_rate) {
   // The wall clock runs only when a latency consumer is installed, so
   // untelemetered admission stays clock-free (and deterministic tests
@@ -97,34 +161,11 @@ AdmissionDecision AdmissionController::TryAdmit(BytesPerSecond bit_rate) {
                            : std::chrono::steady_clock::time_point{};
 
   AdmissionDecision decision;
-  decision.streams_after = admitted_count() + 1;
-  if (bit_rate <= 0) {
-    decision.reason = "bit_rate must be > 0";
-  } else {
-    const BytesPerSecond avg =
-        (total_rate_ + bit_rate) /
-        static_cast<double>(decision.streams_after);
-    DramSolve solve = Solve(decision.streams_after, avg);
-    decision.dram_required = solve.dram;
-    if (solve.dram > config_.dram_budget) {
-      decision.reason = solve.dram == kInf ? std::move(solve.reason)
-                                           : "DRAM budget exceeded";
-    } else {
-      auto it = FindClass(bit_rate);
-      if (it == classes_.end()) {
-        classes_.push_back({bit_rate, 1});
-      } else {
-        ++it->count;
-      }
-      ++admitted_count_;
-      SumRates();
-      decision.admitted = true;
-    }
-  }
-  if (!decision.admitted) decision.streams_after = admitted_count();
+  const AdmissionVerdict verdict = Decide(bit_rate, &decision.reason);
+  decision.admitted = verdict.admitted;
+  decision.streams_after = verdict.streams_after;
+  decision.dram_required = verdict.dram_required;
 
-  obs::Increment(attempts_metric_);
-  obs::Increment(decision.admitted ? admitted_metric_ : rejected_metric_);
   if (timed) {
     const auto end = std::chrono::steady_clock::now();
     const double elapsed = std::chrono::duration<double>(end - start).count();
@@ -137,6 +178,29 @@ AdmissionDecision AdmissionController::TryAdmit(BytesPerSecond bit_rate) {
     }
   }
   return decision;
+}
+
+Result<SizingTable> AdmissionController::BuildSizingTable(
+    BytesPerSecond rate, std::int64_t max_count) const {
+  if (config_.buffer_k != 0) {
+    return Status::InvalidArgument("a sizing table needs buffer_k == 0");
+  }
+  if (rate <= 0) return Status::InvalidArgument("rate must be > 0");
+  if (max_count < 1) return Status::InvalidArgument("max_count must be >= 1");
+  SizingTable table;
+  table.rate_ = rate;
+  table.dram_.push_back(0);
+  for (std::int64_t n = 1; n <= max_count; ++n) {
+    // TryAdmit's average with n - 1 streams of `rate` held.
+    const BytesPerSecond held = rate * static_cast<double>(n - 1);
+    DramSolve solve = DramFor(n, (held + rate) / static_cast<double>(n));
+    table.dram_.push_back(solve.dram);
+    if (solve.dram > config_.dram_budget) {
+      table.reason_ = OverBudgetReason(solve.dram, solve.reason);
+      break;
+    }
+  }
+  return table;
 }
 
 Status AdmissionController::Release(BytesPerSecond bit_rate) {

@@ -47,6 +47,42 @@ struct AdmissionDecision {
   std::string reason;        ///< why a rejection happened
 };
 
+/// An AdmissionDecision without its reason text (see
+/// AdmissionController::Admit).
+struct AdmissionVerdict {
+  bool admitted = false;
+  std::int64_t streams_after = 0;
+  Bytes dram_required = 0;
+};
+
+/// Theorem-1 sizing of a one-rate admitted set, dense by count: entry n
+/// is the dram_required TryAdmit reports for the n-th stream of the
+/// table's rate on a controller holding only streams of that rate, bit
+/// for bit. It ends at the first count that does not fit (reason() then
+/// holds TryAdmit's rejection text) or at a caller's cap. Read-only
+/// once built, so any number of controllers, on any threads, may share
+/// one.
+class SizingTable {
+ public:
+  /// Largest count the table answers for.
+  std::int64_t max_count() const {
+    return static_cast<std::int64_t>(dram_.size()) - 1;
+  }
+  /// dram_required at `n` streams, n in [1, max_count()].
+  Bytes dram(std::int64_t n) const {
+    return dram_[static_cast<std::size_t>(n)];
+  }
+  /// Why max_count() is rejected; empty when the table ends at a cap.
+  const std::string& reason() const { return reason_; }
+
+ private:
+  friend class AdmissionController;
+
+  BytesPerSecond rate_ = 0;
+  std::vector<Bytes> dram_;  ///< [0] unused
+  std::string reason_;
+};
+
 /// Tracks the admitted set and enforces the model's feasibility bounds.
 ///
 /// The sizing is a pure function of (n, B̄). The controller keeps the
@@ -57,12 +93,17 @@ struct AdmissionDecision {
 ///
 /// Theorem 1 (buffer_k == 0) is solved directly on every call: one
 /// L̄_disk(n) evaluation plus the closed form costs less than the hash
-/// probe it would replace, and a farm's admission wave walks n upward
-/// so a memo would almost always miss. Theorem 2 (buffer_k > 0) goes
-/// through a memo on the bit-exact (n, B̄) key, because churny
-/// admit/depart sequences keep returning to recently seen loads and its
-/// solve is several times dearer. Debug builds cross-check every memo
-/// hit against the full solver.
+/// probe a per-controller memo would add, and in a farm's admission
+/// wave each shard walks its own n upward once, so such a memo would
+/// almost always miss. Across shards the loads repeat, though: every
+/// shard of a one-rate farm asks for the same n. A SizingTable shared
+/// by all of them (UseSizingTable) answers those offers with one load
+/// per count while a controller holds only the table's rate; any other
+/// set, or a count past the table, is solved as before. Theorem 2
+/// (buffer_k > 0) goes through a memo on the bit-exact (n, B̄) key,
+/// because churny admit/depart sequences keep returning to recently
+/// seen loads and its solve is several times dearer. Debug builds
+/// cross-check every memo hit against the full solver.
 class AdmissionController {
  public:
   /// Requires a disk_latency function.
@@ -70,6 +111,23 @@ class AdmissionController {
 
   /// Tests a stream of `bit_rate`; admits and records it when feasible.
   AdmissionDecision TryAdmit(BytesPerSecond bit_rate);
+
+  /// TryAdmit's verdict without the wall clock: it skips the latency
+  /// histogram and SLO (the counters still count). The reason text is
+  /// built only on a rejection and only into a non-null `reason`, so an
+  /// admission answered from a SizingTable touches no heap.
+  AdmissionVerdict Admit(BytesPerSecond bit_rate, std::string* reason);
+
+  /// Tabulates this controller's Theorem-1 sizing for streams of `rate`
+  /// at counts 1, 2, ... up to the first that does not fit, or to
+  /// `max_count`. Requires buffer_k == 0, rate > 0 and max_count >= 1.
+  Result<SizingTable> BuildSizingTable(BytesPerSecond rate,
+                                       std::int64_t max_count) const;
+  /// Answers TryAdmit and Admit from `table` while every admitted
+  /// stream and the offered one are at the table's rate and the count
+  /// is inside the table. `table` must come from BuildSizingTable on a
+  /// controller of the same config; not owned; null detaches it.
+  void UseSizingTable(const SizingTable* table) { table_ = table; }
 
   /// Removes one previously admitted stream of `bit_rate`.
   Status Release(BytesPerSecond bit_rate);
@@ -99,6 +157,8 @@ class AdmissionController {
 
   explicit AdmissionController(AdmissionConfig config)
       : config_(std::move(config)) {
+    // A one-rate set (a farm shard) then admits without allocating.
+    classes_.reserve(1);
     if (config_.metrics != nullptr) {
       attempts_metric_ = config_.metrics->counter("admission.attempts");
       admitted_metric_ = config_.metrics->counter("admission.admitted");
@@ -119,6 +179,14 @@ class AdmissionController {
   /// (n, B̄) memo for Theorem 2.
   DramSolve Solve(std::int64_t n, BytesPerSecond avg) const;
 
+  /// Admit's body, shared with TryAdmit.
+  AdmissionVerdict Decide(BytesPerSecond bit_rate, std::string* reason);
+
+  /// DRAM for the admitted set plus one stream of `bit_rate` (> 0), from
+  /// the table when it applies. Over budget, writes TryAdmit's reason to
+  /// a non-null `reason`.
+  Bytes SizeWith(BytesPerSecond bit_rate, std::string* reason) const;
+
   /// Admitted streams sharing one bit-rate.
   struct RateClass {
     BytesPerSecond rate = 0;
@@ -135,6 +203,7 @@ class AdmissionController {
   std::int64_t admitted_count_ = 0;
   BytesPerSecond total_rate_ = 0;
   mutable model::SolveMemo<DramSolve> memo_;
+  const SizingTable* table_ = nullptr;  ///< not owned
   // Telemetry handles (null when the matching config member is null).
   obs::Counter* attempts_metric_ = nullptr;
   obs::Counter* admitted_metric_ = nullptr;

@@ -1,6 +1,7 @@
 #include "server/admission.h"
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -183,6 +184,100 @@ TEST(AdmissionTest, InvalidBitRateRejected) {
   ASSERT_TRUE(ctrl.ok());
   EXPECT_FALSE(ctrl.value().TryAdmit(0).admitted);
   EXPECT_FALSE(ctrl.value().TryAdmit(-5).admitted);
+}
+
+// A controller answering from a SizingTable decides exactly like one
+// that solves every offer: same verdict, same dram_required bits, same
+// reason, from n = 1 up to the first rejection. 1e5 / 3 B/s has no exact
+// binary form; 10 MB/s ends at the bandwidth bound, not the budget.
+TEST(AdmissionTest, SizingTableMatchesProbeBitForBit) {
+  struct Case {
+    BytesPerSecond rate;
+    Bytes budget;
+  };
+  const Case cases[] = {{16 * kKBps, 1 * kGB},
+                        {100 * kKBps, 1 * kGB},
+                        {1e5 / 3, 1 * kGB},
+                        {10 * kMBps, 100 * kTB}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.rate);
+    auto probe = AdmissionController::Create(DirectConfig(c.budget));
+    auto tabled = AdmissionController::Create(DirectConfig(c.budget));
+    auto quiet = AdmissionController::Create(DirectConfig(c.budget));
+    ASSERT_TRUE(probe.ok() && tabled.ok() && quiet.ok());
+    auto table = tabled.value().BuildSizingTable(c.rate, 1 << 20);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    tabled.value().UseSizingTable(&table.value());
+    quiet.value().UseSizingTable(&table.value());
+    std::int64_t n = 0;
+    while (true) {
+      ++n;
+      ASSERT_LE(n, table.value().max_count());
+      const AdmissionDecision want = probe.value().TryAdmit(c.rate);
+      const AdmissionDecision got = tabled.value().TryAdmit(c.rate);
+      std::string reason;
+      const AdmissionVerdict lean = quiet.value().Admit(c.rate, &reason);
+      EXPECT_EQ(got.admitted, want.admitted) << "n=" << n;
+      EXPECT_EQ(got.streams_after, want.streams_after) << "n=" << n;
+      EXPECT_EQ(model::DoubleBits(got.dram_required),
+                model::DoubleBits(want.dram_required))
+          << "n=" << n;
+      EXPECT_EQ(got.reason, want.reason) << "n=" << n;
+      EXPECT_EQ(lean.admitted, want.admitted) << "n=" << n;
+      EXPECT_EQ(lean.streams_after, want.streams_after) << "n=" << n;
+      EXPECT_EQ(model::DoubleBits(lean.dram_required),
+                model::DoubleBits(want.dram_required))
+          << "n=" << n;
+      EXPECT_EQ(reason, want.reason) << "n=" << n;
+      if (!want.admitted) break;
+    }
+    // The table ends at the first rejected count, with its reason.
+    EXPECT_EQ(table.value().max_count(), n);
+    EXPECT_FALSE(table.value().reason().empty());
+    EXPECT_GT(n, 1);
+  }
+}
+
+TEST(AdmissionTest, SizingTableEndsAtBandwidthBoundWithSolverReason) {
+  auto ctrl = AdmissionController::Create(DirectConfig(100 * kTB));
+  ASSERT_TRUE(ctrl.ok());
+  auto table = ctrl.value().BuildSizingTable(10 * kMBps, 1000);
+  ASSERT_TRUE(table.ok());
+  // 300 MB/s / 10 MB/s = 30 fails the strict bandwidth inequality.
+  EXPECT_EQ(table.value().max_count(), 30);
+  EXPECT_TRUE(std::isinf(table.value().dram(30)));
+  EXPECT_NE(table.value().reason(), "DRAM budget exceeded");
+}
+
+TEST(AdmissionTest, SizingTableCapFallsBackToTheSolve) {
+  // A table capped at 5 answers counts 1..5; the 6th offer and any
+  // other rate are solved, with the same results as without a table.
+  auto probe = AdmissionController::Create(DirectConfig(1 * kGB));
+  auto tabled = AdmissionController::Create(DirectConfig(1 * kGB));
+  ASSERT_TRUE(probe.ok() && tabled.ok());
+  auto table = tabled.value().BuildSizingTable(1 * kMBps, 5);
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table.value().max_count(), 5);
+  EXPECT_TRUE(table.value().reason().empty());
+  tabled.value().UseSizingTable(&table.value());
+  for (int i = 0; i < 12; ++i) {
+    const BytesPerSecond rate = i == 8 ? 16 * kKBps : 1 * kMBps;
+    const AdmissionDecision want = probe.value().TryAdmit(rate);
+    const AdmissionDecision got = tabled.value().TryAdmit(rate);
+    EXPECT_EQ(got.admitted, want.admitted) << i;
+    EXPECT_EQ(model::DoubleBits(got.dram_required),
+              model::DoubleBits(want.dram_required))
+        << i;
+  }
+}
+
+TEST(AdmissionTest, SizingTableValidatesItsInputs) {
+  auto direct = AdmissionController::Create(DirectConfig(1 * kGB));
+  auto buffered = AdmissionController::Create(BufferedConfig(1 * kGB, 2));
+  ASSERT_TRUE(direct.ok() && buffered.ok());
+  EXPECT_FALSE(buffered.value().BuildSizingTable(1 * kMBps, 10).ok());
+  EXPECT_FALSE(direct.value().BuildSizingTable(0, 10).ok());
+  EXPECT_FALSE(direct.value().BuildSizingTable(1 * kMBps, 0).ok());
 }
 
 TEST(AdmissionTest, CreateValidatesConfig) {

@@ -1,17 +1,55 @@
 // Farm admission router: Theorem-1/2 headroom enforcement per shard,
-// least-loaded replica choice, down-shard skipping, and release
-// accounting.
+// least-loaded replica choice, down-shard skipping, release accounting,
+// and the shared sizing table (decision-identical to solving, and an
+// admitting Route is allocation-free: this binary replaces global
+// operator new with a counting version, as in placement_test).
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "device/device_catalog.h"
 #include "device/disk.h"
 #include "farm/placement.h"
 #include "farm/router.h"
+#include "model/incremental.h"
 #include "model/profiles.h"
+
+namespace {
+std::atomic<std::int64_t> g_allocations{0};
+}  // namespace
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace memstream::farm {
 namespace {
+
+std::int64_t CurrentAllocs() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
 
 PlacementConfig SmallPlacement(std::int64_t shards, std::int64_t replicas) {
   PlacementConfig config;
@@ -156,6 +194,124 @@ TEST(AdmissionRouterTest, TalliesFoldInFromConcurrentForm) {
   EXPECT_EQ(r.rejected(), 0);
 }
 
+// A router sharing one sizing table routes exactly like one that solves
+// every candidate: same shard, load, dram_required bits and rejection
+// text, through budget rejections, releases, a down shard and "no live
+// replica". A third of the offers go through RouteAmong with
+// GroupTitles' candidate lists.
+TEST(AdmissionRouterTest, SharedSizingTableRoutesLikeTheSolve) {
+  PlacementConfig pc = SmallPlacement(8, 2);
+  pc.replication_budget = 0.10;
+  auto p = PopularityAwarePlacement::Create(pc);
+  ASSERT_TRUE(p.ok());
+  auto probe = AdmissionRouter::Create(p.value().get(), SmallRouter(12 * kMB));
+  auto tabled = AdmissionRouter::Create(p.value().get(), SmallRouter(12 * kMB));
+  ASSERT_TRUE(probe.ok() && tabled.ok());
+  ASSERT_TRUE(tabled.value().ShareSizingTable(100 * kKBps, 4000).ok());
+  const TitleGroups groups = GroupTitles(*p.value());
+
+  Rng rng(28);
+  std::vector<std::pair<std::int32_t, BytesPerSecond>> held;
+  int rejected = 0, no_live = 0;
+  for (int step = 0; step < 4000; ++step) {
+    if (step == 1500) {
+      ASSERT_TRUE(probe.value().SetShardUp(0, false).ok());
+      ASSERT_TRUE(tabled.value().SetShardUp(0, false).ok());
+      ASSERT_TRUE(probe.value().SetShardUp(4, false).ok());
+      ASSERT_TRUE(tabled.value().SetShardUp(4, false).ok());
+    }
+    if (step == 2500) {
+      ASSERT_TRUE(probe.value().SetShardUp(0, true).ok());
+      ASSERT_TRUE(tabled.value().SetShardUp(0, true).ok());
+    }
+    if (!held.empty() && rng.NextInt(0, 4) == 0) {
+      const auto victim = static_cast<std::size_t>(
+          rng.NextInt(0, static_cast<std::int64_t>(held.size()) - 1));
+      const auto [shard, rate] = held[victim];
+      ASSERT_TRUE(probe.value().Release(shard, rate).ok());
+      ASSERT_TRUE(tabled.value().Release(shard, rate).ok());
+      held[victim] = held.back();
+      held.pop_back();
+      continue;
+    }
+    const std::int64_t title = rng.NextInt(0, pc.num_titles - 1);
+    // Mostly the table's rate; a few 1 MB/s streams make shards mixed.
+    const BytesPerSecond rate =
+        rng.NextInt(0, 19) == 0 ? 1 * kMBps : 100 * kKBps;
+    const RouteDecision want = probe.value().Route(title, rate);
+    if (step % 3 == 0) {
+      // The lookup-free form reports only the admitting shard.
+      RouteTally tally;
+      ASSERT_EQ(tabled.value().RouteAmong(groups.candidates(title), rate,
+                                          &tally),
+                want.shard)
+          << "step " << step;
+      EXPECT_EQ(tally.admitted, want.admitted ? 1 : 0);
+      EXPECT_EQ(tally.rejected, want.admitted ? 0 : 1);
+    } else {
+      const RouteDecision got = tabled.value().Route(title, rate);
+      ASSERT_EQ(got.admitted, want.admitted) << "step " << step;
+      ASSERT_EQ(got.shard, want.shard) << "step " << step;
+      ASSERT_EQ(got.streams_on_shard, want.streams_on_shard)
+          << "step " << step;
+      ASSERT_EQ(model::DoubleBits(got.dram_required),
+                model::DoubleBits(want.dram_required))
+          << "step " << step;
+      ASSERT_EQ(got.reason, want.reason) << "step " << step;
+    }
+    if (want.admitted) {
+      held.emplace_back(want.shard, rate);
+    } else {
+      ++rejected;
+      if (want.reason == "no live replica") ++no_live;
+    }
+  }
+  EXPECT_GT(rejected, no_live);
+  EXPECT_GT(no_live, 0);
+}
+
+// An admitting Route answered from the shared table touches no heap,
+// from a shard's first stream on (rejections may still allocate their
+// reason text).
+TEST(AdmissionRouterTest, TableRouteThatAdmitsIsAllocationFree) {
+  PlacementConfig pc = SmallPlacement(8, 2);
+  pc.replication_budget = 0.10;
+  auto p = PopularityAwarePlacement::Create(pc);
+  ASSERT_TRUE(p.ok());
+  auto router = AdmissionRouter::Create(p.value().get(), SmallRouter(12 * kMB));
+  ASSERT_TRUE(router.ok());
+  AdmissionRouter& r = router.value();
+  ASSERT_TRUE(r.ShareSizingTable(100 * kKBps, 4000).ok());
+  const TitleGroups groups = GroupTitles(*p.value());
+  RouteTally tally;
+  std::int64_t admitted = 0, rejected = 0;
+  for (std::int64_t i = 0; i < 3000; ++i) {
+    const std::int64_t title = (i * 7919) % pc.num_titles;
+    const std::int64_t before = CurrentAllocs();
+    const bool ok =
+        i % 2 == 0
+            ? r.Route(title, 100 * kKBps).admitted
+            : r.RouteAmong(groups.candidates(title), 100 * kKBps, &tally) >= 0;
+    if (ok) {
+      ++admitted;
+      ASSERT_EQ(CurrentAllocs(), before) << "offer " << i;
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(admitted, 100);
+  EXPECT_GT(rejected, 0) << "the shards never reached the table's end";
+}
+
+TEST(AdmissionRouterTest, ShareSizingTableValidatesItsInputs) {
+  auto p = ConsistentHashPlacement::Create(SmallPlacement(2, 1));
+  ASSERT_TRUE(p.ok());
+  auto router = AdmissionRouter::Create(p.value().get(), SmallRouter(1 * kGB));
+  ASSERT_TRUE(router.ok());
+  EXPECT_FALSE(router.value().ShareSizingTable(0, 10).ok());
+  EXPECT_FALSE(router.value().ShareSizingTable(1 * kMBps, 0).ok());
+}
+
 TEST(GroupTitlesTest, GroupsFollowTitleCandidates) {
   // Popularity-aware replicas sit num_shards / replicas apart: the head
   // links shard s with s + 4, and the hashed tail links nothing.
@@ -192,6 +348,31 @@ TEST(GroupTitlesTest, GroupsFollowTitleCandidates) {
   const TitleGroups one = GroupTitles(*chained.value());
   EXPECT_EQ(one.count, 1);
   for (const std::int32_t g : one.of_title) EXPECT_EQ(g, 0);
+}
+
+TEST(GroupTitlesTest, CandidatesFollowLookup) {
+  PlacementConfig pc = SmallPlacement(8, 3);
+  pc.replication_budget = 0.2;
+  auto pop = PopularityAwarePlacement::Create(pc);
+  auto ring = ConsistentHashPlacement::Create(pc);
+  ASSERT_TRUE(pop.ok() && ring.ok());
+  for (const Placement* placement :
+       {static_cast<const Placement*>(pop.value().get()),
+        static_cast<const Placement*>(ring.value().get())}) {
+    const TitleGroups groups = GroupTitles(*placement);
+    EXPECT_EQ(static_cast<std::int64_t>(groups.copies.size()),
+              placement->total_copies());
+    for (std::int64_t t = 0; t < placement->num_titles(); ++t) {
+      const ShardSet set = placement->Lookup(t);
+      const std::span<const std::int32_t> got = groups.candidates(t);
+      ASSERT_EQ(static_cast<std::int32_t>(got.size()), set.count) << t;
+      for (std::int32_t i = 0; i < set.count; ++i) {
+        EXPECT_EQ(got[static_cast<std::size_t>(i)],
+                  set.shard[static_cast<std::size_t>(i)])
+            << "title " << t;
+      }
+    }
+  }
 }
 
 }  // namespace

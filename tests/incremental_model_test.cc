@@ -242,6 +242,73 @@ TEST(DirectAdmissionTest, ChurnMatchesTheorem1BitForBit) {
   EXPECT_EQ(ctrl.value().memo_stats().misses, 0);
 }
 
+// The same churn on a controller sharing a SizingTable at 100 KB/s: it
+// answers from the table while it holds only 100 KB/s streams and
+// solves once it holds two or more rate classes, and both give the
+// closed form's bits.
+TEST(DirectAdmissionTest, TableControllerChurnMatchesTheorem1BitForBit) {
+  auto disk = device::DiskDrive::Create(device::FutureDisk2007()).value();
+  server::AdmissionConfig config;
+  config.dram_budget = 2 * kGB;
+  config.disk_rate = 300 * kMBps;
+  config.disk_latency = model::DiskLatencyFn(disk);
+  auto ctrl = server::AdmissionController::Create(config);
+  ASSERT_TRUE(ctrl.ok());
+  auto table = ctrl.value().BuildSizingTable(100 * kKBps, 1 << 16);
+  ASSERT_TRUE(table.ok());
+  ctrl.value().UseSizingTable(&table.value());
+
+  auto theorem1 = [&](std::int64_t n, BytesPerSecond sum) -> Bytes {
+    if (n == 0) return 0;
+    model::DeviceProfile profile;
+    profile.rate = config.disk_rate;
+    profile.latency = config.disk_latency(n);
+    auto total = model::TotalBufferSize(
+        n, sum / static_cast<double>(n), profile);
+    return total.ok() ? total.value()
+                      : std::numeric_limits<double>::infinity();
+  };
+
+  const BytesPerSecond rates[] = {16 * kKBps, 100 * kKBps, 1 * kMBps,
+                                  10 * kMBps};
+  Rng rng(405);
+  std::vector<BytesPerSecond> live;
+  BytesPerSecond sum = 0;
+  int one_class_offers = 0, mixed_offers = 0;
+  for (int step = 0; step < 6000; ++step) {
+    // Alternate 200-step phases: the table's rate only, then any rate.
+    // Oldest-first releases drain a mixed set back to one class.
+    const bool table_phase = (step / 200) % 2 == 0;
+    const bool admit = live.empty() || (live.size() < 40 && rng.NextInt(0, 1) == 0);
+    if (admit) {
+      const BytesPerSecond r =
+          table_phase ? 100 * kKBps : rates[rng.NextInt(0, 3)];
+      if (ctrl.value().rate_class_count() >= 2) {
+        ++mixed_offers;
+      } else if (r == 100 * kKBps &&
+                 (live.empty() || live.front() == 100 * kKBps)) {
+        ++one_class_offers;
+      }
+      const auto n = static_cast<std::int64_t>(live.size()) + 1;
+      const server::AdmissionDecision d = ctrl.value().TryAdmit(r);
+      ASSERT_EQ(DoubleBits(d.dram_required), DoubleBits(theorem1(n, sum + r)))
+          << "step " << step << " n=" << n;
+      if (d.admitted) {
+        live.push_back(r);
+        sum += r;
+      }
+    } else {
+      ASSERT_TRUE(ctrl.value().Release(live.front()).ok());
+      sum -= live.front();
+      live.erase(live.begin());
+    }
+    ASSERT_EQ(ctrl.value().admitted_count(),
+              static_cast<std::int64_t>(live.size()));
+  }
+  EXPECT_GT(one_class_offers, 100);
+  EXPECT_GT(mixed_offers, 100);
+}
+
 TEST(SolveMemoTest, DegradationReplanNeverDivergesFromFullSolver) {
   for (const auto policy :
        {model::CachePolicy::kReplicated, model::CachePolicy::kStriped}) {

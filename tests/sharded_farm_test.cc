@@ -19,10 +19,12 @@
 #include "farm/shard_workspace.h"
 #include "farm/sharded_farm.h"
 #include "fault/fault_plan.h"
+#include "model/profiles.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/slo.h"
 #include "obs/stream_journal.h"
+#include "server/admission.h"
 #include "workload/popularity.h"
 
 namespace memstream::farm {
@@ -463,6 +465,72 @@ TEST(ShardedFarmTest, RoutingMatchesSerialFullScanReference) {
   }
   EXPECT_TRUE(saw_chained_failover)
       << "no failover onto shard 4 was shed again by its own failure";
+}
+
+// The same reference comparison where the shared sizing table ends at
+// the bandwidth bound rather than the budget: 5 MB/s streams on a
+// ~300 MB/s node with a budget that never binds, so shards fill to the
+// table's failing count and its reason is the solver's.
+TEST(ShardedFarmTest, RoutingMatchesReferenceAtTheTablesFailingCount) {
+  std::vector<fault::FaultEvent> events;
+  fault::FaultEvent down;
+  down.time = 2.0;
+  down.kind = fault::FaultKind::kMemsDeviceFail;
+  down.device = 0;
+  events.push_back(down);
+  fault::FaultEvent up = down;
+  up.time = 4.0;
+  up.kind = fault::FaultKind::kMemsDeviceRepair;
+  events.push_back(up);
+
+  ShardedFarmConfig config = SmallFarm();
+  config.num_shards = 8;
+  config.offered_streams = 1000;
+  config.bit_rate = 5 * kMBps;
+  config.dram_budget_per_shard = 1 * kTB;
+  config.duration = 5;
+  config.policy = PlacementPolicy::kPopularityAware;
+  config.replicas = 2;
+  config.replication_budget = 0.10;
+  config.faults = fault::FaultPlan::FromScript(events);
+  config.audit = false;
+
+  // Where the farm's table ends: the first count a node cannot carry.
+  auto probe = device::DiskDrive::Create(config.node_disk);
+  ASSERT_TRUE(probe.ok());
+  server::AdmissionConfig ac;
+  ac.dram_budget = config.dram_budget_per_shard;
+  ac.disk_rate = probe.value().parameters().outer_rate;
+  ac.disk_latency = model::DiskLatencyFn(probe.value());
+  auto ctrl = server::AdmissionController::Create(ac);
+  ASSERT_TRUE(ctrl.ok());
+  auto table = ctrl.value().BuildSizingTable(config.bit_rate,
+                                             config.offered_streams);
+  ASSERT_TRUE(table.ok());
+  ASSERT_LT(table.value().max_count(), config.offered_streams);
+  ASSERT_NE(table.value().reason(), "DRAM budget exceeded");
+
+  const RoutingOutcome want = ReferenceRouting(config);
+  EXPECT_GT(want.rejected, 0);
+  EXPECT_GT(want.shed, 0);
+  const std::int64_t full = table.value().max_count() - 1;
+  EXPECT_GT(std::count(want.shard_streams.begin(), want.shard_streams.end(),
+                       full),
+            0)
+      << "no shard reached the table's failing count";
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    const RoutingOutcome got = FarmRouting(config, threads);
+    EXPECT_EQ(got.admitted, want.admitted);
+    EXPECT_EQ(got.rejected, want.rejected);
+    EXPECT_EQ(got.failovers, want.failovers);
+    EXPECT_EQ(got.readmits, want.readmits);
+    EXPECT_EQ(got.shed, want.shed);
+    EXPECT_EQ(got.shard_streams, want.shard_streams);
+    EXPECT_EQ(got.shard_shed, want.shard_shed);
+    EXPECT_EQ(got.failed_over_in, want.failed_over_in);
+    EXPECT_EQ(got.events, want.events);
+  }
 }
 
 TEST(ShardedFarmTest, JournalRecordsShedAndReadmitInOrder) {
