@@ -20,6 +20,7 @@
 #include "device/disk_scheduler.h"
 #include "farm/placement.h"
 #include "farm/router.h"
+#include "farm/shard_workspace.h"
 #include "model/mems_buffer.h"
 #include "model/planner.h"
 #include "model/timecycle.h"
@@ -555,6 +556,42 @@ void BM_FarmWaveRoute(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kOffers);
 }
 BENCHMARK(BM_FarmWaveRoute)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One 7 424-stream shard of the full farm's node over `farm_zipf`'s three
+// epoch lengths, in a warm ShardWorkspace; items = shard-epoch rows.
+// Arg(0) runs each length separately, as a sweep per epoch did; Arg(1)
+// runs once to the longest and cuts the two shorter ones on the way, as
+// the farm does for a count that occurs in every epoch.
+void BM_ShardMultiHorizon(benchmark::State& state) {
+  farm::ShardedFarmConfig config;
+  config.node_disk = device::FutureDisk2007();
+  config.node_disk.outer_rate *= 5;
+  config.node_disk.inner_rate = config.node_disk.outer_rate;
+  config.node_disk.capacity *= 5;
+  config.bit_rate = 100 * kKBps;
+  constexpr std::int64_t kStreams = 7424;
+  const std::vector<Seconds> shorter = {22.5, 31.5};
+  const Seconds longest = 36;
+  farm::ShardWorkspace workspace(config);
+  std::int64_t ios = 0;
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      for (const Seconds length : {shorter[0], shorter[1], longest}) {
+        ios += workspace.Run({.streams = kStreams, .length = length}).ios;
+      }
+    } else {
+      ios += workspace
+                 .RunEpochs({.streams = kStreams,
+                             .length = longest,
+                             .shorter = shorter})
+                 .back()
+                 .ios;
+    }
+  }
+  benchmark::DoNotOptimize(ios);
+  state.SetItemsProcessed(state.iterations() * 3);
+}
+BENCHMARK(BM_ShardMultiHorizon)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfDistribution dist(10000, 1.0);

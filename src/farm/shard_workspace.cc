@@ -12,7 +12,7 @@
 
 namespace memstream::farm {
 
-Status ShardWorkspace::Build(const ShardEpochTask& task, Seconds* t_cycle) {
+Status ShardWorkspace::Build(std::int64_t streams, Seconds* t_cycle) {
   PROF_SCOPE("farm.shard_build");
   const ShardedFarmConfig& cfg = *config_;
   if (!disk_.has_value()) {
@@ -24,7 +24,7 @@ Status ShardWorkspace::Build(const ShardEpochTask& task, Seconds* t_cycle) {
     disk_->Reset();
     disk_->ResetStats();
   }
-  const std::int64_t n = task.streams;
+  const std::int64_t n = streams;
   auto cycle = model::IoCycleLength(n, cfg.bit_rate,
                                     model::DiskProfile(*disk_, n));
   MEMSTREAM_RETURN_IF_ERROR(cycle.status());
@@ -65,38 +65,51 @@ Status ShardWorkspace::Build(const ShardEpochTask& task, Seconds* t_cycle) {
   return server_.Reset(&*disk_, specs_, dsc);
 }
 
-ShardEpoch ShardWorkspace::Run(const ShardEpochTask& task) {
-  ShardEpoch row;
-  if (task.streams <= 0) return row;
-  row.streams = task.streams;
+std::span<const ShardEpoch> ShardWorkspace::RunEpochs(
+    const ShardEpochTask& task) {
+  lengths_.assign(task.shorter.begin(), task.shorter.end());
+  lengths_.push_back(task.length);
+  if (rows_.size() < lengths_.size()) rows_.resize(lengths_.size());
+  const std::span<ShardEpoch> rows(rows_.data(), lengths_.size());
+  for (ShardEpoch& row : rows) {
+    // A fresh row that keeps its per-stream capacity.
+    std::vector<StreamEpoch> per_stream = std::move(row.per_stream);
+    per_stream.clear();
+    row = ShardEpoch{};
+    row.per_stream = std::move(per_stream);
+  }
+  if (task.streams <= 0) return rows;
   Seconds t_cycle = 0;
-  Status st = Build(task, &t_cycle);
+  Status st = Build(task.streams, &t_cycle);
   if (st.ok()) {
     PROF_SCOPE("farm.shard_run");
-    st = server_.Run(task.length);
+    st = server_.Run(lengths_, task.per_stream);
   }
-  if (!st.ok()) {
-    row.error = st.ToString();
-    return row;
+  for (ShardEpoch& row : rows) {
+    row.streams = task.streams;
+    if (!st.ok()) row.error = st.ToString();
   }
+  if (!st.ok()) return rows;
 
   PROF_SCOPE("farm.shard_collect");
-  const server::ServerReport& rep = server_.report();
-  row.ran = true;
-  row.cycles = rep.disk.cycles;
-  row.ios = rep.ios_completed;
-  row.overruns = rep.disk.overruns;
-  row.underflows = rep.qos.underflow_events;
-  row.violations = config_->audit ? auditor_.total_violations() : 0;
-  row.peak_dram = rep.peak_dram;
-  // The server always finishes its last cycle, so raw busy time can
-  // spill past the epoch; clamp like disk.utilization does.
-  row.busy = std::min(rep.disk.busy, task.length);
-  if (task.per_stream) {
-    const Bytes io = config_->bit_rate * t_cycle;
+  const Bytes io = config_->bit_rate * t_cycle;
+  for (std::size_t h = 0; h < rows.size(); ++h) {
+    ShardEpoch& row = rows[h];
+    const server::ServerReport& rep = server_.report(h);
+    row.ran = true;
+    row.cycles = rep.disk.cycles;
+    row.ios = rep.ios_completed;
+    row.overruns = rep.disk.overruns;
+    row.underflows = rep.qos.underflow_events;
+    row.violations = rep.qos.violations;  // 0 unaudited
+    row.peak_dram = rep.peak_dram;
+    // The server always finishes its last cycle, so raw busy time can
+    // spill past the epoch; clamp like disk.utilization does.
+    row.busy = std::min(rep.disk.busy, lengths_[h]);
+    if (!task.per_stream) continue;
     row.per_stream.reserve(specs_.size());
     for (std::size_t j = 0; j < specs_.size(); ++j) {
-      const server::StreamView v = server_.session(j);
+      const server::StreamView v = server_.session(h, j);
       StreamEpoch se;
       se.id = v.id();
       se.bytes = v.total_deposited();
@@ -107,22 +120,26 @@ ShardEpoch ShardWorkspace::Run(const ShardEpochTask& task) {
       row.per_stream.push_back(se);
     }
   }
-  return row;
+  return rows;
 }
 
-void ShardWorkspace::Prepare(std::int64_t streams) {
+void ShardWorkspace::Prepare(std::int64_t streams, std::size_t lengths,
+                             bool per_stream) {
   if (streams <= 0) return;
   Seconds t_cycle = 0;
-  // A failure here is Run()'s to report.
-  (void)Build({.streams = streams}, &t_cycle);
+  // A failure here is RunEpochs()' to report.
+  if (Build(streams, &t_cycle).ok()) {
+    server_.ReserveHorizons(lengths, per_stream);
+  }
 }
 
 ShardWorkspacePool::ShardWorkspacePool(const ShardedFarmConfig& config,
-                                       int count, std::int64_t largest)
+                                       int count, std::int64_t largest,
+                                       std::size_t lengths, bool per_stream)
     : config_(&config) {
   for (int i = 0; i < count; ++i) {
     all_.push_back(std::make_unique<ShardWorkspace>(config));
-    all_.back()->Prepare(largest);
+    all_.back()->Prepare(largest, lengths, per_stream);
     free_.push_back(all_.back().get());
   }
 }

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <map>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -23,6 +26,22 @@ struct StreamRec {
   std::int32_t shard = -1;
 };
 static_assert(sizeof(StreamRec) == 8);
+
+/// One epoch of a planned farm run: what its fault events left.
+struct EpochPlan {
+  Seconds start = 0;
+  Seconds end = 0;
+  Seconds length = 0;        ///< end - start
+  std::int64_t serving = 0;  ///< admitted streams not shed
+  std::int64_t shed = 0;
+  /// Per shard: its resident count, 0 for a down or empty shard (no row).
+  std::vector<std::int64_t> counts;
+  /// Journaled runs only: the journal marks of the epoch's fault events
+  /// in event order (slot, true = readmitted, false = shed), and per
+  /// shard with a row its residents, ids ascending.
+  std::vector<std::pair<std::size_t, bool>> marks;
+  std::vector<std::vector<std::int32_t>> ids;
+};
 
 /// Longest shared sizing table a farm builds, in streams per shard.
 constexpr std::int64_t kMaxTabledStreams = std::int64_t{1} << 18;
@@ -199,7 +218,7 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
   farm.rejected = farm.offered - farm.admitted;
 
   // Residents of each shard and the shed streams, ids ascending. Fail
-  // and repair events walk only these; each epoch's tasks read them.
+  // and repair events walk only these; each epoch's plan reads them.
   std::vector<IdList> members(static_cast<std::size_t>(config.num_shards));
   for (std::int64_t s = 0; s < config.num_shards; ++s) {
     members[static_cast<std::size_t>(s)].Reserve(static_cast<std::size_t>(
@@ -211,15 +230,6 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
   }
   for (IdList& m : members) m.Settle();
   IdList shed;
-  // One workspace per sweep thread that shard tasks can keep busy.
-  const auto largest = std::max_element(
-      members.begin(), members.end(),
-      [](const IdList& a, const IdList& b) { return a.size() < b.size(); });
-  ShardWorkspacePool workspaces(
-      config,
-      static_cast<int>(std::min<std::int64_t>(runner.threads(),
-                                              config.num_shards)),
-      static_cast<std::int64_t>(largest->size()));
 
   // Register the admitted streams with the farm journal under the
   // Theorem-1 envelope of their home shard's steady-state cycle.
@@ -252,32 +262,31 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
     slo_availability = config.slo->Add(obs::StandardAvailabilitySlo());
   }
 
-  // --- epochs between node-failure events -----------------------------
-  std::vector<Seconds> cuts = EpochBoundaries(config);
-  std::vector<Seconds> starts;
-  starts.push_back(0.0);
-  for (Seconds t : cuts) starts.push_back(t);
-
+  // --- plan: the epochs between node-failure events -------------------
+  // Routing and the fault events never read a shard-epoch's row, so every
+  // epoch's events apply first and leave the plan of the run.
+  std::vector<Seconds> starts{0.0};
+  for (Seconds t : EpochBoundaries(config)) starts.push_back(t);
+  std::vector<EpochPlan> plan(starts.size());
   std::vector<double> up_seconds(
       static_cast<std::size_t>(config.num_shards), 0.0);
   double served_stream_seconds = 0;
   double unserved_stream_seconds = 0;
-  // Each epoch's sweep: the row of shard s is task_of[s] (-1 = none),
-  // task i serves task_streams[i] streams.
-  const ShardEpoch kIdle;
-  std::vector<std::int32_t> task_of;
-  std::vector<std::int64_t> task_streams;
-  std::unordered_map<std::int64_t, std::int32_t> task_of_count;
 
   for (std::size_t epoch = 0; epoch < starts.size(); ++epoch) {
-    const Seconds t0 = starts[epoch];
-    const Seconds t1 =
-        epoch + 1 < starts.size() ? starts[epoch + 1] : config.duration;
-    const Seconds len = t1 - t0;
+    EpochPlan& ep = plan[epoch];
+    ep.start = starts[epoch];
+    ep.end = epoch + 1 < starts.size() ? starts[epoch + 1] : config.duration;
+    ep.length = ep.end - ep.start;
+    const Seconds t0 = ep.start;
 
-    // Apply this boundary's fault events (plan order) before running.
+    // Apply this boundary's fault events (plan order).
     if (epoch > 0) {
       PROF_SCOPE("farm.fault_events");
+      // The journal slot of stream `id`, -1 when not journaled.
+      auto slot_of = [&](std::int32_t id) -> std::ptrdiff_t {
+        return config.journal != nullptr ? config.journal->SlotOf(id) : -1;
+      };
       for (const fault::FaultEvent& e : config.faults.events()) {
         if (e.time != t0 || e.device < 0 || e.device >= config.num_shards) {
           continue;
@@ -286,12 +295,8 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
         auto readmit = [&](std::int32_t id, const RouteDecision& d) {
           members[static_cast<std::size_t>(d.shard)].Append(id);
           ++farm.readmits;
-          if (config.journal != nullptr) {
-            const std::ptrdiff_t slot = config.journal->SlotOf(id);
-            if (slot >= 0) {
-              config.journal->MarkReadmitted(static_cast<std::size_t>(slot),
-                                             t0);
-            }
+          if (const std::ptrdiff_t slot = slot_of(id); slot >= 0) {
+            ep.marks.push_back({static_cast<std::size_t>(slot), true});
           }
         };
         if (e.kind == fault::FaultKind::kMemsDeviceFail) {
@@ -302,11 +307,8 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
                 router.value().Release(s, config.bit_rate));
             ++farm.shed_actions;
             ++farm.per_shard[static_cast<std::size_t>(s)].shed;
-            if (config.journal != nullptr) {
-              const std::ptrdiff_t slot = config.journal->SlotOf(id);
-              if (slot >= 0) {
-                config.journal->MarkShed(static_cast<std::size_t>(slot), t0);
-              }
+            if (const std::ptrdiff_t slot = slot_of(id); slot >= 0) {
+              ep.marks.push_back({static_cast<std::size_t>(slot), false});
             }
             // Fail over: the dead shard is skipped, so this lands on
             // the least-loaded surviving replica (if the title has one
@@ -342,59 +344,103 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
     }
 
     // Constant per-epoch stream sets, ids ascending per shard.
-    const auto shed_now = static_cast<std::int64_t>(shed.size());
-    const std::int64_t serving =
-        static_cast<std::int64_t>(streams.size()) - shed_now;
-    served_stream_seconds += static_cast<double>(serving) * len;
-    unserved_stream_seconds += static_cast<double>(shed_now) * len;
-
-    // A shard-epoch's row depends only on its resident count and the
-    // epoch length, so the up, non-empty shards group by count, in
-    // order of each group's lowest shard, and each group runs once, in
-    // whichever workspace is free; rows collected in group order.
-    task_of.assign(static_cast<std::size_t>(config.num_shards), -1);
-    task_streams.clear();
-    task_of_count.clear();
-    for (std::int64_t s = 0; s < config.num_shards; ++s) {
-      const auto n = static_cast<std::int64_t>(
-          members[static_cast<std::size_t>(s)].size());
-      if (n == 0 || !router.value().shard_up(static_cast<std::int32_t>(s))) {
-        continue;
-      }
-      const auto [it, fresh] = task_of_count.try_emplace(
-          n, static_cast<std::int32_t>(task_streams.size()));
-      if (fresh) task_streams.push_back(n);
-      task_of[static_cast<std::size_t>(s)] = it->second;
-      ++farm.shard_epochs;
+    ep.shed = static_cast<std::int64_t>(shed.size());
+    ep.serving = static_cast<std::int64_t>(streams.size()) - ep.shed;
+    served_stream_seconds += static_cast<double>(ep.serving) * ep.length;
+    unserved_stream_seconds += static_cast<double>(ep.shed) * ep.length;
+    ep.counts.assign(static_cast<std::size_t>(config.num_shards), 0);
+    if (config.journal != nullptr) {
+      ep.ids.resize(static_cast<std::size_t>(config.num_shards));
     }
-    const bool want_per_stream = config.journal != nullptr;
-    const std::vector<ShardEpoch> rows = runner.Map(
-        static_cast<std::int64_t>(task_streams.size()),
-        [&](exp::TaskContext& ctx) -> ShardEpoch {
-          const ShardWorkspacePool::Lease ws = workspaces.Checkout();
-          ShardEpoch row = ws->Run(
-              {.streams = task_streams[static_cast<std::size_t>(ctx.index())],
-               .length = len,
-               .per_stream = want_per_stream});
-          ctx.AddEvents(row.ios);
-          return row;
-        });
-
-    // Post-barrier merge, shard order: farm totals, then the shared
-    // journal/SLO feeds (single thread, deterministic order).
     for (std::int64_t s = 0; s < config.num_shards; ++s) {
-      const std::int32_t task = task_of[static_cast<std::size_t>(s)];
-      const ShardEpoch& row =
-          task < 0 ? kIdle : rows[static_cast<std::size_t>(task)];
+      const auto si = static_cast<std::size_t>(s);
+      if (!router.value().shard_up(static_cast<std::int32_t>(s))) continue;
+      up_seconds[si] += ep.length;
+      const auto n = static_cast<std::int64_t>(members[si].size());
+      if (n == 0) continue;
+      ep.counts[si] = n;
+      ++farm.shard_epochs;
+      if (config.journal != nullptr) ep.ids[si] = members[si].ids();
+    }
+  }
+
+  // --- one simulation per distinct resident count ---------------------
+  // A row depends only on the resident count and the epoch length, so
+  // each count runs once, to its longest epoch, and reports every epoch
+  // length it occurs with on the way. Largest counts first, so the
+  // longest tasks start early and the threads finish together.
+  std::map<std::int64_t, std::vector<Seconds>, std::greater<>> lengths_of;
+  for (const EpochPlan& ep : plan) {
+    for (const std::int64_t n : ep.counts) {
+      if (n > 0) lengths_of[n].push_back(ep.length);
+    }
+  }
+  std::vector<std::int64_t> task_streams;
+  std::vector<std::vector<Seconds>> task_lengths;
+  std::unordered_map<std::int64_t, std::size_t> task_of_count;
+  std::size_t most_lengths = 1;
+  for (auto& [n, lengths] : lengths_of) {
+    std::sort(lengths.begin(), lengths.end());
+    lengths.erase(std::unique(lengths.begin(), lengths.end()), lengths.end());
+    most_lengths = std::max(most_lengths, lengths.size());
+    task_of_count.emplace(n, task_streams.size());
+    task_streams.push_back(n);
+    task_lengths.push_back(std::move(lengths));
+  }
+  // One workspace per sweep thread that the tasks can keep busy, each
+  // prepared for the run's largest task.
+  const auto num_tasks = static_cast<std::int64_t>(task_streams.size());
+  const bool want_per_stream = config.journal != nullptr;
+  ShardWorkspacePool workspaces(
+      config,
+      static_cast<int>(std::min<std::int64_t>(runner.threads(), num_tasks)),
+      task_streams.empty() ? 0 : task_streams.front(), most_lengths,
+      want_per_stream);
+  const std::vector<std::vector<ShardEpoch>> rows = runner.Map(
+      num_tasks, [&](exp::TaskContext& ctx) -> std::vector<ShardEpoch> {
+        const auto t = static_cast<std::size_t>(ctx.index());
+        const std::vector<Seconds>& lengths = task_lengths[t];
+        const ShardWorkspacePool::Lease ws = workspaces.Checkout();
+        const std::span<const ShardEpoch> out = ws->RunEpochs(
+            {.streams = task_streams[t],
+             .length = lengths.back(),
+             .per_stream = want_per_stream,
+             .shorter = std::span(lengths).first(lengths.size() - 1)});
+        ctx.AddEvents(out.back().ios);
+        return {out.begin(), out.end()};
+      });
+
+  // --- merge, epoch by epoch, on the orchestrator thread --------------
+  // Each epoch feeds its journal marks, then its rows in shard order
+  // (farm totals and the journal/SLO feeds), then its availability; the
+  // same order as a sweep per epoch, so every output is deterministic.
+  const ShardEpoch kIdle;
+  for (const EpochPlan& ep : plan) {
+    for (const auto& [slot, readmitted] : ep.marks) {
+      if (readmitted) {
+        config.journal->MarkReadmitted(slot, ep.start);
+      } else {
+        config.journal->MarkShed(slot, ep.start);
+      }
+    }
+    const Seconds t1 = ep.end;
+    for (std::int64_t s = 0; s < config.num_shards; ++s) {
+      const std::int64_t n = ep.counts[static_cast<std::size_t>(s)];
+      const ShardEpoch* found = &kIdle;
+      if (n > 0) {
+        const std::size_t t = task_of_count.at(n);
+        const std::vector<Seconds>& lengths = task_lengths[t];
+        found = &rows[t][static_cast<std::size_t>(
+            std::lower_bound(lengths.begin(), lengths.end(), ep.length) -
+            lengths.begin())];
+      }
+      const ShardEpoch& row = *found;
       if (!row.error.empty()) {
         return Status::Internal("shard " + std::to_string(s) +
                                 " epoch failed: " + row.error);
       }
-      FarmShardReport& sr = farm.per_shard[static_cast<std::size_t>(s)];
-      if (router.value().shard_up(static_cast<std::int32_t>(s))) {
-        up_seconds[static_cast<std::size_t>(s)] += len;
-      }
       if (!row.ran) continue;
+      FarmShardReport& sr = farm.per_shard[static_cast<std::size_t>(s)];
       sr.ios_completed += row.ios;
       sr.cycle_overruns += row.overruns;
       sr.underflow_events += row.underflows;
@@ -417,7 +463,7 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
       if (config.journal != nullptr) {
         // Row stream j is the shard's j-th resident.
         const std::vector<std::int32_t>& ids =
-            members[static_cast<std::size_t>(s)].ids();
+            ep.ids[static_cast<std::size_t>(s)];
         for (const StreamEpoch& se : row.per_stream) {
           const std::ptrdiff_t slot =
               config.journal->SlotOf(ids[static_cast<std::size_t>(se.id)]);
@@ -433,8 +479,8 @@ Result<FarmRunReport> RunShardedFarm(const ShardedFarmConfig& config) {
     }
     if (slo_availability != nullptr) {
       slo_availability->Record(
-          t1, std::llround(static_cast<double>(serving) * len),
-          std::llround(static_cast<double>(shed_now) * len));
+          t1, std::llround(static_cast<double>(ep.serving) * ep.length),
+          std::llround(static_cast<double>(ep.shed) * ep.length));
     }
   }
 

@@ -4,8 +4,9 @@
 // farm-level admission router (farm/router.h) deciding which shard each
 // stream lands on and a fault::FaultPlan failing/repairing whole nodes.
 //
-// Execution model — one admission wave, then epochs between fault
-// events:
+// Execution model — one admission wave, a plan of the epochs between
+// fault events, one simulation per distinct resident count, then the
+// merge:
 //  - The t = 0 wave routes every offer through the router, whose
 //    shards all answer from one shared Theorem-1 sizing table built for
 //    the farm's bit rate. Shards that no title's candidate set links
@@ -14,28 +15,33 @@
 //    order, so the admitted set and the stream ids are those of one
 //    serial pass.
 //  - The run's timeline is cut at every node fail/repair event. Within
-//    an epoch each shard's admitted set is constant. Every node is the
-//    same disk and every stream has the one bit rate, so a shard-epoch
-//    is a pure (resident count, epoch length -> ServerReport) task: the
-//    shards of one epoch that hold the same count share one simulation,
-//    whose per-stream results are mapped to each shard's own stream ids.
-//    SweepRunner executes the distinct counts in parallel and collects
-//    the rows in order of each count's lowest shard, which makes the
-//    merged farm report byte-identical at any thread count. Each task
-//    builds its shard in a reused per-thread workspace
-//    (farm/shard_workspace.h) whose state never reaches a result.
-//  - At an epoch boundary the orchestrator (single thread) applies the
-//    fault events: a failed shard's streams are shed; streams of
+//    an epoch each shard's admitted set is constant. Routing and the
+//    fault events never read a simulation's result, so the orchestrator
+//    (single thread) first applies every epoch boundary's events and
+//    records each epoch's plan: every shard's resident count and up
+//    flag (and, with a journal, its resident ids and journal marks). At
+//    a boundary a failed shard's streams are shed; streams of
 //    replicated titles fail over to the least-loaded surviving replica
 //    through the router (Theorem-1 headroom re-checked); single-copy
 //    titles stay shed until the repair event, then re-admit. Each shard
 //    keeps its residents as a sorted id list, as do the shed streams,
 //    so an event walks only the streams it touches, in id order.
-//  - The shared StreamJournal / SloMonitor / MetricsRegistry are fed
-//    only from the orchestrator thread after each epoch barrier, in
-//    shard order, from the per-shard reports — never from inside the
-//    parallel tasks — so journal event order and slo.* gauges are also
-//    thread-count independent.
+//  - Every node is the same disk and every stream has the one bit rate,
+//    so a shard-epoch is a pure (resident count, epoch length ->
+//    ServerReport) task. Each distinct count of the whole run is
+//    simulated once per run, to the longest epoch it occurs in, and the
+//    one pass reports every shorter epoch length it occurs with as well
+//    (DirectStreamingServer's multi-horizon Run). One SweepRunner Map
+//    runs the counts in parallel, largest first; each task builds its
+//    shard in a reused per-thread workspace (farm/shard_workspace.h)
+//    whose state never reaches a result.
+//  - The merge then walks the epochs in order: an epoch's journal marks,
+//    its rows in shard order (per-stream results mapped to each shard's
+//    own stream ids), its SLO records. The shared StreamJournal /
+//    SloMonitor / MetricsRegistry are fed only there, from the
+//    orchestrator thread — never from inside the parallel tasks — so
+//    the merged report, journal event order and slo.* gauges are
+//    byte-identical at any thread count.
 //
 // Modeling notes: a "node" is one fat DiskParameters (a striped array
 // collapsed to a single device, the Corollary-2 idiom); each epoch
@@ -138,7 +144,7 @@ struct FarmRunReport {
   double mean_utilization = 0;
   Seconds duration = 0;
   /// Cost of the shard-epoch sweep; `sweep.tasks` counts simulations,
-  /// one per distinct resident count per epoch.
+  /// once per distinct resident count per run.
   exp::SweepStats sweep;
   /// Shard-epochs served (up, non-empty shards summed over epochs); the
   /// sweep's simulations gave each one its row.

@@ -65,6 +65,7 @@ void QosAuditor::Reset(const QosAuditorConfig& config) {
   dram_level_sum_ = 0;
   over_total_ = false;
   total_violations_ = 0;
+  level_violations_ = 0;
   violations_.clear();
   violations_.reserve(config_.max_violations);
   disk_slack_hist_ = nullptr;
@@ -317,6 +318,7 @@ void QosAuditor::RecordDramLevel(std::size_t index, Seconds now,
     Observe(dram_headroom_hist_, (st.dram_bound - level) / st.dram_bound);
     const bool over = level > st.dram_bound * (1.0 + config_.tolerance);
     if (over && !st.over_bound) {
+      ++level_violations_;
       Report(QosInvariant::kDramBound, st.id, cycle_index, now,
              st.dram_bound, level,
              "per-stream DRAM occupancy above its sizing");
@@ -327,6 +329,7 @@ void QosAuditor::RecordDramLevel(std::size_t index, Seconds now,
     const bool over = dram_level_sum_ >
                       config_.dram_total_bound * (1.0 + config_.tolerance);
     if (over && !over_total_) {
+      ++level_violations_;
       Report(QosInvariant::kDramTotalBound, st.id, cycle_index, now,
              config_.dram_total_bound, dram_level_sum_,
              "summed DRAM occupancy above the total budget");

@@ -189,6 +189,9 @@ class QosAuditor {
 
   /// All violations seen, including ones past the retention cap.
   std::int64_t total_violations() const { return total_violations_; }
+  /// The part of total_violations() RecordDramLevel() found (kDramBound,
+  /// kDramTotalBound).
+  std::int64_t level_violations() const { return level_violations_; }
   /// The first max_violations counter-examples, in detection order.
   const std::vector<QosViolation>& violations() const { return violations_; }
   std::int64_t disk_cycles_audited() const { return disk_cycles_; }
@@ -228,6 +231,7 @@ class QosAuditor {
   Bytes dram_level_sum_ = 0;  ///< running sum of per-stream last levels
   bool over_total_ = false;   ///< hysteresis for the total-DRAM bound
   std::int64_t total_violations_ = 0;
+  std::int64_t level_violations_ = 0;
   std::vector<QosViolation> violations_;
   // Telemetry handles (null when config_.metrics is null).
   HistogramMetric* disk_slack_hist_ = nullptr;

@@ -25,11 +25,12 @@ struct QosCounters {
 
   bool operator==(const QosCounters&) const = default;
 
-  /// Folds a playout stream's jitter tallies in. Call after the final
-  /// LevelAt(horizon) so trailing underflow time is accrued.
-  void AbsorbPlayback(const StreamView& view) {
-    underflow_events += view.underflow_events();
-    underflow_time += view.underflow_time();
+  /// Folds a playout stream's jitter tallies in; take them as of the
+  /// horizon (PlaybackBatch::UnderflowsAt) so trailing underflow time is
+  /// accrued.
+  void AbsorbPlayback(const UnderflowTally& tally) {
+    underflow_events += tally.events;
+    underflow_time += tally.time;
   }
 
   /// Folds a recording stream's drop tallies in.

@@ -140,6 +140,31 @@ void ServerCore::TraceCycleStart(const CycleSide& side, Seconds t0,
   trace_->Append(t0, sim::TraceKind::kCycleStart, actor, -1, 0, label);
 }
 
+void ServerCore::ReportSides(Seconds horizon, ServerReport* report) const {
+  report->horizon = horizon;
+  if (disk_side_.active()) report->disk = disk_side_.stats;
+  // The final cycle's batch may finish past the horizon; the clamp reads
+  // the utilization as a fraction of the observed window.
+  report->disk.utilization = std::min(report->disk.busy, horizon) / horizon;
+  if (mems_side_.active()) {
+    Seconds busy_sum = 0;
+    for (Seconds b : mems_side_.device_busy) busy_sum += b;
+    report->mems = mems_side_.stats;
+    report->mems.utilization =
+        busy_sum /
+        (horizon * static_cast<double>(mems_side_.device_busy.size()));
+  }
+}
+
+void ServerCore::ReportPlayback(Seconds horizon, const PlaybackBatch& play,
+                                ServerReport* report) {
+  for (std::size_t i = 0; i < play.size(); ++i) {
+    // The tallies count the trailing underflow time up to the horizon.
+    report->qos.AbsorbPlayback(play.UnderflowsAt(i, horizon));
+    report->peak_dram += play.peak_level(i);
+  }
+}
+
 Status ServerCore::Run(Seconds duration) {
   if (ran_) return Status::FailedPrecondition("Run() may be called once");
   if (duration <= 0) return Status::InvalidArgument("duration must be > 0");
@@ -161,24 +186,9 @@ Status ServerCore::Run(Seconds duration) {
   MEMSTREAM_RETURN_IF_ERROR(processed.status());
   if (sinks_.faults != nullptr) sinks_.faults->Finalize(duration);
 
-  report_.horizon = duration;
-  if (disk_side_.active()) report_.disk = disk_side_.stats;
-  // The final cycle's batch may finish past the horizon; the clamp reads
-  // the utilization as a fraction of the observed window.
-  report_.disk.utilization = std::min(report_.disk.busy, duration) / duration;
-  if (mems_side_.active()) {
-    Seconds busy_sum = 0;
-    for (Seconds b : mems_side_.device_busy) busy_sum += b;
-    report_.mems = mems_side_.stats;
-    report_.mems.utilization =
-        busy_sum /
-        (duration * static_cast<double>(mems_side_.device_busy.size()));
-  }
-  for (std::size_t i = 0; i < play_.size(); ++i) {
-    play_.LevelAt(i, duration);  // accrue trailing underflow time
-    report_.qos.AbsorbPlayback(play_.view(i));
-    report_.peak_dram += play_.peak_level(i);
-  }
+  ReportSides(duration, &report_);
+  ReportPlayback(duration, play_, &report_);
+  for (std::size_t i = 0; i < play_.size(); ++i) play_.LevelAt(i, duration);
   CloseRun();
   telemetry_.Finish(duration, play_, &report_.qos, context_);
 

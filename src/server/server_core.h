@@ -167,6 +167,15 @@ class ServerCore {
   /// Binds the server's lanes and schedules its first cycles (the fault
   /// plan is scheduled after them).
   virtual Status StartRun(Seconds duration) = 0;
+  /// The two parts of the report Run() fills at its end, as of
+  /// `horizon`: the sides' stats as they stand, and the read streams'
+  /// jitter tallies (as advanced to `horizon`; `play` is left as it is)
+  /// and peaks.
+  void ReportSides(Seconds horizon, ServerReport* report) const;
+  static void ReportPlayback(Seconds horizon, const PlaybackBatch& play,
+                             ServerReport* report);
+  /// True once Run() was called since the last reset.
+  bool ran() const { return ran_; }
   /// The server's own end of run, after the playback sessions were
   /// absorbed into the report and before the telemetry closes: its
   /// counters, gauges and report records.

@@ -62,6 +62,12 @@ class RecordingView {
   std::size_t index_;
 };
 
+/// A playout stream's jitter tallies.
+struct UnderflowTally {
+  std::int64_t events = 0;
+  Seconds time = 0;
+};
+
 /// A deferred PlaybackBatch::StartPlayback: the first deposit of a stream
 /// that is not yet playing queues one for max(done, cycle boundary).
 struct PlaybackStart {
@@ -104,20 +110,19 @@ class PlaybackBatch {
     const Seconds dt = now - last_update_[i];
     last_update_[i] = now;
     if (playing_[i] == 0) return;
+    Play(bit_rate_[i], dt, level_[i], dry_[i], underflow_events_[i],
+         underflow_time_[i]);
+  }
 
-    const Bytes demand = bit_rate_[i] * dt;
-    if (demand <= level_[i]) {
-      level_[i] -= demand;
-      return;
-    }
-    // The buffer ran dry partway through the interval.
-    const Seconds dry_for = (demand - level_[i]) / bit_rate_[i];
-    level_[i] = 0;
-    underflow_time_[i] += dry_for;
-    if (dry_[i] == 0) {
-      ++underflow_events_[i];
-      dry_[i] = 1;
-    }
+  /// Stream `i`'s jitter tallies as LevelAt(i, now) would leave them,
+  /// bit for bit, without advancing the stream.
+  UnderflowTally UnderflowsAt(std::size_t i, Seconds now) const {
+    UnderflowTally t{underflow_events_[i], underflow_time_[i]};
+    if (now <= last_update_[i] || playing_[i] == 0) return t;
+    Bytes level = level_[i];
+    std::uint8_t dry = dry_[i];
+    Play(bit_rate_[i], now - last_update_[i], level, dry, t.events, t.time);
+    return t;
   }
 
   void Deposit(std::size_t i, Seconds now, Bytes bytes) {
@@ -145,6 +150,15 @@ class PlaybackBatch {
     return level_[i];
   }
 
+  /// Takes back every playback start past `now`. Valid while nothing
+  /// but such starts moved a stream's clock past `now`; the batch is then
+  /// as if they were never made.
+  void DropStartsAfter(Seconds now) {
+    for (std::size_t i = 0; i < size(); ++i) {
+      if (last_update_[i] > now) playing_[i] = 0;
+    }
+  }
+
   // --- per-stream reads ---
 
   std::int64_t id(std::size_t i) const { return id_[i]; }
@@ -168,6 +182,26 @@ class PlaybackBatch {
   }
 
  private:
+  /// Plays `dt` seconds at `rate` out of a buffer at `level`; a dry
+  /// spell adds to the jitter tallies.
+  static void Play(BytesPerSecond rate, Seconds dt, Bytes& level,
+                   std::uint8_t& dry, std::int64_t& underflow_events,
+                   Seconds& underflow_time) {
+    const Bytes demand = rate * dt;
+    if (demand <= level) {
+      level -= demand;
+      return;
+    }
+    // The buffer ran dry partway through the interval.
+    const Seconds dry_for = (demand - level) / rate;
+    level = 0;
+    underflow_time += dry_for;
+    if (dry == 0) {
+      ++underflow_events;
+      dry = 1;
+    }
+  }
+
   std::vector<std::int64_t> id_;
   std::vector<BytesPerSecond> bit_rate_;
   std::vector<std::uint8_t> playing_;

@@ -15,6 +15,17 @@ namespace {
 /// so this leaves a little slack.
 constexpr double kStagingIos = 2.2;
 
+/// Advances the write streams to `horizon` and folds their drop tallies
+/// and peaks into `report`.
+void AbsorbRecordings(Seconds horizon, RecordingBatch& record,
+                      ServerReport* report) {
+  for (std::size_t i = 0; i < record.size(); ++i) {
+    record.LevelAt(i, horizon);
+    report->qos.AbsorbRecording(record.view(i));
+    report->peak_dram += record.peak_level(i);
+  }
+}
+
 }  // namespace
 
 Result<DirectStreamingServer> DirectStreamingServer::Create(
@@ -36,6 +47,7 @@ Status DirectStreamingServer::Reset(device::DiskDrive* disk,
 
   streams_.assign(streams.begin(), streams.end());
   config_ = config;
+  num_cuts_ = 0;
   const std::size_t n = streams_.size();
   ResetCore(disk, {}, config_.sinks, n, config_.seed);
   play_cursor_.assign(n, 0);
@@ -105,9 +117,7 @@ void DirectStreamingServer::RunCycle(Seconds deadline) {
         const Completion c{Completion::kIo, i, bytes, service, boundary};
         if (!inline_) {
           completions_.Push(done, c);
-        } else if (done <= horizon_) {
-          // Effects past the horizon never apply, as lane items past
-          // Run(until) never fire.
+        } else if (done <= cut_at_ || CutBefore(done)) {
           ApplyCompletion(done, c);
         }
       });
@@ -116,6 +126,7 @@ void DirectStreamingServer::RunCycle(Seconds deadline) {
   const Seconds next = CloseCycle(disk_side_, t0, busy, config_.cycle,
                                   completions_, {Completion::kCycleEnd});
   obs::Record(disk_util_series_, t0 + config_.cycle, busy / config_.cycle);
+  CloseCuts(next);
   if (next < deadline) {
     sim_.ScheduleAt(next, [this, deadline]() { RunCycle(deadline); });
   }
@@ -142,10 +153,105 @@ Seconds DirectStreamingServer::FillBestEffort(Seconds busy) {
   return busy;
 }
 
+Status DirectStreamingServer::Run(std::span<const Seconds> horizons,
+                                  bool sessions) {
+  if (horizons.empty() || horizons.front() <= 0) {
+    return Status::InvalidArgument("horizons must be > 0");
+  }
+  for (std::size_t h = 1; h < horizons.size(); ++h) {
+    if (!(horizons[h - 1] < horizons[h])) {
+      return Status::InvalidArgument("horizons must ascend");
+    }
+  }
+  const Sinks& sinks = config_.sinks;
+  if (horizons.size() > 1 &&
+      (sinks.metrics != nullptr || sinks.timelines != nullptr ||
+       sinks.faults != nullptr || sinks.journal != nullptr ||
+       sinks.slo != nullptr || sinks.trace != nullptr)) {
+    return Status::InvalidArgument(
+        "a run over several horizons takes no sink but an auditor");
+  }
+  if (ran()) return Status::FailedPrecondition("Run() may be called once");
+  num_cuts_ = horizons.size() - 1;
+  if (cuts_.size() < num_cuts_) cuts_.resize(num_cuts_);
+  for (std::size_t h = 0; h < num_cuts_; ++h) {
+    cuts_[h].horizon = horizons[h];
+  }
+  keep_sessions_ = sessions;
+  return ServerCore::Run(horizons.back());
+}
+
+void DirectStreamingServer::ReserveHorizons(std::size_t horizons,
+                                            bool sessions) {
+  if (horizons < 2) return;
+  if (cuts_.size() < horizons - 1) cuts_.resize(horizons - 1);
+  for (std::size_t h = 0; h + 1 < horizons; ++h) {
+    cuts_[h].record = record_;
+    if (sessions) cuts_[h].play = play_;
+  }
+}
+
+// Run(L) services every cycle that starts before L in full, applies the
+// completions done by L and the playback starts due by L, then advances
+// each stream to L. A horizon L short of the run's last is cut from the
+// same pass, when the first completion done past L arrives or, if a
+// cycle's batch ends by L, at that cycle's close: the streams' part of
+// L's report is read as the streams would stand advanced to L, without
+// advancing the live state (that would change its floating-point bits).
+// A start past L changes no tally before L; it only shows in a kept
+// session, which drops it. The cycle that straddles L still counts in
+// full, so L's report completes at that cycle's close: its IOs, busy
+// time, overrun and the auditor's cycle checks, less the DRAM-level
+// violations of the completions past L.
+bool DirectStreamingServer::CutBefore(Seconds done) {
+  while (next_cut_ < num_cuts_ && cuts_[next_cut_].horizon < done) TakeCut();
+  // Effects past the last horizon never apply, as lane items past
+  // Run(until) never fire.
+  return done <= horizon_;
+}
+
+void DirectStreamingServer::TakeCut() {
+  HorizonCut& cut = cuts_[next_cut_++];
+  cut_at_ = next_cut_ < num_cuts_ ? cuts_[next_cut_].horizon : horizon_;
+  const Seconds horizon = cut.horizon;
+  cut.streams = {};
+  ReportPlayback(horizon, play_, &cut.streams);
+  cut.record = record_;
+  AbsorbRecordings(horizon, cut.record, &cut.streams);
+  const obs::QosAuditor* auditor = sinks_.auditor;
+  cut.level_violations = auditor != nullptr ? auditor->level_violations() : 0;
+  if (keep_sessions_) {
+    cut.play = play_;
+    cut.play.DropStartsAfter(horizon);
+    for (std::size_t i = 0; i < cut.play.size(); ++i) {
+      cut.play.LevelAt(i, horizon);
+    }
+  }
+}
+
+void DirectStreamingServer::CloseCuts(Seconds next) {
+  while (next_cut_ < num_cuts_ && cuts_[next_cut_].horizon <= next) TakeCut();
+  for (; closed_cuts_ < next_cut_; ++closed_cuts_) {
+    HorizonCut& cut = cuts_[closed_cuts_];
+    cut.report = report_;  // the IO and best-effort counts so far
+    cut.report.qos = cut.streams.qos;
+    cut.report.peak_dram = cut.streams.peak_dram;
+    ReportSides(cut.horizon, &cut.report);
+    if (const obs::QosAuditor* auditor = sinks_.auditor; auditor != nullptr) {
+      cut.report.qos.violations =
+          auditor->total_violations() -
+          (auditor->level_violations() - cut.level_violations);
+    }
+  }
+}
+
 Status DirectStreamingServer::StartRun(Seconds duration) {
   if (streams_.empty()) {
     return Status::FailedPrecondition("no streams: Reset() the server first");
   }
+  next_cut_ = 0;
+  closed_cuts_ = 0;
+  cut_at_ = num_cuts_ > 0 ? cuts_[0].horizon : duration;
   // Untraced, completions apply inline in the cycle loop, in the order
   // the lane would fire them (tests/completion_path_test.cc pins both
   // paths to identical results). That keeps the farm's thousand-stream
@@ -170,10 +276,8 @@ void DirectStreamingServer::CloseRun() {
                       "events=" + std::to_string(play_.underflow_events(i))});
     }
   }
+  AbsorbRecordings(horizon, record_, &report_);
   for (std::size_t i = 0; i < record_.size(); ++i) {
-    record_.LevelAt(i, horizon);
-    report_.qos.AbsorbRecording(record_.view(i));
-    report_.peak_dram += record_.peak_level(i);
     if (trace_ != nullptr && record_.overflow_events(i) > 0) {
       trace_->Append({horizon, sim::TraceKind::kOverflow, "report",
                       record_.id(i), 0,

@@ -11,6 +11,7 @@
 #define MEMSTREAM_SERVER_TIMECYCLE_SERVER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -47,7 +48,7 @@ struct DirectServerConfig {
 
 /// The baseline server. Create() and Reset() validate the stream set
 /// against the disk capacity; Run() executes the schedule and fills the
-/// report.
+/// report, for one horizon or several.
 class DirectStreamingServer final : public ServerCore {
  public:
   /// A server with no streams: Reset() gives it some before Run().
@@ -73,6 +74,34 @@ class DirectStreamingServer final : public ServerCore {
   }
   std::size_t num_streams() const { return streams_.size(); }
 
+  using ServerCore::Run;
+  /// Runs once, to the last of `horizons` (ascending, the first > 0),
+  /// and reports every horizon L as a separate Run(L) would: report(h)
+  /// equals, bit for bit, report() after a Run(horizons[h]); with
+  /// `sessions`, session(h, i) likewise equals session(i). Run(duration)
+  /// is the one-horizon case. A shorter horizon's report is cut inside
+  /// the one pass, from the per-stream state as it stood at the horizon,
+  /// so more than one horizon takes no sink but an auditor; the
+  /// auditor's own state then describes the last horizon.
+  Status Run(std::span<const Seconds> horizons, bool sessions = false);
+
+  using ServerCore::report;
+  using ServerCore::session;
+  /// The report of horizons[h] of the last run (h = 0 after Run(duration)).
+  const ServerReport& report(std::size_t h) const {
+    return h < num_cuts_ ? cuts_[h].report : report_;
+  }
+  /// Session of horizons[h]'s i-th read stream; a shorter horizon keeps
+  /// its sessions only in a run with `sessions`.
+  StreamView session(std::size_t h, std::size_t i) const {
+    return h < num_cuts_ ? cuts_[h].play.view(i) : play_.view(i);
+  }
+
+  /// Sizes the state of a run over up to `horizons` horizons of the
+  /// current stream set, with or without `sessions`, so that run
+  /// allocates nothing for it.
+  void ReserveHorizons(std::size_t horizons, bool sessions);
+
  private:
   Status StartRun(Seconds duration) override;
   void CloseRun() override;
@@ -95,6 +124,27 @@ class DirectStreamingServer final : public ServerCore {
   /// staging drain at `done`, telemetry, and its trace records.
   void ApplyCompletion(Seconds done, const Completion& c);
 
+  /// A horizon short of the run's last.
+  struct HorizonCut {
+    Seconds horizon = 0;
+    /// The streams' part of the report (qos tallies, peak_dram) and the
+    /// auditor's DRAM-level violations, both taken at the cut.
+    ServerReport streams;
+    std::int64_t level_violations = 0;
+    RecordingBatch record;  ///< scratch: the write streams at the cut
+    PlaybackBatch play;     ///< the sessions at the horizon, if kept
+    ServerReport report;    ///< complete from the cycle that reached it
+  };
+  /// An inline completion done past cut_at_: cuts every horizon before
+  /// `done`. True when the completion applies (done <= the last horizon).
+  bool CutBefore(Seconds done);
+  /// Takes the streams' part of the next horizon's report.
+  void TakeCut();
+  /// After a cycle's close, with the next cycle due at `next`: cuts the
+  /// horizons that cycle does not reach and completes the report of
+  /// every cut horizon.
+  void CloseCuts(Seconds next);
+
   std::vector<StreamSpec> streams_;
   DirectServerConfig config_;
   RecordingBatch record_;  ///< SoA state of the write streams
@@ -104,6 +154,16 @@ class DirectStreamingServer final : public ServerCore {
   /// Completions apply inline in the cycle loop instead of through the
   /// lanes (untraced runs; see StartRun()).
   bool inline_ = false;
+  /// Inline completions done by this time apply at once; a later one
+  /// first cuts the horizons before it.
+  Seconds cut_at_ = 0;
+  /// The horizons before the run's last, cuts_[0, num_cuts_); the
+  /// vector keeps its capacity (and each cut's) across runs.
+  std::vector<HorizonCut> cuts_;
+  std::size_t num_cuts_ = 0;
+  std::size_t next_cut_ = 0;    ///< cuts_[next_cut_] is not yet cut
+  std::size_t closed_cuts_ = 0; ///< cuts whose report is complete
+  bool keep_sessions_ = false;
   sim::FifoLane<Completion> completions_;
   obs::TimelineSeries* disk_util_series_ = nullptr;
 };

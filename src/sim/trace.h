@@ -114,10 +114,10 @@ class TraceLog {
     TraceRecord& slot = NextSlot();
     slot.time = time;
     slot.kind = kind;
-    slot.actor.assign(actor);
+    CopyInto(slot.actor, actor);
     slot.stream_id = stream_id;
     slot.bytes = bytes;
-    slot.detail.assign(detail);
+    CopyInto(slot.detail, detail);
     slot.duration = duration;
   }
 
@@ -146,6 +146,22 @@ class TraceLog {
   /// String capacity reserved in each new slot of a bounded ring, so
   /// overwrites with the usual actor/detail lengths reuse it.
   static constexpr std::size_t kSlotChars = 31;
+
+  /// Overwrites `to` with `from`, in its own storage while that is large
+  /// enough. `from` may view `to`: it then fits, so `to` neither grows
+  /// nor reallocates before the bytes move, and they move with memmove.
+  /// (std::string::assign would do the same, but GCC 12 at -O3 reports
+  /// -Wrestrict false positives on the memcpy it inlines from it.)
+  static void CopyInto(std::string& to, std::string_view from) {
+    const std::size_t n = from.size();
+    if (n > to.capacity()) {
+      to = std::string(from);  // too long to view `to`
+      return;
+    }
+    if (n > to.size()) to.resize(n);
+    std::char_traits<char>::move(to.data(), from.data(), n);
+    to.resize(n);
+  }
 
   /// The slot the next record goes into: a new one while below capacity,
   /// else the oldest (evicted) one.

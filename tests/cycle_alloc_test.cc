@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <new>
 #include <sstream>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -699,6 +700,21 @@ TEST(CycleAllocTest, WarmShardWorkspaceEpochAllocatesNothing) {
       << "heap allocations in a smaller shard's epoch";
   ASSERT_TRUE(shrunk.ran) << shrunk.error;
   EXPECT_EQ(shrunk.streams, 250);
+
+  // One run over three epoch lengths, as the farm runs a count that
+  // occurs in three epochs: warm, it allocates nothing either.
+  const std::vector<Seconds> shorter = {7.5, 13.0};
+  farm::ShardEpochTask multi = task;
+  multi.shorter = shorter;
+  ASSERT_TRUE(workspace.RunEpochs(multi).front().ran);
+  before = CurrentAllocs();
+  const std::span<const farm::ShardEpoch> rows = workspace.RunEpochs(multi);
+  EXPECT_EQ(CurrentAllocs() - before, 0)
+      << "heap allocations in a warm multi-horizon run";
+  ASSERT_EQ(rows.size(), 3u);
+  for (const farm::ShardEpoch& row : rows) ASSERT_TRUE(row.ran) << row.error;
+  EXPECT_LT(rows[0].ios, rows[1].ios);
+  EXPECT_EQ(rows[2].ios, first.ios);
 }
 
 }  // namespace

@@ -169,6 +169,131 @@ TEST(ShardedFarmTest, EveryShardRowMatchesItsOwnSimulation) {
   EXPECT_EQ(journaled, want_streams);
 }
 
+/// Each shard's resident count right after the fault events before
+/// `t` (0 for a down shard): the farm's per-shard run-end count when the
+/// run is cut just after `t`'s events.
+std::vector<std::int64_t> CountsAfter(ShardedFarmConfig config, Seconds t) {
+  config.duration = t;
+  auto result = RunShardedFarm(config);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<std::int64_t> counts;
+  if (!result.ok()) return counts;
+  for (const FarmShardReport& s : result.value().per_shard) {
+    counts.push_back(s.streams);
+  }
+  return counts;
+}
+
+// The farm simulates each resident count once per run, to its longest
+// epoch. With a fail and a repair, each shard's totals over the three
+// epochs must be the sum of separate simulations, one per (its count in
+// that epoch, the epoch length). The epochs last ~1.5, 2.5 and 1.2 s:
+// the first ends exactly on a cycle boundary of a count that runs on
+// through the outage, and the repair leaves a count that occurs only in
+// the last epoch, shorter than the first.
+TEST(ShardedFarmTest, EveryShardSumsItsOwnEpochSimulations) {
+  ShardedFarmConfig config = SmallFarm();
+  config.policy = PlacementPolicy::kPopularityAware;
+  config.replicas = 2;
+  config.replication_budget = 0.10;
+  config.offered_streams = 800;
+  config.duration = 5.2;
+  const Seconds repair = 4.0;
+
+  // The counts do not depend on the event times: find a shard the outage
+  // leaves alone, and end the first epoch on its k-th cycle start (the
+  // server starts cycle k at the k-fold sum of its cycle).
+  config.faults = NodeOutage(/*shard=*/0, 1.5, repair);
+  const std::vector<std::int64_t> first = CountsAfter(config, 1.0);
+  const std::vector<std::int64_t> last = CountsAfter(config, repair + 1e-3);
+  ASSERT_EQ(first.size(), 4u);
+  std::size_t calm = 1;
+  while (calm < first.size() && first[calm] != last[calm]) ++calm;
+  ASSERT_LT(calm, first.size()) << "every shard's count moved";
+  ASSERT_GT(first[calm], 0);
+  auto disk = device::DiskDrive::Create(config.node_disk);
+  ASSERT_TRUE(disk.ok());
+  auto cycle = model::IoCycleLength(
+      first[calm], config.bit_rate,
+      model::DiskProfile(disk.value(), first[calm]));
+  ASSERT_TRUE(cycle.ok());
+  Seconds fail = 0;
+  while (fail < 1.4) fail += cycle.value();
+  ASSERT_LT(fail, 1.6);
+  config.faults = NodeOutage(/*shard=*/0, fail, repair);
+
+  const std::vector<Seconds> lengths = {fail, repair - fail,
+                                        config.duration - repair};
+  const std::vector<std::vector<std::int64_t>> counts = {
+      first, CountsAfter(config, fail + 1e-3),
+      CountsAfter(config, repair + 1e-3)};
+  ASSERT_EQ(counts[1][0], 0);  // shard 0 is down in the outage epoch
+  ASSERT_EQ(counts[1][calm], first[calm]);
+  ASSERT_EQ(counts[2], last);
+  ASSERT_LT(lengths[0], lengths[1]);
+  ASSERT_LT(lengths[2], lengths[0]);
+  std::vector<std::int64_t> distinct;
+  std::int64_t rows = 0;
+  for (const std::vector<std::int64_t>& epoch : counts) {
+    for (const std::int64_t n : epoch) {
+      if (n == 0) continue;
+      ++rows;
+      distinct.push_back(n);
+    }
+  }
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  const bool last_only = std::any_of(
+      last.begin(), last.end(), [&](std::int64_t n) {
+        return std::find(counts[0].begin(), counts[0].end(), n) ==
+                   counts[0].end() &&
+               std::find(counts[1].begin(), counts[1].end(), n) ==
+                   counts[1].end();
+      });
+  ASSERT_TRUE(last_only) << "no count occurs only in the last epoch";
+
+  for (const int threads : {1, 3}) {
+    config.threads = threads;
+    auto result = RunShardedFarm(config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const FarmRunReport& r = result.value();
+    EXPECT_GT(r.failovers, 0);
+    EXPECT_EQ(r.shard_epochs, rows);
+    EXPECT_EQ(r.sweep.tasks, static_cast<std::int64_t>(distinct.size()));
+
+    std::int64_t farm_ios = 0;
+    for (std::size_t s = 0; s < r.per_shard.size(); ++s) {
+      FarmShardReport want;
+      double busy = 0;
+      double up = 0;
+      for (std::size_t e = 0; e < counts.size(); ++e) {
+        if (!(s == 0 && e == 1)) up += lengths[e];
+        const std::int64_t n = counts[e][s];
+        if (n == 0) continue;
+        ShardWorkspace own(config);
+        const ShardEpoch row = own.Run({.streams = n, .length = lengths[e]});
+        ASSERT_TRUE(row.ran) << row.error;
+        want.ios_completed += row.ios;
+        want.cycle_overruns += row.overruns;
+        want.underflow_events += row.underflows;
+        want.qos_violations += row.violations;
+        want.peak_dram_demand = std::max(want.peak_dram_demand, row.peak_dram);
+        busy += row.busy;
+      }
+      const FarmShardReport& got = r.per_shard[s];
+      EXPECT_EQ(got.ios_completed, want.ios_completed) << "shard " << s;
+      EXPECT_EQ(got.cycle_overruns, want.cycle_overruns) << "shard " << s;
+      EXPECT_EQ(got.underflow_events, want.underflow_events) << "shard " << s;
+      EXPECT_EQ(got.qos_violations, want.qos_violations) << "shard " << s;
+      EXPECT_EQ(got.peak_dram_demand, want.peak_dram_demand) << "shard " << s;
+      EXPECT_EQ(got.utilization, busy / up) << "shard " << s;
+      farm_ios += want.ios_completed;
+    }
+    EXPECT_EQ(r.ios_completed, farm_ios);
+  }
+}
+
 TEST(ShardedFarmTest, AdmitsAndServesCleanlyWithoutFaults) {
   ShardedFarmConfig config = SmallFarm();
   auto result = RunShardedFarm(config);

@@ -163,13 +163,18 @@ TEST(QosCountersTest, AbsorbPlaybackFoldsUnderflowTallies) {
   PlaybackBatch s = Playback(100);  // 100 B/s
   s.Deposit(0, 0, 50);
   s.StartPlayback(0, 0);
-  s.LevelAt(0, 2.0);  // dry from t=0.5; 1.5s of underflow so far
 
+  // Dry from t=0.5: 1.5s of underflow by t=2, read without advancing
+  // the stream, and the same once it is advanced.
   QosCounters qos;
-  qos.AbsorbPlayback(s.view(0));
+  qos.AbsorbPlayback(s.UnderflowsAt(0, 2.0));
   EXPECT_EQ(qos.underflow_events, 1);
   EXPECT_DOUBLE_EQ(qos.underflow_time, 1.5);
   EXPECT_FALSE(qos.clean());
+  EXPECT_EQ(s.underflow_events(0), 0);
+  s.LevelAt(0, 2.0);
+  EXPECT_EQ(s.underflow_events(0), 1);
+  EXPECT_EQ(s.underflow_time(0), qos.underflow_time);
 }
 
 TEST(QosCountersTest, AbsorbRecordingFoldsOverflowTallies) {
@@ -194,7 +199,7 @@ TEST(QosCountersTest, PausedStreamsAccrueNoUnderflow) {
   s.LevelAt(0, 20.0);       // a long shed window
 
   QosCounters qos;
-  qos.AbsorbPlayback(s.view(0));
+  qos.AbsorbPlayback(s.UnderflowsAt(0, 20.0));
   EXPECT_EQ(qos.underflow_events, 0);
   EXPECT_DOUBLE_EQ(qos.underflow_time, 0.0);
   EXPECT_TRUE(qos.clean());
@@ -204,7 +209,7 @@ TEST(QosCountersTest, PausedStreamsAccrueNoUnderflow) {
   s.StartPlayback(0, 20.0);
   s.LevelAt(0, 21.0);
   qos = QosCounters();
-  qos.AbsorbPlayback(s.view(0));
+  qos.AbsorbPlayback(s.UnderflowsAt(0, 21.0));
   EXPECT_EQ(qos.underflow_events, 0);
 }
 
@@ -220,7 +225,7 @@ TEST(QosCountersTest, PauseEndsAnOpenDryExcursion) {
   s.LevelAt(0, 30.0);
 
   QosCounters qos;
-  qos.AbsorbPlayback(s.view(0));
+  qos.AbsorbPlayback(s.UnderflowsAt(0, 30.0));
   EXPECT_EQ(qos.underflow_events, 1);
   EXPECT_DOUBLE_EQ(qos.underflow_time, 0.5);
 }

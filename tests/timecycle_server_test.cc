@@ -1,5 +1,10 @@
 #include "server/timecycle_server.h"
 
+#include <span>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "device/device_catalog.h"
@@ -415,6 +420,241 @@ TEST(DirectServerTest, ResetAfterRunMatchesFreshServer) {
     EXPECT_EQ(reused_auditor.violations()[i].ToString(),
               fresh_auditor.violations()[i].ToString());
   }
+}
+
+/// One configuration of the multi-horizon comparisons.
+struct HorizonCase {
+  std::int64_t n = 0;
+  double cycle_factor = 1.0;  ///< of Theorem 1's cycle; < 1 overruns
+  bool deterministic = true;
+  bool writes = false;          ///< every third stream records
+  Bytes best_effort_io = 0;
+  double dram_bound_ios = 2.0;  ///< audited per-stream bound, in IOs
+};
+
+/// What a run leaves for one horizon: its report, every read session and
+/// the auditor's violation count.
+struct HorizonResult {
+  ServerReport report;
+  std::vector<std::tuple<std::int64_t, bool, Bytes, Bytes, std::int64_t,
+                         Seconds>>
+      sessions;
+};
+
+HorizonResult Collect(const DirectStreamingServer& server, std::size_t h) {
+  HorizonResult r;
+  r.report = server.report(h);
+  for (std::size_t i = 0; i < server.play_sessions().size(); ++i) {
+    const StreamView v = server.session(h, i);
+    r.sessions.emplace_back(v.id(), v.playing(), v.total_deposited(),
+                            v.peak_level(), v.underflow_events(),
+                            v.underflow_time());
+  }
+  return r;
+}
+
+/// A fresh disk, auditor and server for `c`, run over `horizons` (with
+/// sessions); returns each horizon's result and the auditor's total.
+std::vector<HorizonResult> RunCase(const HorizonCase& c,
+                                   std::span<const Seconds> horizons,
+                                   std::int64_t* auditor_total = nullptr) {
+  device::DiskDrive disk = Future();
+  const BytesPerSecond b = 1 * kMBps;
+  auto cycle = model::IoCycleLength(c.n, b, model::DiskProfile(disk, c.n));
+  EXPECT_TRUE(cycle.ok());
+  DirectServerConfig config;
+  config.cycle = cycle.value() * c.cycle_factor;
+  config.deterministic = c.deterministic;
+  config.best_effort_io = c.best_effort_io;
+  config.seed = 5;
+  auto streams = Spread(c.n, b, disk.Capacity(), 2 * b * cycle.value());
+  if (c.writes) {
+    for (std::size_t i = 0; i < streams.size(); i += 3) {
+      streams[i].direction = StreamDirection::kWrite;
+    }
+  }
+  obs::QosAuditorConfig qac;
+  qac.disk_cycle = config.cycle;
+  // Tight enough that deposits breach the per-stream and total bounds.
+  qac.dram_total_bound =
+      static_cast<double>(c.n) * c.dram_bound_ios * b * config.cycle * 0.6;
+  obs::QosAuditor auditor(qac);
+  for (const StreamSpec& s : streams) {
+    auditor.AddStream(s.id, s.bit_rate,
+                      c.dram_bound_ios * s.bit_rate * config.cycle);
+  }
+  auditor.Seal();
+  config.sinks.auditor = &auditor;
+  auto server = DirectStreamingServer::Create(&disk, streams, config);
+  EXPECT_TRUE(server.ok()) << server.status().ToString();
+  const Status st = server.value().Run(horizons, /*sessions=*/true);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  std::vector<HorizonResult> out;
+  for (std::size_t h = 0; h < horizons.size(); ++h) {
+    out.push_back(Collect(server.value(), h));
+  }
+  if (auditor_total != nullptr) *auditor_total = auditor.total_violations();
+  return out;
+}
+
+/// The done time of the `k`-th IO completion of `c`'s run, read from a
+/// traced run (the lane path applies completions at the inline path's
+/// times).
+Seconds DoneTime(const HorizonCase& c, std::size_t k) {
+  device::DiskDrive disk = Future();
+  const BytesPerSecond b = 1 * kMBps;
+  auto cycle = model::IoCycleLength(c.n, b, model::DiskProfile(disk, c.n));
+  EXPECT_TRUE(cycle.ok());
+  sim::TraceLog trace;
+  DirectServerConfig config;
+  config.cycle = cycle.value() * c.cycle_factor;
+  config.deterministic = c.deterministic;
+  config.best_effort_io = c.best_effort_io;
+  config.seed = 5;
+  config.sinks.trace = &trace;
+  auto streams = Spread(c.n, b, disk.Capacity(), 2 * b * cycle.value());
+  if (c.writes) {
+    for (std::size_t i = 0; i < streams.size(); i += 3) {
+      streams[i].direction = StreamDirection::kWrite;
+    }
+  }
+  auto server = DirectStreamingServer::Create(&disk, streams, config);
+  EXPECT_TRUE(server.ok()) << server.status().ToString();
+  EXPECT_TRUE(server.value().Run(20.0).ok());
+  const std::vector<sim::TraceRecord> done =
+      trace.Filter(sim::TraceKind::kIoCompleted);
+  EXPECT_GT(done.size(), k);
+  return done.size() > k ? done[k].time : 0.0;
+}
+
+/// The start time of cycle `k` of an overrun-free run, summed the way
+/// the server schedules it.
+Seconds CycleStart(const HorizonCase& c, int k) {
+  device::DiskDrive disk = Future();
+  auto cycle = model::IoCycleLength(c.n, 1 * kMBps,
+                                    model::DiskProfile(disk, c.n));
+  EXPECT_TRUE(cycle.ok());
+  const Seconds t = cycle.value() * c.cycle_factor;
+  Seconds start = 0;
+  for (int i = 0; i < k; ++i) start = start + t;
+  return start;
+}
+
+// One run over several horizons reports each horizon bit for bit as a
+// separate Run(horizon): over several counts, with overruns, underflows,
+// recordings, best-effort IOs and audited cycle and DRAM violations, and
+// with horizons inside the first cycle, mid-cycle, exactly on a cycle
+// boundary (where the playback starts due at the boundary count) and
+// exactly at an IO's done time (where that IO counts, also when it is the
+// first IO done past an earlier horizon).
+TEST(DirectServerTest, MultiHorizonRunMatchesSeparateRuns) {
+  const std::vector<HorizonCase> cases = {
+      {.n = 7},
+      {.n = 30, .writes = true, .dram_bound_ios = 0.5},
+      {.n = 61, .cycle_factor = 0.5, .deterministic = false, .writes = true},
+      {.n = 24, .deterministic = false, .best_effort_io = 256 * kKB,
+       .dram_bound_ios = 0.7},
+      {.n = 40, .cycle_factor = 0.3, .dram_bound_ios = 0.5},
+  };
+  for (const HorizonCase& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n));
+    const Seconds t = CycleStart(c, 1);
+    const std::size_t k = static_cast<std::size_t>(c.n) * 3 / 2;
+    const Seconds done = DoneTime(c, k);
+    // Past the IO before, so that IO is the first one done past the
+    // first horizon and reaches the second one exactly.
+    const Seconds just_before = 0.5 * (DoneTime(c, k - 1) + done);
+    const std::vector<std::vector<Seconds>> sets = {
+        {0.4 * t, 1.7 * t, CycleStart(c, 3), 5.5 * t},
+        {0.1 * t, 0.2 * t, 0.3 * t},
+        {CycleStart(c, 2), CycleStart(c, 4), 20.0},
+        {0.2 * t, done, 20.0},
+        {just_before, done, 20.0},
+        {2.5 * t},
+    };
+    for (const std::vector<Seconds>& horizons : sets) {
+      std::int64_t multi_total = 0;
+      const std::vector<HorizonResult> multi =
+          RunCase(c, horizons, &multi_total);
+      for (std::size_t h = 0; h < horizons.size(); ++h) {
+        SCOPED_TRACE("horizon " + std::to_string(horizons[h]));
+        std::int64_t total = 0;
+        const HorizonResult alone =
+            RunCase(c, std::span(horizons).subspan(h, 1), &total).front();
+        EXPECT_TRUE(multi[h].report == alone.report);
+        EXPECT_EQ(multi[h].report.qos.violations, alone.report.qos.violations);
+        EXPECT_EQ(multi[h].report.ios_completed, alone.report.ios_completed);
+        EXPECT_EQ(multi[h].report.peak_dram, alone.report.peak_dram);
+        EXPECT_EQ(multi[h].sessions, alone.sessions);
+        if (h + 1 == horizons.size()) {
+          EXPECT_EQ(multi_total, total);
+        }
+      }
+    }
+  }
+  // The cases reach what they are meant to compare.
+  const HorizonCase& overrun = cases.back();
+  const Seconds l = 0.4 * CycleStart(overrun, 1);
+  const ServerReport r = RunCase(overrun, std::span(&l, 1)).front().report;
+  EXPECT_GT(r.qos.violations, 0);
+  const Seconds long_run = 20.0;
+  const ServerReport lr =
+      RunCase(overrun, std::span(&long_run, 1)).front().report;
+  EXPECT_GT(lr.disk.overruns, 0);
+  EXPECT_GT(lr.qos.underflow_events, 0);
+}
+
+// Without `sessions` the shorter horizons keep only their reports, which
+// are the same.
+TEST(DirectServerTest, MultiHorizonReportsNeedNoSessions) {
+  device::DiskDrive disk = Future();
+  DirectServerConfig config;
+  config.cycle = 1.0;
+  const auto streams = Spread(12, 1 * kMBps, disk.Capacity(), 4 * kMB);
+  const std::vector<Seconds> horizons = {2.5, 4.0, 7.25};
+  auto with = DirectStreamingServer::Create(&disk, streams, config);
+  ASSERT_TRUE(with.ok());
+  ASSERT_TRUE(with.value().Run(horizons, /*sessions=*/true).ok());
+  device::DiskDrive other = Future();
+  auto without = DirectStreamingServer::Create(&other, streams, config);
+  ASSERT_TRUE(without.ok());
+  ASSERT_TRUE(without.value().Run(horizons).ok());
+  for (std::size_t h = 0; h < horizons.size(); ++h) {
+    EXPECT_TRUE(with.value().report(h) == without.value().report(h));
+    EXPECT_EQ(without.value().report(h).horizon, horizons[h]);
+  }
+}
+
+TEST(DirectServerTest, MultiHorizonRunValidatesItsHorizons) {
+  device::DiskDrive disk = Future();
+  DirectServerConfig config;
+  config.cycle = 1.0;
+  const auto streams = Spread(4, 1 * kMBps, disk.Capacity(), 4 * kMB);
+  auto server = DirectStreamingServer::Create(&disk, streams, config);
+  ASSERT_TRUE(server.ok());
+  DirectStreamingServer& s = server.value();
+  const std::vector<Seconds> none;
+  const std::vector<Seconds> unsorted = {3.0, 2.0};
+  const std::vector<Seconds> repeated = {2.0, 2.0};
+  const std::vector<Seconds> zero = {0.0, 2.0};
+  EXPECT_EQ(s.Run(none).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.Run(unsorted).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.Run(repeated).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.Run(zero).code(), StatusCode::kInvalidArgument);
+
+  // The traced lane path (any sink but an auditor) takes one horizon.
+  sim::TraceLog trace;
+  DirectServerConfig traced = config;
+  traced.sinks.trace = &trace;
+  auto lane = DirectStreamingServer::Create(&disk, streams, traced);
+  ASSERT_TRUE(lane.ok());
+  const std::vector<Seconds> two = {1.5, 3.0};
+  EXPECT_EQ(lane.value().Run(two).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(lane.value().Run(std::span(two).last(1)).ok());
+
+  ASSERT_TRUE(s.Run(two).ok());
+  EXPECT_EQ(s.Run(two).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(s.report(1).horizon, 3.0);
 }
 
 TEST(DirectServerTest, ResetValidatesAndLeavesServerUnchanged) {

@@ -132,5 +132,22 @@ TEST(TraceTest, AppendingARecordOfTheSameLogIsSafe) {
   EXPECT_EQ(ring.records().front().actor, "x1");
 }
 
+// The string_view overload may read from the very slot it overwrites:
+// the same string, or an overlapping tail of it.
+TEST(TraceTest, ViewsIntoTheOverwrittenSlotAreSafe) {
+  TraceLog one(1);
+  one.Append(0, TraceKind::kNote, "y", 1, 0, "a detail that is long enough");
+  const TraceRecord& slot = one.records().front();
+  one.Append(1, TraceKind::kNote, slot.actor, 2, 0,
+             std::string_view(slot.detail).substr(2));
+  EXPECT_EQ(one.records().front().actor, "y");
+  EXPECT_EQ(one.records().front().detail, "detail that is long enough");
+  one.Append(2, TraceKind::kNote, "z", 3, 0,
+             std::string_view(one.records().front().detail).substr(0, 6));
+  EXPECT_EQ(one.records().front().actor, "z");
+  EXPECT_EQ(one.records().front().detail, "detail");
+  EXPECT_EQ(one.dropped_records(), 2);
+}
+
 }  // namespace
 }  // namespace memstream::sim
